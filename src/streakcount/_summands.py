@@ -1,0 +1,107 @@
+"""The summands of the closed forms, and their exact ratios in k.
+
+Every closed form in counting sums, over an index k, a product of two
+binomials.  Each product is a hypergeometric term: term k + 1 is term k
+times a ratio of polynomials in k.  So a whole sum needs one starting term
+and then one multiply-then-divide per step, never a fresh binomial.  The
+division is exact because both neighbouring terms are integers and every
+term inside a summation range is nonzero.
+
+Three summands live here, each with its defining product and a generator
+that steps through its summation range by the exact ratio:
+
+- heady, score s, spare budget m = n - s - 1:  C(2k + s, k) * C(m - 2k, k)
+- taily, score s, spare budget m = n - s:      C(2k + s - 1, k - 1) * C(m - 2k, k)
+- close call, length n:                        C(2k - 1, k) * C(n - 2k, k - 1)
+
+The heady and taily leading factors also have their own ratio in k, which
+the term-vector path uses to open a new last term.  Each ratio is a
+(numerator, denominator) pair of positive integers.
+"""
+
+from __future__ import annotations
+
+from math import comb
+from typing import Iterator
+
+
+def binom(a: int, b: int) -> int:
+    """C(a, b) with out-of-range argument pairs mapped to 0."""
+    if a < 0 or b < 0 or b > a:
+        return 0
+    return comb(a, b)
+
+
+def heady_term(s: int, m: int, k: int) -> int:
+    return binom(2 * k + s, k) * binom(m - 2 * k, k)
+
+
+def heady_lead_ratio(s: int, k: int) -> tuple[int, int]:
+    """C(2k + s + 2, k + 1) / C(2k + s, k)."""
+    return (2 * k + s + 2) * (2 * k + s + 1), (k + 1) * (k + s + 1)
+
+
+def heady_terms(s: int, m: int) -> Iterator[int]:
+    """heady_term(s, m, k) for max(0, -s) <= k <= m // 3, in order.
+
+    Each term after the first is the one before times heady_lead_ratio(s, k)
+    times C(m - 2k - 2, k + 1) / C(m - 2k, k), written out so that a step
+    costs no call.
+    """
+    k, k_hi = max(0, -s), m // 3
+    if k > k_hi:
+        return
+    term = heady_term(s, m, k)
+    yield term
+    for k in range(k, k_hi):
+        a, b = m - 3 * k, 2 * k + s
+        term = term * ((b + 2) * (b + 1) * a * (a - 1) * (a - 2)) // (
+            (k + 1) * (k + s + 1) * (k + 1) * (m - 2 * k) * (m - 2 * k - 1))
+        yield term
+
+
+def taily_term(s: int, m: int, k: int) -> int:
+    return binom(2 * k + s - 1, k - 1) * binom(m - 2 * k, k)
+
+
+def taily_lead_ratio(s: int, k: int) -> tuple[int, int]:
+    """C(2k + s + 1, k) / C(2k + s - 1, k - 1)."""
+    return (2 * k + s + 1) * (2 * k + s), k * (k + s + 1)
+
+
+def taily_terms(s: int, m: int) -> Iterator[int]:
+    """taily_term(s, m, k) for max(1, -s) <= k <= m // 3, in order.
+
+    Each term after the first is the one before times taily_lead_ratio(s, k)
+    times C(m - 2k - 2, k + 1) / C(m - 2k, k), written out so that a step
+    costs no call.
+    """
+    k, k_hi = max(1, -s), m // 3
+    if k > k_hi:
+        return
+    term = taily_term(s, m, k)
+    yield term
+    for k in range(k, k_hi):
+        a, b = m - 3 * k, 2 * k + s
+        term = term * ((b + 1) * b * a * (a - 1) * (a - 2)) // (
+            k * (k + s + 1) * (k + 1) * (m - 2 * k) * (m - 2 * k - 1))
+        yield term
+
+
+def close_call_term(n: int, k: int) -> int:
+    return binom(2 * k - 1, k) * binom(n - 2 * k, k - 1)
+
+
+def close_call_terms(n: int) -> Iterator[int]:
+    """close_call_term(n, k) for 1 <= k <= (n + 1) // 3, in order; n >= 2.
+
+    The ratio from k to k + 1 is C(2k + 1, k + 1) / C(2k - 1, k) =
+    2(2k + 1) / (k + 1) times C(n - 2k - 2, k) / C(n - 2k, k - 1).
+    """
+    term = close_call_term(n, 1)
+    yield term
+    for k in range(1, (n + 1) // 3):
+        a = n - 3 * k
+        term = term * (2 * (2 * k + 1) * (a + 1) * a * (a - 1)) // (
+            (k + 1) * k * (n - 2 * k) * (n - 2 * k - 1))
+        yield term

@@ -1,24 +1,22 @@
 """Exact closed-form counts of toss sequences by score and final toss.
 
-All arithmetic is integer and exact.  The binomial convention C(a, b) = 0
-for a < 0, b < 0 or b > a makes every summation bound self-truncating, so
-the formulas return 0 outside their supported score ranges without any
+All arithmetic is integer and exact.  Each closed form is a sum of
+products of two binomials; the sums are evaluated by exact term ratios
+(see _summands): one starting term, then one multiply-then-divide per
+step instead of two fresh binomials, with values identical to summing
+the products directly.  The binomial convention C(a, b) = 0 for a < 0,
+b < 0 or b > a makes every summation bound self-truncating, so the
+formulas return 0 outside their supported score ranges without any
 separate casing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
+from . import _summands
+from ._summands import binom
 from .core import ScoreDistribution
-
-
-def binom(a: int, b: int) -> int:
-    """C(a, b) with out-of-range argument pairs mapped to 0."""
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return comb(a, b)
 
 
 def _require_length(n: int, minimum: int = 1) -> None:
@@ -35,9 +33,7 @@ def heady_count(s: int, n: int) -> int:
     tails.
     """
     _require_length(n)
-    ns = n - s - 1
-    return sum(binom(2 * k + s, k) * binom(ns - 2 * k, k)
-               for k in range(max(0, -s), ns // 3 + 1))
+    return sum(_summands.heady_terms(s, n - s - 1))
 
 
 def taily_count(s: int, n: int) -> int:
@@ -49,10 +45,7 @@ def taily_count(s: int, n: int) -> int:
     the sequence, leaving C(2k + s - 1, k - 1) orderings.
     """
     _require_length(n)
-    base = 1 if s == 0 else 0
-    ns = n - s
-    return base + sum(binom(2 * k + s - 1, k - 1) * binom(ns - 2 * k, k)
-                      for k in range(max(1, -s), ns // 3 + 1))
+    return (1 if s == 0 else 0) + sum(_summands.taily_terms(s, n - s))
 
 
 def heady_support(n: int) -> tuple[int, int]:
@@ -101,8 +94,7 @@ def heady_close_calls(n: int) -> int:
     equal by the verification suites.
     """
     _require_length(n, 2)
-    return sum(binom(2 * k - 1, k) * binom(n - 2 * k, k - 1)
-               for k in range(1, (n + 1) // 3 + 1))
+    return sum(_summands.close_call_terms(n))
 
 
 def win_gap(n: int) -> int:

@@ -3,26 +3,34 @@
 This module is the referee for the analytic paths and shares nothing with
 them beyond the plain data types.  Sequences pack into machine words,
 toss i at bit i - 1, so the space of one length is a plain integer range
-that numpy sweeps in fixed-size blocks.
+that numpy sweeps in fixed-size blocks.  numpy is imported by the
+functions that sweep, so importing this module, and the package, does not
+load it.
 """
 
 from __future__ import annotations
 
 import os
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import CloseCallTable, ScoreDistribution, TossSequence, close_call_buckets
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "STREAKCOUNT_ORACLE_CAP"
+
+# the word range [0, 2**n) is swept as uint64, whose end 2**n must itself
+# fit, so no cap can admit a longer sequence
+MAX_N = 63
 
 # block size of the vectorized sweep; bounds peak memory, never results
 _CHUNK = 1 << 20
 
 
 class OracleCapExceeded(ValueError):
-    """Enumeration request beyond the configured safety cap."""
+    """Enumeration request beyond the safety cap or the word size (MAX_N)."""
 
 
 def effective_cap(cap: int | None = None) -> int:
@@ -41,6 +49,10 @@ def effective_cap(cap: int | None = None) -> int:
 def _checked(n: int, cap: int | None) -> None:
     if n < 1:
         raise ValueError(f"sequence length must be at least 1, got {n}")
+    if n > MAX_N:
+        raise OracleCapExceeded(
+            f"n={n} exceeds the oracle's hard limit of {MAX_N}: sequences are "
+            f"packed into 64-bit words, whatever the cap")
     limit = effective_cap(cap)
     if n > limit:
         raise OracleCapExceeded(
@@ -72,6 +84,8 @@ def word_score(word: int, n: int) -> int:
 
 
 def _scores_and_last(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     one = np.uint64(1)
     if n > 1:
         mask = np.uint64((1 << (n - 1)) - 1)
@@ -95,6 +109,8 @@ def enumerate_distribution(n: int, cap: int | None = None,
     _checked(n, cap)
     if chunk < 1:
         raise ValueError(f"chunk size must be positive, got {chunk}")
+    import numpy as np
+
     offset = n // 2                       # shift scores onto nonnegative bins
     bins = 2 * (n - 1 + offset) + 2
     totals = np.zeros(bins, dtype=np.int64)
@@ -134,6 +150,8 @@ def sequences_with(n: int, score_value: int, mode: str,
     if mode not in ("heady", "taily"):
         raise ValueError(f"mode must be 'heady' or 'taily', got {mode!r}")
     _checked(n, cap)
+    import numpy as np
+
     want_last = 1 if mode == "heady" else 0
     out: list[TossSequence] = []
     for lo in range(0, 1 << n, _CHUNK):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import _summands
 from .core import ScoreDistribution
 from .counting import heady_support, taily_support
 
@@ -128,8 +129,8 @@ def _advance(vec: TermVector, budget: int) -> TermVector:
     budget is the free-tail count at the new length; term k gains
     terms[k] * k / (budget - 3k), integral because the increment collapses
     to a product of binomials.  When budget crosses a multiple of 3 the
-    summation bound grows and the frontier binomial, advanced by an exact
-    rational ratio, enters as the new last term.
+    summation bound grows and the frontier binomial, advanced by the
+    leading factor's exact ratio in k, enters as the new last term.
     """
     s = vec.score
     k0 = vec.k_start
@@ -148,13 +149,10 @@ def _advance(vec: TermVector, budget: int) -> TermVector:
                 raise AssertionError(
                     f"{vec.kind} summation bound skipped a step: s={s} n={n_new}")
             l = k_new - 1
-            if vec.kind == "heady":
-                num = frontier * (2 * l + s + 2) * (2 * l + s + 1)
-                den = (l + 1) * (l + s + 1)
-            else:
-                num = frontier * (2 * l + s + 1) * (2 * l + s)
-                den = l * (l + s + 1)
-            frontier = _exact_div(num, den, f"{vec.kind} frontier s={s} l={l}")
+            lead_ratio = (_summands.heady_lead_ratio if vec.kind == "heady"
+                          else _summands.taily_lead_ratio)
+            num, den = lead_ratio(s, l)
+            frontier = _exact_div(frontier * num, den, f"{vec.kind} frontier s={s} l={l}")
             terms.append(frontier)
     return TermVector(vec.kind, s, n_new, tuple(terms), frontier)
 

@@ -121,19 +121,33 @@ def compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
     """Weak compositions of total into bins parts, first part descending.
 
     Starts at (total, 0, ..., 0), ends at (0, ..., 0, total), and the same
-    rule orders the later parts recursively.  The stream has
-    C(total + bins - 1, bins - 1) members.
+    rule orders the later parts: the stream is in descending
+    lexicographic order and has C(total + bins - 1, bins - 1) members.
+    Each step takes one unit from the rightmost nonzero part before the
+    last and moves it, together with the whole last part, into the part
+    just after it.  No recursion, so any number of bins works.
     """
     if total < 0:
         raise ValueError(f"total must be nonnegative, got {total}")
     if bins < 1:
         raise ValueError(f"bins must be positive, got {bins}")
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, bins - 1):
-            yield (first,) + rest
+    parts = [total] + [0] * (bins - 1)
+    last = bins - 1
+    # i is the rightmost nonzero part before the last, -1 once there is none
+    i = 0 if total and last else -1
+    while True:
+        yield tuple(parts)
+        if i < 0:
+            return
+        parts[i] -= 1
+        moved = parts[last] + 1
+        parts[last] = 0
+        parts[i + 1] = moved
+        if i + 1 < last:
+            i += 1
+        else:
+            while i >= 0 and parts[i] == 0:
+                i -= 1
 
 
 def _insertion_slots(mu: TossSequence, mode: str, fixed_leading_one: bool) -> list[int]:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from . import core, counting, oracle, recurrence, signatures
+from . import _summands, core, counting, oracle, recurrence, signatures
 
 
 @dataclass(frozen=True)
@@ -181,20 +181,12 @@ def _term_shape_ok(vec: recurrence.TermVector) -> bool:
     # and the number of live terms must match the summation bound
     s = vec.score
     if vec.kind == "heady":
-        budget = vec.n - s - 1
-
-        def product(k: int) -> int:
-            return counting.binom(2 * k + s, k) * counting.binom(budget - 2 * k, k)
+        budget, product = vec.n - s - 1, _summands.heady_term
     else:
-        budget = vec.n - s
-
-        def product(k: int) -> int:
-            return counting.binom(2 * k + s - 1, k - 1) * counting.binom(
-                budget - 2 * k, k)
-
+        budget, product = vec.n - s, _summands.taily_term
     if len(vec.terms) != max(0, budget // 3 - vec.k_start + 1):
         return False
-    return all(t == product(vec.k_start + i) for i, t in enumerate(vec.terms))
+    return all(t == product(s, budget, vec.k_start + i) for i, t in enumerate(vec.terms))
 
 
 def _term_updates(rec: _Recorder, max_n: int) -> None:

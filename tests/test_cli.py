@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +265,33 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "2 1 0\n"
+
+
+def child_env(**extra):
+    # the child imports this package from the same source tree
+    src = str(Path(streakcount.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_analytic_commands_do_not_import_numpy():
+    code = ("import contextlib, io, sys\n"
+            "import streakcount, streakcount.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = streakcount.cli.main(['wins', '10'])\n"
+            "print(rc, 'numpy' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env(), timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0 False\n", "")
+
+
+def test_oracle_refuses_lengths_past_the_word_size_whatever_the_cap():
+    result = subprocess.run(
+        [sys.executable, "-m", "streakcount", "dist", "65", "--method", "oracle"],
+        capture_output=True, text=True, timeout=10,
+        env=child_env(STREAKCOUNT_ORACLE_CAP="70"))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: n=65 exceeds")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from streakcount import _summands
 from streakcount.counting import (
     binom,
     closed_distribution,
@@ -22,6 +23,41 @@ from streakcount.counting import (
 from streakcount.oracle import enumerate_distribution
 
 from reference_values import CLOSE_CALL_ROWS, WIN_GAP_AT_100
+
+
+# The defining two-binomial sums, summed over every k with the convention
+# C(a, b) = 0 outside 0 <= b <= a, independently of the engine's summation
+# bounds and term ratios.  Each product skips its large leading binomial
+# where the spare-tails factor is already 0.
+def comb0(a, b):
+    return math.comb(a, b) if 0 <= b <= a else 0
+
+
+def heady_product(s, n, k):
+    spare = comb0(n - s - 1 - 2 * k, k)
+    return spare and comb0(2 * k + s, k) * spare
+
+
+def taily_product(s, n, k):
+    spare = comb0(n - s - 2 * k, k)
+    return spare and comb0(2 * k + s - 1, k - 1) * spare
+
+
+def close_call_product(n, k):
+    spare = comb0(n - 2 * k, k - 1)
+    return spare and comb0(2 * k - 1, k) * spare
+
+
+def defining_heady(s, n):
+    return sum(heady_product(s, n, k) for k in range(n + 1))
+
+
+def defining_taily(s, n):
+    return (1 if s == 0 else 0) + sum(taily_product(s, n, k) for k in range(n + 1))
+
+
+def defining_close_calls(n):
+    return sum(close_call_product(n, k) for k in range(n + 1))
 
 
 def test_binom_zero_conventions():
@@ -179,3 +215,45 @@ def test_win_odds_at_100_rounds_to_published_share():
     odds = win_odds(100, digits=4)
     assert odds.gap == WIN_GAP_AT_100
     assert odds.gap_share == "0.0282"
+
+
+@st.composite
+def cells(draw, max_n=2000):
+    # scores from inside the support and from just outside either edge
+    n = draw(st.integers(1, max_n))
+    lo, hi = score_support(n)
+    s = draw(st.one_of(st.integers(lo, hi),
+                       st.sampled_from((lo - 2, lo - 1, hi + 1, hi + 2))))
+    return s, n
+
+
+@given(cells())
+def test_closed_forms_equal_the_defining_sums(cell):
+    s, n = cell
+    assert heady_count(s, n) == defining_heady(s, n)
+    assert taily_count(s, n) == defining_taily(s, n)
+    if n >= 2:
+        assert heady_close_calls(n) == defining_close_calls(n)
+
+
+def test_large_gap_cells_equal_the_defining_sum():
+    assert win_gap(5000) == defining_heady(-1, 5000)
+    assert win_gap_step(5001) == defining_heady(1, 5000)
+
+
+@pytest.mark.parametrize("s, n", [(0, 1), (0, 30), (4, 41), (-1, 100), (1, 99),
+                                  (-7, 60), (-12, 37), (25, 301), (-1, 700)])
+def test_term_ratios_reproduce_every_defining_product(s, n):
+    m = n - s - 1
+    ks = range(max(0, -s), m // 3 + 1)
+    assert list(_summands.heady_terms(s, m)) == [heady_product(s, n, k) for k in ks]
+    ks = range(max(1, -s), (m + 1) // 3 + 1)
+    assert list(_summands.taily_terms(s, m + 1)) == [taily_product(s, n, k) for k in ks]
+    if n >= 2:
+        ks = range(1, (n + 1) // 3 + 1)
+        assert list(_summands.close_call_terms(n)) == [close_call_product(n, k) for k in ks]
+    for k in range(max(1, -s), 40):
+        num, den = _summands.heady_lead_ratio(s, k)
+        assert comb0(2 * k + s + 2, k + 1) * den == comb0(2 * k + s, k) * num
+        num, den = _summands.taily_lead_ratio(s, k)
+        assert comb0(2 * k + s + 1, k) * den == comb0(2 * k + s - 1, k - 1) * num

@@ -109,6 +109,17 @@ def test_cap_guards_every_entry_point(monkeypatch):
     assert enumerate_distribution(7, cap=7).total() == 128
 
 
+def test_word_size_is_a_hard_ceiling(monkeypatch):
+    monkeypatch.setenv(oracle.CAP_ENV_VAR, "70")
+    for n in (oracle.MAX_N + 1, 65):
+        with pytest.raises(OracleCapExceeded, match="hard limit of 63"):
+            enumerate_distribution(n)
+        with pytest.raises(OracleCapExceeded, match="hard limit of 63"):
+            enumerate_distribution(n, cap=1000)
+        with pytest.raises(OracleCapExceeded, match="hard limit of 63"):
+            sequences_with(n, 0, "heady", cap=1000)
+
+
 def test_rejects_nonpositive_length():
     with pytest.raises(ValueError):
         enumerate_distribution(0)

@@ -137,6 +137,19 @@ def test_compositions_order_and_census():
         list(compositions(3, 0))
 
 
+def test_deep_signature_generates_without_recursion():
+    # 1201 insertion slots: far beyond the interpreter's recursion limit
+    sig, n = "-" * 1200, 3700
+    outputs = list(itertools.islice(generate_sequences(sig, n, "taily"), 50))
+    assert len(outputs) == 50
+    assert len(set(outputs)) == 50
+    for bits in outputs:
+        assert len(bits) == n
+        assert bits[-1] == 0
+        assert score(bits) == -1200
+        assert signature_of(bits) == sig
+
+
 @given(st.integers(0, 8), st.integers(1, 5))
 def test_compositions_count_is_stars_and_bars(total, bins):
     found = list(compositions(total, bins))
