@@ -25,7 +25,6 @@ from .core import (
 )
 from .counting import (
     WinOdds,
-    binom,
     closed_distribution,
     decimal_ratio,
     heady_close_calls,
@@ -43,23 +42,11 @@ from .oracle import (
     enumerate_distribution,
     sequences_with,
 )
-from .oracle import win_gap as oracle_win_gap
 from .recurrence import (
-    DpTable,
-    TermVector,
     dp_distribution,
-    dp_extend,
-    dp_start,
     dp_sweep,
-    extend_heady_terms,
-    extend_taily_terms,
-    first_heady_n,
-    first_taily_n,
-    heady_terms_start,
     incremental_distribution,
     table_sweep,
-    taily_terms_start,
-    terms_value,
 )
 from .signatures import (
     MinLengthSeq,
@@ -76,16 +63,13 @@ from .verify import SuiteResult, run_suites
 
 __all__ = [
     "CloseCallTable",
-    "DpTable",
     "MinLengthSeq",
     "Outcome",
     "OracleCapExceeded",
     "ScoreDistribution",
     "SuiteResult",
-    "TermVector",
     "TossSequence",
     "WinOdds",
-    "binom",
     "classify",
     "close_call_buckets",
     "closed_distribution",
@@ -93,23 +77,15 @@ __all__ = [
     "compositions",
     "decimal_ratio",
     "dp_distribution",
-    "dp_extend",
-    "dp_start",
     "dp_sweep",
     "enumerate_distribution",
-    "extend_heady_terms",
-    "extend_taily_terms",
-    "first_heady_n",
-    "first_taily_n",
     "generate_sequences",
     "heady_close_calls",
     "heady_count",
     "heady_support",
-    "heady_terms_start",
     "incremental_distribution",
     "min_length",
     "min_length_sequence",
-    "oracle_win_gap",
     "parse_sequence",
     "run_suites",
     "score",
@@ -122,8 +98,6 @@ __all__ = [
     "table_sweep",
     "taily_count",
     "taily_support",
-    "taily_terms_start",
-    "terms_value",
     "win_gap",
     "win_gap_step",
     "win_odds",

@@ -14,15 +14,15 @@ that steps through its summation range by the exact ratio:
 - taily, score s, spare budget m = n - s:      C(2k + s - 1, k - 1) * C(m - 2k, k)
 - close call, length n:                        C(2k - 1, k) * C(n - 2k, k - 1)
 
-The heady and taily leading factors also have their own ratio in k, which
-the term-vector path uses to open a new last term.  Each ratio is a
-(numerator, denominator) pair of positive integers.
+The heady and taily summands also have a ratio in the spare budget m, and
+step_budget moves a whole list of their terms from one budget to the next:
+that is the term-vector path's step in the length n.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 def binom(a: int, b: int) -> int:
@@ -36,17 +36,12 @@ def heady_term(s: int, m: int, k: int) -> int:
     return binom(2 * k + s, k) * binom(m - 2 * k, k)
 
 
-def heady_lead_ratio(s: int, k: int) -> tuple[int, int]:
-    """C(2k + s + 2, k + 1) / C(2k + s, k)."""
-    return (2 * k + s + 2) * (2 * k + s + 1), (k + 1) * (k + s + 1)
-
-
 def heady_terms(s: int, m: int) -> Iterator[int]:
     """heady_term(s, m, k) for max(0, -s) <= k <= m // 3, in order.
 
-    Each term after the first is the one before times heady_lead_ratio(s, k)
-    times C(m - 2k - 2, k + 1) / C(m - 2k, k), written out so that a step
-    costs no call.
+    Each term after the first is the one before times C(2k + s + 2, k + 1)
+    / C(2k + s, k) times C(m - 2k - 2, k + 1) / C(m - 2k, k), written out
+    so that a step costs no call.
     """
     k, k_hi = max(0, -s), m // 3
     if k > k_hi:
@@ -64,17 +59,12 @@ def taily_term(s: int, m: int, k: int) -> int:
     return binom(2 * k + s - 1, k - 1) * binom(m - 2 * k, k)
 
 
-def taily_lead_ratio(s: int, k: int) -> tuple[int, int]:
-    """C(2k + s + 1, k) / C(2k + s - 1, k - 1)."""
-    return (2 * k + s + 1) * (2 * k + s), k * (k + s + 1)
-
-
 def taily_terms(s: int, m: int) -> Iterator[int]:
     """taily_term(s, m, k) for max(1, -s) <= k <= m // 3, in order.
 
-    Each term after the first is the one before times taily_lead_ratio(s, k)
-    times C(m - 2k - 2, k + 1) / C(m - 2k, k), written out so that a step
-    costs no call.
+    Each term after the first is the one before times C(2k + s + 1, k)
+    / C(2k + s - 1, k - 1) times C(m - 2k - 2, k + 1) / C(m - 2k, k),
+    written out so that a step costs no call.
     """
     k, k_hi = max(1, -s), m // 3
     if k > k_hi:
@@ -86,6 +76,24 @@ def taily_terms(s: int, m: int) -> Iterator[int]:
         term = term * ((b + 1) * b * a * (a - 1) * (a - 2)) // (
             k * (k + s + 1) * (k + 1) * (m - 2 * k) * (m - 2 * k - 1))
         yield term
+
+
+def step_budget(terms: Sequence[int], k0: int, m: int) -> list[int]:
+    """Heady or taily terms k0, k0 + 1, ... moved from spare budget m - 1 to m.
+
+    Only the factor C(m - 2k, k) depends on the budget, and it grows by
+    (m - 2k) / (m - 3k), so term k gains term * k / (m - 3k).  Both terms
+    are integers, so the division is exact; a remainder raises
+    AssertionError, since only a wrong term list or budget can leave one.
+    """
+    out = []
+    for k, term in enumerate(terms, k0):
+        gain, rem = divmod(term * k, m - 3 * k)
+        if rem:
+            raise AssertionError(
+                f"inexact term update: {term} * {k} / {m - 3 * k} at budget {m}")
+        out.append(term + gain)
+    return out
 
 
 def close_call_term(n: int, k: int) -> int:

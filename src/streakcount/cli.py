@@ -6,13 +6,15 @@ game odds, table and bfile print the close-call and gap series, gen streams
 constructed sequences, verify runs the cross-checking suites and bench
 times the paths against each other.  All output is plain text on stdout;
 anything a flag rejects comes back as "error: ..." on stderr and exit
-status 1.
+status 1.  A closed output pipe ends the command quietly with status 141
+and an interrupt with status 130, the shell's codes for SIGPIPE and SIGINT.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from time import perf_counter
 
@@ -224,10 +226,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull so the
+        # flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        return 130
 
 
 def entry() -> None:

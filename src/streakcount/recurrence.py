@@ -5,9 +5,10 @@ final toss): a head after a head raises the score, a tail after a head
 lowers it, anything after a tail scores nothing.  The term-vector route
 instead advances each closed-form summation term in place: stepping the
 length multiplies term k of a score cell by a rational factor that is
-always integral, so a whole table sweep never recomputes a binomial from
-scratch.  Inexact division in that path is impossible by construction and
-treated as an internal bug, never an input error.
+always integral, and a term entering the summation range starts as its
+defining product, which at its first length is one binomial.  Inexact
+division in that path is impossible by construction and treated as an
+internal bug, never an input error.
 """
 
 from __future__ import annotations
@@ -20,22 +21,13 @@ from .core import ScoreDistribution
 from .counting import heady_support, taily_support
 
 
-@dataclass(frozen=True)
-class DpTable:
-    """Counts by score for one length, split by final toss."""
-
-    n: int
-    heady: dict[int, int]
-    taily: dict[int, int]
+def dp_start() -> ScoreDistribution:
+    return ScoreDistribution(1, {0: 1}, {0: 1})
 
 
-def dp_start() -> DpTable:
-    return DpTable(1, {0: 1}, {0: 1})
-
-
-def dp_extend(table: DpTable) -> DpTable:
+def dp_extend(table: ScoreDistribution) -> ScoreDistribution:
     """One appended toss: heady'[s] = heady[s-1] + taily[s] and
-    taily'[s] = taily[s] + heady[s+1]."""
+    taily'[s] = taily[s] + heady[s+1].  The input is left untouched."""
     heady: dict[int, int] = {}
     taily: dict[int, int] = {}
     for s, c in table.heady.items():
@@ -44,7 +36,7 @@ def dp_extend(table: DpTable) -> DpTable:
     for s, c in table.taily.items():
         heady[s] = heady.get(s, 0) + c            # nothing scores after a tail
         taily[s] = taily.get(s, 0) + c
-    return DpTable(table.n + 1, heady, taily)
+    return ScoreDistribution(table.n + 1, heady, taily)
 
 
 def dp_sweep(n_max: int) -> Iterator[ScoreDistribution]:
@@ -52,10 +44,10 @@ def dp_sweep(n_max: int) -> Iterator[ScoreDistribution]:
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     table = dp_start()
-    yield ScoreDistribution(table.n, dict(table.heady), dict(table.taily))
+    yield table
     while table.n < n_max:
         table = dp_extend(table)
-        yield ScoreDistribution(table.n, dict(table.heady), dict(table.taily))
+        yield table
 
 
 def dp_distribution(n: int) -> ScoreDistribution:
@@ -69,15 +61,13 @@ class TermVector:
     """Live summation terms of one closed-form score cell.
 
     terms[i] is the value of summation index k = k_start + i at the
-    current length; frontier is the pure binomial that seeds the next
-    appended term.
+    current length.
     """
 
     kind: str             # "heady" or "taily"
     score: int
     n: int
     terms: tuple[int, ...]
-    frontier: int
 
     @property
     def k_start(self) -> int:
@@ -101,11 +91,11 @@ def first_taily_n(s: int) -> int:
 
 def heady_terms_start(s: int) -> TermVector:
     """A heady cell at its birth length; the single live term is 1."""
-    return TermVector("heady", s, first_heady_n(s), (1,), 1)
+    return TermVector("heady", s, first_heady_n(s), (1,))
 
 
 def taily_terms_start(s: int) -> TermVector:
-    return TermVector("taily", s, first_taily_n(s), (1,), 1)
+    return TermVector("taily", s, first_taily_n(s), (1,))
 
 
 def terms_value(vec: TermVector) -> int:
@@ -116,45 +106,23 @@ def terms_value(vec: TermVector) -> int:
     return v
 
 
-def _exact_div(num: int, den: int, context: str) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError(f"inexact division in {context}: {num} / {den}")
-    return q
-
-
 def _advance(vec: TermVector, budget: int) -> TermVector:
-    """Shared stepping logic.
+    """Step a cell to its next length, where its spare budget is budget.
 
-    budget is the free-tail count at the new length; term k gains
-    terms[k] * k / (budget - 3k), integral because the increment collapses
-    to a product of binomials.  When budget crosses a multiple of 3 the
-    summation bound grows and the frontier binomial, advanced by the
-    leading factor's exact ratio in k, enters as the new last term.
+    The live terms step by _summands.step_budget.  When the budget reaches
+    3k for the next index k, term k enters as its defining product, which
+    at that budget is the leading binomial alone.
     """
     s = vec.score
-    k0 = vec.k_start
-    n_new = vec.n + 1
-    terms = []
-    for i, u in enumerate(vec.terms):
-        k = k0 + i
-        inc = _exact_div(u * k, budget - 3 * k,
-                         f"{vec.kind} term update s={s} n={n_new} k={k}")
-        terms.append(u + inc)
-    frontier = vec.frontier
-    if budget % 3 == 0:
-        k_new = budget // 3
-        if k_new > k0:
-            if k_new != k0 + len(vec.terms):
-                raise AssertionError(
-                    f"{vec.kind} summation bound skipped a step: s={s} n={n_new}")
-            l = k_new - 1
-            lead_ratio = (_summands.heady_lead_ratio if vec.kind == "heady"
-                          else _summands.taily_lead_ratio)
-            num, den = lead_ratio(s, l)
-            frontier = _exact_div(frontier * num, den, f"{vec.kind} frontier s={s} l={l}")
-            terms.append(frontier)
-    return TermVector(vec.kind, s, n_new, tuple(terms), frontier)
+    terms = _summands.step_budget(vec.terms, vec.k_start, budget)
+    k_next = vec.k_start + len(terms)
+    if budget > 3 * k_next:
+        raise AssertionError(
+            f"{vec.kind} summation bound skipped a step: s={s} n={vec.n + 1}")
+    if budget == 3 * k_next:
+        product = _summands.heady_term if vec.kind == "heady" else _summands.taily_term
+        terms.append(product(s, budget, k_next))
+    return TermVector(vec.kind, s, vec.n + 1, tuple(terms))
 
 
 def extend_heady_terms(vec: TermVector) -> TermVector:

@@ -205,11 +205,13 @@ def _emit(mu: TossSequence, slots: list[int], spare: int) -> Iterator[TossSequen
     if not slots:
         yield mu
         return
+    # a fixed head, then one piece per slot: the run of mu from that slot to
+    # the next (empty for the taily end slot); each slot's tails go in front
+    head = list(mu[:slots[0]])
+    pieces = [mu[a:b] for a, b in zip(slots, slots[1:] + [len(mu)])]
     for comp in compositions(spare, len(slots)):
-        fill = dict(zip(slots, comp))
-        out: list[int] = []
-        for i, b in enumerate(mu):
-            out.extend([0] * fill.get(i, 0))
-            out.append(b)
-        out.extend([0] * fill.get(len(mu), 0))
+        out = head.copy()
+        for c, piece in zip(comp, pieces):
+            out += (0,) * c
+            out += piece
         yield tuple(out)

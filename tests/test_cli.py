@@ -295,3 +295,41 @@ def test_oracle_refuses_lengths_past_the_word_size_whatever_the_cap():
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: n=65 exceeds")
+
+
+def test_closed_output_pipe_exits_quietly():
+    # far more output than a pipe buffer holds, so the writer meets the
+    # closed pipe while it still has lines to print
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "streakcount", "gen", "--signature=+-", "--length", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert first.rstrip().endswith(b"1101") and stderr == b""
+
+
+def test_interrupt_exits_with_status_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "_cmd_wins", interrupted)
+    try:
+        rc = cli.main(["wins", "3"])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert rc == 130
+    assert capsys.readouterr().err == ""
+
+
+def test_package_root_lists_the_user_api():
+    names = streakcount.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(streakcount, name) is not None
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    imported = [line.split(" import ", 1)[1] for line in readme.splitlines()
+                if line.startswith(">>> from streakcount import ")]
+    assert imported
+    for line in imported:
+        assert {name.strip() for name in line.split(",")} <= set(names)

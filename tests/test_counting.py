@@ -252,8 +252,3 @@ def test_term_ratios_reproduce_every_defining_product(s, n):
     if n >= 2:
         ks = range(1, (n + 1) // 3 + 1)
         assert list(_summands.close_call_terms(n)) == [close_call_product(n, k) for k in ks]
-    for k in range(max(1, -s), 40):
-        num, den = _summands.heady_lead_ratio(s, k)
-        assert comb0(2 * k + s + 2, k + 1) * den == comb0(2 * k + s, k) * num
-        num, den = _summands.taily_lead_ratio(s, k)
-        assert comb0(2 * k + s + 1, k) * den == comb0(2 * k + s - 1, k - 1) * num

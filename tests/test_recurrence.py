@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streakcount import recurrence
+from streakcount import _summands
 from streakcount.counting import (
     binom,
     closed_distribution,
@@ -10,6 +10,7 @@ from streakcount.counting import (
     taily_count,
 )
 from streakcount.recurrence import (
+    TermVector,
     dp_distribution,
     dp_extend,
     dp_start,
@@ -65,7 +66,7 @@ def test_term_vector_openings():
         if n0 > 1:
             assert heady_count(s, n0 - 1) == 0
         vec = heady_terms_start(s)
-        assert (vec.n, vec.terms, vec.frontier) == (n0, (1,), 1)
+        assert (vec.n, vec.terms) == (n0, (1,))
         assert terms_value(vec) == heady_count(s, n0)
 
         m0 = first_taily_n(s)
@@ -111,10 +112,21 @@ def test_extend_guards_vector_kind():
         extend_taily_terms(heady_terms_start(0))
 
 
-def test_exact_division_guard():
-    assert recurrence._exact_div(6, 3, "test") == 2
-    with pytest.raises(AssertionError, match="inexact division in test"):
-        recurrence._exact_div(5, 2, "test")
+def test_budget_step_refuses_an_inexact_update():
+    assert _summands.step_budget([1, 2], 0, 5) == [1, 3]
+    # term k = 1 would gain 1 * 1 / (5 - 3)
+    with pytest.raises(AssertionError, match="inexact term update"):
+        _summands.step_budget([1, 1], 0, 5)
+
+
+def test_term_walk_refuses_a_missing_last_term():
+    vec = heady_terms_start(0)
+    for _ in range(4):
+        vec = extend_heady_terms(vec)
+    assert (vec.n, len(vec.terms)) == (5, 2)
+    truncated = TermVector("heady", 0, vec.n, vec.terms[:-1])
+    with pytest.raises(AssertionError, match="skipped a step"):
+        extend_heady_terms(truncated)
 
 
 @given(st.integers(-10, 10), st.integers(1, 60))
