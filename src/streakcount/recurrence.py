@@ -1,9 +1,11 @@
 """Incremental rebuilds of the score table, one appended toss at a time.
 
-Two routes live here.  The dynamic program walks counts keyed by (score,
-final toss): a head after a head raises the score, a tail after a head
-lowers it, anything after a tail scores nothing.  The term-vector route
-instead advances each closed-form summation term in place: stepping the
+Two routes live here.  The dynamic program keeps two dense lists of
+counts, one per final toss, indexed from the lowest score: a head after a
+head raises the score, a tail after a head lowers it, anything after a
+tail scores nothing, so one appended toss is two shifted list additions.
+The term-vector route instead advances each closed-form summation term in
+place, keeping each live score cell as a plain list of terms: stepping the
 length multiplies term k of a score cell by a rational factor that is
 always integral, and a term entering the summation range starts as its
 defining product, which at its first length is one binomial.  Inexact
@@ -14,46 +16,64 @@ internal bug, never an input error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from operator import add
+from typing import Iterator, Sequence
 
 from . import _summands
 from .core import ScoreDistribution
 from .counting import heady_support, taily_support
 
 
-def dp_start() -> ScoreDistribution:
-    return ScoreDistribution(1, {0: 1}, {0: 1})
+def _dp_steps(n_max: int) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(n, heady, taily) for n = 1 .. n_max, as dense lists of counts.
+
+    Both lists are indexed from the lowest score -(n // 2) up to n - 1.
+    One appended toss makes heady'[s] = heady[s-1] + taily[s] (a head after
+    a head scores for Alice, a head after a tail scores nothing) and
+    taily'[s] = taily[s] + heady[s+1] (a tail after a head scores for Bob).
+    The lowest score drops by one when n is odd, so the old lists are
+    shifted by one more place then.  The yielded lists are never mutated.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    n, heady, taily = 1, [1], [1]
+    yield n, heady, taily
+    while n < n_max:
+        shift = n & 1
+        zeros = [0] * shift
+        stay = zeros + taily + [0]       # taily[s] at the new offsets
+        heady, taily = (list(map(add, zeros + [0] + heady, stay)),          # + heady[s-1]
+                        list(map(add, stay, heady[1 - shift:] + [0, 0])))  # + heady[s+1]
+        n += 1
+        yield n, heady, taily
 
 
-def dp_extend(table: ScoreDistribution) -> ScoreDistribution:
-    """One appended toss: heady'[s] = heady[s-1] + taily[s] and
-    taily'[s] = taily[s] + heady[s+1].  The input is left untouched."""
-    heady: dict[int, int] = {}
-    taily: dict[int, int] = {}
-    for s, c in table.heady.items():
-        heady[s + 1] = heady.get(s + 1, 0) + c    # head after head scores for Alice
-        taily[s - 1] = taily.get(s - 1, 0) + c    # tail after head scores for Bob
-    for s, c in table.taily.items():
-        heady[s] = heady.get(s, 0) + c            # nothing scores after a tail
-        taily[s] = taily.get(s, 0) + c
-    return ScoreDistribution(table.n + 1, heady, taily)
+def _dp_table(n: int, heady: list[int], taily: list[int]) -> ScoreDistribution:
+    """The dense lists at length n as a table over the two supports.
+
+    Every cell inside a support is nonzero and every cell outside is zero,
+    so slicing the supports out stores exactly the nonzero counts.
+    """
+    lo = -(n // 2)
+    h_lo, h_hi = heady_support(n)
+    t_lo, t_hi = taily_support(n)
+    return ScoreDistribution(
+        n,
+        dict(zip(range(h_lo, h_hi + 1), heady[h_lo - lo:h_hi - lo + 1])),
+        dict(zip(range(t_lo, t_hi + 1), taily[t_lo - lo:t_hi - lo + 1])))
 
 
 def dp_sweep(n_max: int) -> Iterator[ScoreDistribution]:
     """Stream the distribution for every length 1 .. n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    table = dp_start()
-    yield table
-    while table.n < n_max:
-        table = dp_extend(table)
-        yield table
+    for step in _dp_steps(n_max):
+        yield _dp_table(*step)
 
 
 def dp_distribution(n: int) -> ScoreDistribution:
-    for dist in dp_sweep(n):
+    """Distribution at one length; only the last step becomes a table."""
+    for step in _dp_steps(n):
         pass
-    return dist
+    return _dp_table(*step)
 
 
 @dataclass(frozen=True)
@@ -71,9 +91,11 @@ class TermVector:
 
     @property
     def k_start(self) -> int:
-        if self.kind == "heady":
-            return max(0, -self.score)
-        return max(1, -self.score)
+        return _k_start(self.kind, self.score)
+
+
+def _k_start(kind: str, s: int) -> int:
+    return max(0 if kind == "heady" else 1, -s)
 
 
 def first_heady_n(s: int) -> int:
@@ -98,96 +120,91 @@ def taily_terms_start(s: int) -> TermVector:
     return TermVector("taily", s, first_taily_n(s), (1,))
 
 
-def terms_value(vec: TermVector) -> int:
-    """Closed-form cell value at the vector's current length."""
-    v = sum(vec.terms)
-    if vec.kind == "taily" and vec.score == 0:
+def _cell_value(kind: str, s: int, terms: Sequence[int]) -> int:
+    v = sum(terms)
+    if kind == "taily" and s == 0:
         v += 1            # the all-tails sequence sits outside the summation
     return v
 
 
-def _advance(vec: TermVector, budget: int) -> TermVector:
-    """Step a cell to its next length, where its spare budget is budget.
+def terms_value(vec: TermVector) -> int:
+    """Closed-form cell value at the vector's current length."""
+    return _cell_value(vec.kind, vec.score, vec.terms)
 
-    The live terms step by _summands.step_budget.  When the budget reaches
-    3k for the next index k, term k enters as its defining product, which
-    at that budget is the leading binomial alone.
+
+def _step_terms(kind: str, s: int, n: int, terms: Sequence[int]) -> list[int]:
+    """The live terms of a score-s cell of this kind, from length n to n + 1.
+
+    The live terms step by _summands.step_budget.  When the spare budget
+    reaches 3k for the next index k, term k enters as its defining product,
+    which at that budget is the leading binomial alone.
     """
-    s = vec.score
-    terms = _summands.step_budget(vec.terms, vec.k_start, budget)
-    k_next = vec.k_start + len(terms)
+    k0 = _k_start(kind, s)
+    if kind == "heady":
+        budget, product = n - s, _summands.heady_term
+    else:
+        budget, product = n + 1 - s, _summands.taily_term
+    terms = _summands.step_budget(terms, k0, budget)
+    k_next = k0 + len(terms)
     if budget > 3 * k_next:
-        raise AssertionError(
-            f"{vec.kind} summation bound skipped a step: s={s} n={vec.n + 1}")
+        raise AssertionError(f"{kind} summation bound skipped a step: s={s} n={n + 1}")
     if budget == 3 * k_next:
-        product = _summands.heady_term if vec.kind == "heady" else _summands.taily_term
         terms.append(product(s, budget, k_next))
-    return TermVector(vec.kind, s, vec.n + 1, tuple(terms))
+    return terms
+
+
+def _extend(vec: TermVector, kind: str) -> TermVector:
+    if vec.kind != kind:
+        raise ValueError(f"extend_{kind}_terms needs a {kind} vector")
+    return TermVector(kind, vec.score, vec.n + 1,
+                      tuple(_step_terms(kind, vec.score, vec.n, vec.terms)))
 
 
 def extend_heady_terms(vec: TermVector) -> TermVector:
     """Advance a heady cell from its length n to n + 1."""
-    if vec.kind != "heady":
-        raise ValueError("extend_heady_terms needs a heady vector")
-    return _advance(vec, vec.n - vec.score)
+    return _extend(vec, "heady")
 
 
 def extend_taily_terms(vec: TermVector) -> TermVector:
     """Advance a taily cell from its length n to n + 1."""
-    if vec.kind != "taily":
-        raise ValueError("extend_taily_terms needs a taily vector")
-    return _advance(vec, vec.n + 1 - vec.score)
+    return _extend(vec, "taily")
 
 
 def table_sweep(n_max: int, mode: str = "both") -> Iterator[ScoreDistribution]:
-    """Stream full distributions for n = 1 .. n_max off live term vectors.
+    """Stream full distributions for n = 1 .. n_max off live term lists.
 
     A score cell opens the first time its support admits a term; every
-    later length advances the stored vector by one step.  With mode
-    "heady" or "taily" the other half of each distribution stays empty.
+    later length steps its stored list of terms once.  With mode "heady"
+    or "taily" the other half of each distribution stays empty.
     """
     if mode not in ("heady", "taily", "both"):
         raise ValueError(f"mode must be 'heady', 'taily' or 'both', got {mode!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    want_heady = mode in ("heady", "both")
-    want_taily = mode in ("taily", "both")
-    heady_vecs: dict[int, TermVector] = {}
-    taily_vecs: dict[int, TermVector] = {}
+    halves = [(kind, {}, first_n, support)
+              for kind, first_n, support in (("heady", first_heady_n, heady_support),
+                                             ("taily", first_taily_n, taily_support))
+              if mode in (kind, "both")]
     for n in range(1, n_max + 1):
-        heady: dict[int, int] = {}
-        taily: dict[int, int] = {}
-        if want_heady:
-            lo, hi = heady_support(n)
+        tables: dict[str, dict[int, int]] = {"heady": {}, "taily": {}}
+        for kind, cells, first_n, support in halves:
+            table = tables[kind]
+            lo, hi = support(n)
             for s in range(lo, hi + 1):
-                vec = heady_vecs.get(s)
-                if vec is None:
-                    # heady cells enter their support exactly at birth
-                    if first_heady_n(s) != n:
-                        raise AssertionError(f"heady cell s={s} missed its opening at n={n}")
-                    vec = heady_terms_start(s)
-                else:
-                    vec = extend_heady_terms(vec)
-                heady_vecs[s] = vec
-                heady[s] = terms_value(vec)
-        if want_taily:
-            lo, hi = taily_support(n)
-            for s in range(lo, hi + 1):
-                vec = taily_vecs.get(s)
-                if vec is None:
-                    if first_taily_n(s) == n:
-                        vec = taily_terms_start(s)
-                        taily_vecs[s] = vec
-                    elif s == 0 and n < first_taily_n(0):
-                        taily[0] = 1     # indicator only, no live terms yet
+                terms = cells.get(s)
+                if terms is None:
+                    if first_n(s) == n:
+                        terms = [1]
+                    elif kind == "taily" and s == 0 and n < first_n(0):
+                        table[0] = 1     # indicator only, no live terms yet
                         continue
                     else:
-                        raise AssertionError(f"taily cell s={s} missed its opening at n={n}")
+                        raise AssertionError(f"{kind} cell s={s} missed its opening at n={n}")
                 else:
-                    vec = extend_taily_terms(vec)
-                    taily_vecs[s] = vec
-                taily[s] = terms_value(vec)
-        yield ScoreDistribution(n, heady, taily)
+                    terms = _step_terms(kind, s, n - 1, terms)
+                cells[s] = terms
+                table[s] = _cell_value(kind, s, terms)
+        yield ScoreDistribution(n, tables["heady"], tables["taily"])
 
 
 def incremental_distribution(n: int) -> ScoreDistribution:

@@ -262,6 +262,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "streakcount", "table", "--from", "2", "--to", "2"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert result.stdout == "2 1 0\n"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streakcount import _summands
@@ -7,13 +7,13 @@ from streakcount.counting import (
     binom,
     closed_distribution,
     heady_count,
+    heady_support,
     taily_count,
+    taily_support,
 )
 from streakcount.recurrence import (
     TermVector,
     dp_distribution,
-    dp_extend,
-    dp_start,
     dp_sweep,
     extend_heady_terms,
     extend_taily_terms,
@@ -30,13 +30,12 @@ from reference_values import CLOSE_CALL_ROWS
 
 
 def test_dp_base_and_first_steps():
-    table = dp_start()
-    assert (table.n, table.heady, table.taily) == (1, {0: 1}, {0: 1})
-    table = dp_extend(table)
-    assert (table.n, table.heady, table.taily) == (2, {1: 1, 0: 1}, {0: 1, -1: 1})
-    table = dp_extend(table)
-    assert table.heady == {2: 1, 1: 1, 0: 1, -1: 1}
-    assert table.taily == {0: 2, -1: 2}
+    first, second, third = list(dp_sweep(3))
+    assert (first.n, first.heady, first.taily) == (1, {0: 1}, {0: 1})
+    assert (second.n, second.heady, second.taily) == (2, {1: 1, 0: 1}, {0: 1, -1: 1})
+    assert third.n == 3
+    assert third.heady == {2: 1, 1: 1, 0: 1, -1: 1}
+    assert third.taily == {0: 2, -1: 2}
 
 
 def test_dp_sweep_labels_lengths():
@@ -46,6 +45,38 @@ def test_dp_sweep_labels_lengths():
         assert dist == closed_distribution(dist.n)
     with pytest.raises(ValueError, match="at least 1"):
         list(dp_sweep(0))
+
+
+def test_dp_tables_hold_exactly_their_supports():
+    tables = list(dp_sweep(301))
+    for dist in tables:
+        lo, hi = heady_support(dist.n)
+        assert sorted(dist.heady) == list(range(lo, hi + 1))
+        lo, hi = taily_support(dist.n)
+        assert sorted(dist.taily) == list(range(lo, hi + 1))
+        assert 0 not in dist.heady.values() and 0 not in dist.taily.values()
+    # the lowest score drops after every odd length, so check both parities
+    for n in (1, 2, 3, 4, 5, 28, 29, 300, 301):
+        assert list(dp_sweep(n))[-1] == dp_distribution(n) == tables[n - 1]
+
+
+def test_single_tables_refuse_empty_lengths():
+    for fn in (dp_distribution, incremental_distribution):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                fn(n)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 300))
+def test_closed_forms_equal_the_dp(n):
+    assert closed_distribution(n) == dp_distribution(n)
+
+
+@settings(max_examples=15)
+@given(st.integers(1, 120))
+def test_term_vectors_equal_the_dp(n):
+    assert incremental_distribution(n) == dp_distribution(n)
 
 
 def test_dp_normalization():
