@@ -225,6 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # exact counts outgrow the interpreter's limit on int-to-str conversion
+    # (4300 digits by default); argv above is still parsed under it
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         status = args.run(args)
         sys.stdout.flush()
@@ -239,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except KeyboardInterrupt:
         return 130
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -3,14 +3,17 @@
 This module is the referee for the analytic paths and shares nothing with
 them beyond the plain data types.  Sequences pack into machine words,
 toss i at bit i - 1, so the space of one length is a plain integer range
-that numpy sweeps in fixed-size blocks.  numpy is imported by the
-functions that sweep, so importing this module, and the package, does not
-load it.
+that numpy sweeps in blocks: aligned runs of a power of two words, at most
+_CHUNK of them, that share their top bit and so their final toss.  Every
+block reuses the same few buffers, so memory is bounded by the block size,
+not by 2**n.  numpy is imported by the functions that sweep, so importing
+this module, and the package, does not load it.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from .core import CloseCallTable, ScoreDistribution, TossSequence, close_call_buckets
@@ -25,8 +28,10 @@ CAP_ENV_VAR = "STREAKCOUNT_ORACLE_CAP"
 # fit, so no cap can admit a longer sequence
 MAX_N = 63
 
-# block size of the vectorized sweep; bounds peak memory, never results
-_CHUNK = 1 << 20
+# the most words in one block of the sweep: each of its five buffers holds
+# one block, so a sweep's memory stays near 2 MB whatever n is, and the
+# per-block interpreter overhead is already small at this size
+_CHUNK = 1 << 16
 
 
 class OracleCapExceeded(ValueError):
@@ -83,28 +88,49 @@ def word_score(word: int, n: int) -> int:
     return hh - ht
 
 
-def _scores_and_last(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _blocks(n: int, chunk: int, finals: tuple[int, ...] = (0, 1)
+            ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Sweep the words of length n ending in each of finals, block by block.
+
+    Yields (final toss, words, scores) per block.  A block is an aligned run
+    of 2**k words, 2**k no larger than chunk, _CHUNK or 2**(n-1), so all its
+    words share their top bit, the final toss.  Both arrays are buffers the
+    next block overwrites; a caller keeps what it needs before advancing.
+    """
     import numpy as np
 
-    one = np.uint64(1)
-    if n > 1:
-        mask = np.uint64((1 << (n - 1)) - 1)
-        shifted = words >> one
-        hh = np.bitwise_count(words & shifted & mask).astype(np.int64)
-        ht = np.bitwise_count(words & ~shifted & mask).astype(np.int64)
-        scores = hh - ht
-    else:
-        scores = np.zeros(words.shape, dtype=np.int64)
-    last = ((words >> np.uint64(n - 1)) & one).astype(np.int64)
-    return scores, last
+    size = min(chunk, _CHUNK, 1 << (n - 1))
+    size = 1 << (size.bit_length() - 1)
+    base = np.arange(size, dtype=np.uint64)
+    words = np.empty_like(base)
+    pairs = np.empty_like(base)
+    ones = np.empty(size, dtype=np.uint8)
+    scores = np.empty(size, dtype=np.intp)
+    mask = np.uint64((1 << (n - 1)) - 1)
+    for last in finals:
+        for lo in range(last << (n - 1), (last + 1) << (n - 1), size):
+            np.add(base, np.uint64(lo), out=words)
+            # hh + ht counts the heads among the first n - 1 tosses, so the
+            # score hh - ht is 2 hh minus that count
+            np.right_shift(words, 1, out=pairs)
+            np.bitwise_and(pairs, words, out=pairs)
+            np.bitwise_and(pairs, mask, out=pairs)
+            np.bitwise_count(pairs, out=scores)
+            np.left_shift(scores, 1, out=scores)
+            np.bitwise_and(words, mask, out=pairs)
+            np.bitwise_count(pairs, out=ones)
+            np.subtract(scores, ones, out=scores)
+            yield last, words, scores
 
 
 def enumerate_distribution(n: int, cap: int | None = None,
                            chunk: int = _CHUNK) -> ScoreDistribution:
     """Tally every length-n sequence by (score, final toss).
 
-    The word range is cut into disjoint blocks whose partial tallies are
-    summed, so the result is independent of the block size.
+    The word range is swept in aligned blocks whose partial tallies are
+    summed, so the result is independent of the block size.  chunk is an
+    upper bound on it, rounded down to a power of two; blocks never exceed
+    _CHUNK words, which bounds the sweep's memory at a few MB for any n.
     """
     _checked(n, cap)
     if chunk < 1:
@@ -112,22 +138,13 @@ def enumerate_distribution(n: int, cap: int | None = None,
     import numpy as np
 
     offset = n // 2                       # shift scores onto nonnegative bins
-    bins = 2 * (n - 1 + offset) + 2
-    totals = np.zeros(bins, dtype=np.int64)
-    for lo in range(0, 1 << n, chunk):
-        hi = min(lo + chunk, 1 << n)
-        words = np.arange(lo, hi, dtype=np.uint64)
-        scores, last = _scores_and_last(words, n)
-        idx = (scores + offset) * 2 + last
-        totals += np.bincount(idx, minlength=bins)
-    heady: dict[int, int] = {}
-    taily: dict[int, int] = {}
-    for i, c in enumerate(totals.tolist()):
-        if not c:
-            continue
-        s, ends_heads = divmod(i, 2)
-        target = heady if ends_heads else taily
-        target[s - offset] = c
+    bins = n + offset
+    totals = np.zeros((2, bins), dtype=np.int64)
+    for last, _, scores in _blocks(n, chunk):
+        np.add(scores, offset, out=scores)
+        totals[last] += np.bincount(scores, minlength=bins)
+    taily, heady = ({s - offset: c for s, c in enumerate(row) if c}
+                    for row in totals.tolist())
     return ScoreDistribution(n, heady, taily)
 
 
@@ -145,7 +162,8 @@ def sequences_with(n: int, score_value: int, mode: str,
                    cap: int | None = None) -> list[TossSequence]:
     """Every length-n sequence with the given score and final toss.
 
-    Ordered ascending by packed word.
+    Ordered ascending by packed word.  Only the half of the word range with
+    that final toss is swept.
     """
     if mode not in ("heady", "taily"):
         raise ValueError(f"mode must be 'heady' or 'taily', got {mode!r}")
@@ -153,11 +171,10 @@ def sequences_with(n: int, score_value: int, mode: str,
     import numpy as np
 
     want_last = 1 if mode == "heady" else 0
-    out: list[TossSequence] = []
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        words = np.arange(lo, hi, dtype=np.uint64)
-        scores, last = _scores_and_last(words, n)
-        hits = words[(scores == score_value) & (last == want_last)]
-        out.extend(word_to_bits(int(w), n) for w in hits)
-    return out
+    hits = [words[scores == score_value]
+            for _, words, scores in _blocks(n, _CHUNK, (want_last,))]
+    found = np.concatenate(hits)
+    # one pass unpacks every member: row j holds toss j + 1 of each member,
+    # and zip turns the rows into one tuple per member
+    tosses = (found >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)
+    return list(zip(*tosses.tolist()))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streakcount
 from streakcount import cli, counting
@@ -334,3 +338,84 @@ def test_package_root_lists_the_user_api():
     assert imported
     for line in imported:
         assert {name.strip() for name in line.split(",")} <= set(names)
+
+
+def test_lengths_past_the_int_to_str_limit_print_in_full():
+    # 14500 puts win_gap past 4300 digits; 5000 decimals do the same to the
+    # share strings.  argv itself is still parsed under the default limit
+    table = subprocess.run(
+        [sys.executable, "-m", "streakcount", "table", "--from", "14500", "--to", "14500"],
+        capture_output=True, text=True, timeout=60, env=child_env())
+    assert (table.returncode, table.stderr) == (0, "")
+    n, h2, gap = table.stdout.split()
+    assert n == "14500" and gap.isdigit() and len(gap) > 4300
+    # this process keeps the default limit, so compare the low digits only
+    assert int(gap[-30:]) == counting.win_gap(14500) % 10**30
+    wins = subprocess.run(
+        [sys.executable, "-m", "streakcount", "wins", "3", "--digits", "5000"],
+        capture_output=True, text=True, timeout=60, env=child_env())
+    assert (wins.returncode, wins.stderr) == (0, "")
+    assert wins.stdout.splitlines()[-1] == "gap_share 1/8 0.125" + "0" * 4997
+    if hasattr(sys, "set_int_max_str_digits"):
+        huge = subprocess.run(
+            [sys.executable, "-m", "streakcount", "wins", "1" * 5000],
+            capture_output=True, text=True, timeout=60, env=child_env())
+        assert huge.returncode == 2 and "invalid int value" in huge.stderr
+
+
+def test_main_restores_the_int_to_str_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str limit")
+    before = sys.get_int_max_str_digits()
+    assert cli.main(["wins", "3", "--digits", "5000"]) == 0
+    assert cli.main(["dist", "0"]) == 1
+    assert sys.get_int_max_str_digits() == before
+
+
+_FUZZ_INT = st.integers(-3, 24)
+_FUZZ_SIGNATURE = st.text(alphabet="+-x ", max_size=8)
+
+
+def _opt(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+@st.composite
+def _fuzz_argv(draw) -> list[str]:
+    n = str(draw(_FUZZ_INT))
+    command = draw(st.sampled_from(("dist", "wins", "table", "bfile", "gen")))
+    if command == "dist":
+        return (["dist", n]
+                + draw(_opt("--method", st.sampled_from(
+                    ("closed", "dp", "incremental", "oracle", "bogus"))))
+                + draw(_opt("--format", st.sampled_from(("table", "tsv", "json"))))
+                + draw(_opt("--oracle-cap", _FUZZ_INT)))
+    if command == "wins":
+        return ["wins", n] + draw(_opt("--digits", _FUZZ_INT))
+    if command == "table":
+        return ["table"] + draw(_opt("--from", _FUZZ_INT)) + draw(_opt("--to", _FUZZ_INT))
+    if command == "bfile":
+        return (["bfile"] + draw(_opt("--series", st.sampled_from(("h2", "h4", "D", "delta", "x"))))
+                + draw(_opt("--max-n", _FUZZ_INT)) + draw(_opt("--offset", _FUZZ_INT)))
+    sig = draw(_FUZZ_SIGNATURE)
+    signature = draw(st.sampled_from(([f"--signature={sig}"], ["--signature", sig], [])))
+    return (["gen"] + signature + draw(_opt("--length", _FUZZ_INT))
+            + draw(_opt("--mode", st.sampled_from(("heady", "taily", "both"))))
+            + draw(st.sampled_from(([], ["--fixed-leading-one"]))))
+
+
+@given(_fuzz_argv())
+@settings(max_examples=300)
+def test_fuzzed_argv_ends_in_output_or_a_clean_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, (argv, err.getvalue())
+        return
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == [], argv
+    else:
+        assert rc == 1 and len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from streakcount import oracle
 from streakcount.core import parse_sequence, score
+from streakcount.counting import closed_distribution
 from streakcount.oracle import (
     OracleCapExceeded,
     bits_to_word,
@@ -49,9 +52,42 @@ def test_word_score_matches_random_words(n, data):
 
 
 def test_chunking_does_not_change_the_census():
-    default = enumerate_distribution(10)
-    assert enumerate_distribution(10, chunk=7) == default
-    assert enumerate_distribution(10, chunk=1 << 12) == default
+    # chunk is an upper bound rounded down to a power of two (3 and 7 make
+    # blocks of 2 and 4 words); past 2**(n-1) words it changes nothing
+    for n in (10, 11, 12):
+        default = enumerate_distribution(n)
+        for chunk in (1, 3, 7, 1 << 12, 1 << 40):
+            assert enumerate_distribution(n, chunk=chunk) == default
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_census_across_many_blocks_per_final_toss(n):
+    # 2**16-word blocks: each final toss spans two (n = 17) or four (n = 18)
+    assert enumerate_distribution(n) == closed_distribution(n)
+
+
+def test_sequences_with_across_block_boundaries():
+    n = 18
+    cells = {(s, m): [] for s, m in ((0, "heady"), (1, "taily"), (-3, "heady"),
+                                     (5, "taily"), (17, "heady"), (-9, "taily"))}
+    for word in range(1 << n):
+        key = (word_score(word, n), "heady" if word >> (n - 1) else "taily")
+        if key in cells:
+            cells[key].append(word_to_bits(word, n))
+    for (s, mode), want in cells.items():
+        assert sequences_with(n, s, mode) == want
+
+
+def test_sweep_memory_is_bounded_by_the_block_not_the_range():
+    import numpy  # noqa: F401  (its import is not part of the sweep)
+    enumerate_distribution(12)
+    tracemalloc.start()
+    try:
+        enumerate_distribution(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_close_call_table_rows():
