@@ -5,17 +5,17 @@ counts, one per final toss, indexed from the lowest score: a head after a
 head raises the score, a tail after a head lowers it, anything after a
 tail scores nothing, so one appended toss is two shifted list additions.
 The term-vector route instead advances each closed-form summation term in
-place, keeping each live score cell as a plain list of terms: stepping the
-length multiplies term k of a score cell by a rational factor that is
-always integral, and a term entering the summation range starts as its
-defining product, which at its first length is one binomial.  Inexact
-division in that path is impossible by construction and treated as an
-internal bug, never an input error.
+place, keeping each live score cell as a plain list of terms: one stepper,
+_step_terms, moves a cell from length n to n + 1, and _cell_value reads
+the cell off its terms.  Stepping the length multiplies term k of a score
+cell by a rational factor that is always integral, and a term entering the
+summation range starts as its defining product, which at its first length
+is one binomial.  Inexact division in that path is impossible by
+construction and treated as an internal bug, never an input error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Iterator, Sequence
 
@@ -76,24 +76,6 @@ def dp_distribution(n: int) -> ScoreDistribution:
     return _dp_table(*step)
 
 
-@dataclass(frozen=True)
-class TermVector:
-    """Live summation terms of one closed-form score cell.
-
-    terms[i] is the value of summation index k = k_start + i at the
-    current length.
-    """
-
-    kind: str             # "heady" or "taily"
-    score: int
-    n: int
-    terms: tuple[int, ...]
-
-    @property
-    def k_start(self) -> int:
-        return _k_start(self.kind, self.score)
-
-
 def _k_start(kind: str, s: int) -> int:
     return max(0 if kind == "heady" else 1, -s)
 
@@ -111,25 +93,11 @@ def first_taily_n(s: int) -> int:
     return s + 3 if s >= 0 else -2 * s
 
 
-def heady_terms_start(s: int) -> TermVector:
-    """A heady cell at its birth length; the single live term is 1."""
-    return TermVector("heady", s, first_heady_n(s), (1,))
-
-
-def taily_terms_start(s: int) -> TermVector:
-    return TermVector("taily", s, first_taily_n(s), (1,))
-
-
 def _cell_value(kind: str, s: int, terms: Sequence[int]) -> int:
     v = sum(terms)
     if kind == "taily" and s == 0:
         v += 1            # the all-tails sequence sits outside the summation
     return v
-
-
-def terms_value(vec: TermVector) -> int:
-    """Closed-form cell value at the vector's current length."""
-    return _cell_value(vec.kind, vec.score, vec.terms)
 
 
 def _step_terms(kind: str, s: int, n: int, terms: Sequence[int]) -> list[int]:
@@ -153,42 +121,22 @@ def _step_terms(kind: str, s: int, n: int, terms: Sequence[int]) -> list[int]:
     return terms
 
 
-def _extend(vec: TermVector, kind: str) -> TermVector:
-    if vec.kind != kind:
-        raise ValueError(f"extend_{kind}_terms needs a {kind} vector")
-    return TermVector(kind, vec.score, vec.n + 1,
-                      tuple(_step_terms(kind, vec.score, vec.n, vec.terms)))
-
-
-def extend_heady_terms(vec: TermVector) -> TermVector:
-    """Advance a heady cell from its length n to n + 1."""
-    return _extend(vec, "heady")
-
-
-def extend_taily_terms(vec: TermVector) -> TermVector:
-    """Advance a taily cell from its length n to n + 1."""
-    return _extend(vec, "taily")
-
-
-def table_sweep(n_max: int, mode: str = "both") -> Iterator[ScoreDistribution]:
+def table_sweep(n_max: int) -> Iterator[ScoreDistribution]:
     """Stream full distributions for n = 1 .. n_max off live term lists.
 
     A score cell opens the first time its support admits a term; every
-    later length steps its stored list of terms once.  With mode "heady"
-    or "taily" the other half of each distribution stays empty.
+    later length steps its stored list of terms once.  Stepping the terms
+    is most of the time spent here: this path is kept as the independent
+    cross-check of the closed forms and the DP, not as a fast route.
     """
-    if mode not in ("heady", "taily", "both"):
-        raise ValueError(f"mode must be 'heady', 'taily' or 'both', got {mode!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    halves = [(kind, {}, first_n, support)
-              for kind, first_n, support in (("heady", first_heady_n, heady_support),
-                                             ("taily", first_taily_n, taily_support))
-              if mode in (kind, "both")]
+    halves = [("heady", {}, first_heady_n, heady_support),
+              ("taily", {}, first_taily_n, taily_support)]
     for n in range(1, n_max + 1):
-        tables: dict[str, dict[int, int]] = {"heady": {}, "taily": {}}
+        tables: list[dict[int, int]] = []
         for kind, cells, first_n, support in halves:
-            table = tables[kind]
+            table: dict[int, int] = {}
             lo, hi = support(n)
             for s in range(lo, hi + 1):
                 terms = cells.get(s)
@@ -204,7 +152,8 @@ def table_sweep(n_max: int, mode: str = "both") -> Iterator[ScoreDistribution]:
                     terms = _step_terms(kind, s, n - 1, terms)
                 cells[s] = terms
                 table[s] = _cell_value(kind, s, terms)
-        yield ScoreDistribution(n, tables["heady"], tables["taily"])
+            tables.append(table)
+        yield ScoreDistribution(n, *tables)
 
 
 def incremental_distribution(n: int) -> ScoreDistribution:

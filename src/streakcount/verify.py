@@ -176,17 +176,17 @@ def _gap_growth(rec: _Recorder, max_n: int) -> None:
                    f"there is always a score-one heady sequence, none at n={n}")
 
 
-def _term_shape_ok(vec: recurrence.TermVector) -> bool:
+def _term_shape_ok(kind: str, s: int, n: int, terms: list[int]) -> bool:
     # every live term must equal its defining product of two binomials,
     # and the number of live terms must match the summation bound
-    s = vec.score
-    if vec.kind == "heady":
-        budget, product = vec.n - s - 1, _summands.heady_term
+    k0 = recurrence._k_start(kind, s)
+    if kind == "heady":
+        budget, product = n - s - 1, _summands.heady_term
     else:
-        budget, product = vec.n - s, _summands.taily_term
-    if len(vec.terms) != max(0, budget // 3 - vec.k_start + 1):
+        budget, product = n - s, _summands.taily_term
+    if len(terms) != max(0, budget // 3 - k0 + 1):
         return False
-    return all(t == product(s, budget, vec.k_start + i) for i, t in enumerate(vec.terms))
+    return all(t == product(s, budget, k0 + i) for i, t in enumerate(terms))
 
 
 def _term_updates(rec: _Recorder, max_n: int) -> None:
@@ -195,26 +195,23 @@ def _term_updates(rec: _Recorder, max_n: int) -> None:
     lo = -min(20, max_n // 2)
     hi = min(20, max_n - 1)
     for s in range(lo, hi + 1):
-        if recurrence.first_heady_n(s) <= max_n:
-            vec = recurrence.heady_terms_start(s)
-            rec.expect(recurrence.terms_value(vec) == counting.heady_count(s, vec.n),
-                       f"heady cell wrong at birth: s={s} n={vec.n}")
-            while vec.n < max_n:
-                vec = recurrence.extend_heady_terms(vec)
-                rec.expect(recurrence.terms_value(vec) == counting.heady_count(s, vec.n),
-                           f"heady term update drifted: s={s} n={vec.n}")
-                rec.expect(_term_shape_ok(vec),
-                           f"heady terms lost their binomial shape: s={s} n={vec.n}")
-        if recurrence.first_taily_n(s) <= max_n:
-            vec = recurrence.taily_terms_start(s)
-            rec.expect(recurrence.terms_value(vec) == counting.taily_count(s, vec.n),
-                       f"taily cell wrong at birth: s={s} n={vec.n}")
-            while vec.n < max_n:
-                vec = recurrence.extend_taily_terms(vec)
-                rec.expect(recurrence.terms_value(vec) == counting.taily_count(s, vec.n),
-                           f"taily term update drifted: s={s} n={vec.n}")
-                rec.expect(_term_shape_ok(vec),
-                           f"taily terms lost their binomial shape: s={s} n={vec.n}")
+        for kind, first_n, count in (
+            ("heady", recurrence.first_heady_n, counting.heady_count),
+            ("taily", recurrence.first_taily_n, counting.taily_count),
+        ):
+            n = first_n(s)
+            if n > max_n:
+                continue
+            terms = [1]
+            rec.expect(recurrence._cell_value(kind, s, terms) == count(s, n),
+                       f"{kind} cell wrong at birth: s={s} n={n}")
+            while n < max_n:
+                terms = recurrence._step_terms(kind, s, n, terms)
+                n += 1
+                rec.expect(recurrence._cell_value(kind, s, terms) == count(s, n),
+                           f"{kind} term update drifted: s={s} n={n}")
+                rec.expect(_term_shape_ok(kind, s, n, terms),
+                           f"{kind} terms lost their binomial shape: s={s} n={n}")
 
 
 def _method_agreement(rec: _Recorder, max_n: int) -> None:
@@ -225,14 +222,6 @@ def _method_agreement(rec: _Recorder, max_n: int) -> None:
         rec.expect(dp_dist == closed, f"dp table disagrees with closed forms at n={n}")
         rec.expect(term_dist == closed,
                    f"term-update table disagrees with closed forms at n={n}")
-    for dist in recurrence.table_sweep(min(max_n, 12), mode="heady"):
-        closed = counting.closed_distribution(dist.n)
-        rec.expect(dist.heady == closed.heady and not dist.taily,
-                   f"heady-only sweep wrong at n={dist.n}")
-    for dist in recurrence.table_sweep(min(max_n, 12), mode="taily"):
-        closed = counting.closed_distribution(dist.n)
-        rec.expect(dist.taily == closed.taily and not dist.heady,
-                   f"taily-only sweep wrong at n={dist.n}")
 
 
 def _all_signatures(max_marks: int) -> Iterator[str]:

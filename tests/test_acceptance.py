@@ -24,15 +24,12 @@ from streakcount.counting import (
 )
 from streakcount.oracle import enumerate_distribution
 from streakcount.recurrence import (
+    _cell_value,
+    _step_terms,
     dp_sweep,
-    extend_heady_terms,
-    extend_taily_terms,
     first_heady_n,
     first_taily_n,
-    heady_terms_start,
     table_sweep,
-    taily_terms_start,
-    terms_value,
 )
 from streakcount.signatures import (
     complement,
@@ -159,14 +156,12 @@ def test_criterion_6_generator_soundness_and_bijection():
 def test_criterion_7_exact_updates_deep_and_wide():
     with criterion(7, "term updates exact to n = 500, agree to n = 200", budget=30.0):
         for s in range(-20, 21):
-            vec = heady_terms_start(s)
-            while vec.n < 500:
-                vec = extend_heady_terms(vec)  # raises on any inexact division
-            assert terms_value(vec) == heady_count(s, 500)
-            vec = taily_terms_start(s)
-            while vec.n < 500:
-                vec = extend_taily_terms(vec)
-            assert terms_value(vec) == taily_count(s, 500)
+            for kind, first_n, count in (("heady", first_heady_n, heady_count),
+                                         ("taily", first_taily_n, taily_count)):
+                terms = [1]
+                for n in range(first_n(s), 500):
+                    terms = _step_terms(kind, s, n, terms)  # raises on any inexact division
+                assert _cell_value(kind, s, terms) == count(s, 500)
         for n, dist in enumerate(table_sweep(200), start=1):
             assert dist == closed_distribution(n)
 

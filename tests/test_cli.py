@@ -1,7 +1,9 @@
 import contextlib
+import doctest
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ import streakcount
 from streakcount import cli, counting
 
 from reference_values import CLOSE_CALL_ROWS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 DIST_4_TABLE = (
     "n 4\n"
@@ -332,12 +336,24 @@ def test_package_root_lists_the_user_api():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(streakcount, name) is not None
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    imported = [line.split(" import ", 1)[1] for line in readme.splitlines()
+    imported = [line.split(" import ", 1)[1] for line in README.read_text().splitlines()
                 if line.startswith(">>> from streakcount import ")]
     assert imported
     for line in imported:
         assert {name.strip() for name in line.split(",")} <= set(names)
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    report: list[str] = []
+    failed = 0
+    for i, block in enumerate(blocks, start=1):
+        test = parser.get_doctest(block, {}, f"README python block {i}", str(README), 0)
+        assert test.examples
+        failed += runner.run(test, out=report.append).failed
+    assert failed == 0, "".join(report)
 
 
 def test_lengths_past_the_int_to_str_limit_print_in_full():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streakcount import _summands
+from streakcount import _summands, recurrence
 from streakcount.counting import (
     binom,
     closed_distribution,
@@ -12,18 +12,15 @@ from streakcount.counting import (
     taily_support,
 )
 from streakcount.recurrence import (
-    TermVector,
+    _cell_value,
+    _k_start,
+    _step_terms,
     dp_distribution,
     dp_sweep,
-    extend_heady_terms,
-    extend_taily_terms,
     first_heady_n,
     first_taily_n,
-    heady_terms_start,
     incremental_distribution,
     table_sweep,
-    taily_terms_start,
-    terms_value,
 )
 
 from reference_values import CLOSE_CALL_ROWS
@@ -90,57 +87,51 @@ def test_dp_reaches_the_reference_rows():
     assert dist.win_gap() == CLOSE_CALL_ROWS[25][1]
 
 
+COUNT = {"heady": heady_count, "taily": taily_count}
+
+
+def _walk(kind, s, steps):
+    """(n, terms) of a score-s cell at its birth and after each of `steps` steps."""
+    n = first_heady_n(s) if kind == "heady" else first_taily_n(s)
+    terms = [1]
+    yield n, terms
+    for _ in range(steps):
+        terms = _step_terms(kind, s, n, terms)
+        n += 1
+        yield n, terms
+
+
 def test_term_vector_openings():
     for s in range(-8, 9):
         n0 = first_heady_n(s)
         assert heady_count(s, n0) == 1
         if n0 > 1:
             assert heady_count(s, n0 - 1) == 0
-        vec = heady_terms_start(s)
-        assert (vec.n, vec.terms) == (n0, (1,))
-        assert terms_value(vec) == heady_count(s, n0)
+        assert _cell_value("heady", s, [1]) == heady_count(s, n0)
 
         m0 = first_taily_n(s)
-        vec = taily_terms_start(s)
-        assert vec.n == m0
-        assert terms_value(vec) == taily_count(s, m0)
+        assert _cell_value("taily", s, [1]) == taily_count(s, m0)
         if s != 0 and m0 > 1:
             assert taily_count(s, m0 - 1) == 0
 
 
 def test_term_walks_match_closed_forms():
     for s in range(-6, 7):
-        vec = heady_terms_start(s)
-        for _ in range(40):
-            vec = extend_heady_terms(vec)
-            assert terms_value(vec) == heady_count(s, vec.n)
-        vec = taily_terms_start(s)
-        for _ in range(40):
-            vec = extend_taily_terms(vec)
-            assert terms_value(vec) == taily_count(s, vec.n)
+        for kind, count in COUNT.items():
+            for n, terms in _walk(kind, s, 40):
+                assert _cell_value(kind, s, terms) == count(s, n)
 
 
 def test_term_entries_equal_their_defining_binomials():
     for s in (-4, -1, 0, 1, 3):
-        vec = heady_terms_start(s)
-        for _ in range(30):
-            vec = extend_heady_terms(vec)
-        for offset, term in enumerate(vec.terms):
-            k = vec.k_start + offset
-            assert term == binom(2 * k + s, k) * binom(vec.n - s - 1 - 2 * k, k)
-        vec = taily_terms_start(s)
-        for _ in range(30):
-            vec = extend_taily_terms(vec)
-        for offset, term in enumerate(vec.terms):
-            k = vec.k_start + offset
-            assert term == binom(2 * k + s - 1, k - 1) * binom(vec.n - s - 2 * k, k)
-
-
-def test_extend_guards_vector_kind():
-    with pytest.raises(ValueError, match="heady vector"):
-        extend_heady_terms(taily_terms_start(0))
-    with pytest.raises(ValueError, match="taily vector"):
-        extend_taily_terms(heady_terms_start(0))
+        *_, (n, terms) = _walk("heady", s, 30)
+        for offset, term in enumerate(terms):
+            k = _k_start("heady", s) + offset
+            assert term == binom(2 * k + s, k) * binom(n - s - 1 - 2 * k, k)
+        *_, (n, terms) = _walk("taily", s, 30)
+        for offset, term in enumerate(terms):
+            k = _k_start("taily", s) + offset
+            assert term == binom(2 * k + s - 1, k - 1) * binom(n - s - 2 * k, k)
 
 
 def test_budget_step_refuses_an_inexact_update():
@@ -151,37 +142,31 @@ def test_budget_step_refuses_an_inexact_update():
 
 
 def test_term_walk_refuses_a_missing_last_term():
-    vec = heady_terms_start(0)
-    for _ in range(4):
-        vec = extend_heady_terms(vec)
-    assert (vec.n, len(vec.terms)) == (5, 2)
-    truncated = TermVector("heady", 0, vec.n, vec.terms[:-1])
+    *_, (n, terms) = _walk("heady", 0, 4)
+    assert (n, len(terms)) == (5, 2)
     with pytest.raises(AssertionError, match="skipped a step"):
-        extend_heady_terms(truncated)
+        _step_terms("heady", 0, n, terms[:-1])
 
 
-@given(st.integers(-10, 10), st.integers(1, 60))
-def test_term_walks_never_divide_inexactly(s, steps):
-    vec = heady_terms_start(s)
-    for _ in range(steps):
-        vec = extend_heady_terms(vec)
-    assert terms_value(vec) == heady_count(s, vec.n)
+@given(st.sampled_from(["heady", "taily"]), st.integers(-10, 10), st.integers(1, 60))
+def test_term_walks_never_divide_inexactly(kind, s, steps):
+    *_, (n, terms) = _walk(kind, s, steps)
+    assert _cell_value(kind, s, terms) == COUNT[kind](s, n)
 
 
-def test_table_sweep_modes():
+def test_table_sweep_labels_lengths():
     for n, dist in enumerate(table_sweep(20), start=1):
         assert dist.n == n
         assert dist == closed_distribution(n)
-    heady_only = list(table_sweep(12, mode="heady"))
-    assert all(d.taily == {} for d in heady_only)
-    assert all(d.heady == closed_distribution(d.n).heady for d in heady_only)
-    taily_only = list(table_sweep(12, mode="taily"))
-    assert all(d.heady == {} for d in taily_only)
-    assert all(d.taily == closed_distribution(d.n).taily for d in taily_only)
-    with pytest.raises(ValueError, match="mode"):
-        list(table_sweep(4, mode="diagonal"))
     with pytest.raises(ValueError, match="at least 1"):
         list(table_sweep(0))
+
+
+def test_table_sweep_refuses_a_missed_opening(monkeypatch):
+    # a cell whose birth length is misplaced must not open late in silence
+    monkeypatch.setattr(recurrence, "first_heady_n", lambda s: s + 2)
+    with pytest.raises(AssertionError, match="heady cell s=0 missed its opening at n=1"):
+        list(table_sweep(3))
 
 
 def test_incremental_reaches_the_reference_rows():
