@@ -84,12 +84,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+# tosses 0 and 1 as the bytes b"0" and b"1", so a generated sequence
+# renders in one translate call instead of one Python step per toss
+_TOSS_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     seqs = signatures.generate_sequences(args.signature, args.length, args.mode,
                                          args.fixed_leading_one)
     count = 0
     for bits in seqs:
-        print(core.sequence_to_text(bits))
+        print(bytes(bits).translate(_TOSS_TEXT).decode())
         count += 1
     print(f"count {count}")
     return 0

@@ -125,8 +125,19 @@ def compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
     lexicographic order and has C(total + bins - 1, bins - 1) members.
     Each step takes one unit from the rightmost nonzero part before the
     last and moves it, together with the whole last part, into the part
-    just after it.  No recursion, so any number of bins works.
+    just after it.  No recursion, so any number of bins works.  A step
+    changes the parts only from that rightmost nonzero part on, which is
+    what lets generate_sequences rewrite only the suffix of its output
+    that follows it.
     """
+    for parts, _ in _walk(total, bins):
+        yield tuple(parts)
+
+
+def _walk(total: int, bins: int) -> Iterator[tuple[list[int], int]]:
+    # the one copy of the step rule: yields the live parts list, mutated in
+    # place between yields, and the lowest index the step changed (0 for
+    # the first composition); every part past that index + 1 is then zero
     if total < 0:
         raise ValueError(f"total must be nonnegative, got {total}")
     if bins < 1:
@@ -135,10 +146,12 @@ def compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
     last = bins - 1
     # i is the rightmost nonzero part before the last, -1 once there is none
     i = 0 if total and last else -1
+    changed = 0
     while True:
-        yield tuple(parts)
+        yield parts, changed
         if i < 0:
             return
+        changed = i
         parts[i] -= 1
         moved = parts[last] + 1
         parts[last] = 0
@@ -195,7 +208,11 @@ def generate_sequences(sig: str, n: int, mode: Mode = "heady",
     tail counts in front of the successive heads runs of the shortest
     sequence (taily sequences also take tails at the very end).  With
     fixed_leading_one the leading head is pinned, its slot disappears and
-    every output starts with 1.  Arguments are validated eagerly.
+    every output starts with 1.  Arguments are validated eagerly and the
+    outputs are built lazily.  Successive outputs share everything in
+    front of the lowest slot whose tail count changed, so each one copies
+    only the suffix from that slot on: a constant number of interpreter
+    steps per output, plus the copying, however many slots there are.
     """
     mu, slots, spare = _plan(sig, n, mode, fixed_leading_one)
     return _emit(mu, slots, spare)
@@ -205,13 +222,25 @@ def _emit(mu: TossSequence, slots: list[int], spare: int) -> Iterator[TossSequen
     if not slots:
         yield mu
         return
-    # a fixed head, then one piece per slot: the run of mu from that slot to
-    # the next (empty for the taily end slot); each slot's tails go in front
-    head = list(mu[:slots[0]])
-    pieces = [mu[a:b] for a, b in zip(slots, slots[1:] + [len(mu)])]
-    for comp in compositions(spare, len(slots)):
-        out = head.copy()
-        for c, piece in zip(comp, pieces):
-            out += (0,) * c
-            out += piece
+    if len(slots) == 1:
+        yield mu[:slots[0]] + (0,) * spare + mu[slots[0]:]
+        return
+    zeros = (0,) * spare
+    # the run of mu from each slot to the next; the last slot's tails are
+    # always followed by the rest of mu, taken by slicing
+    pieces = [mu[a:b] for a, b in zip(slots, slots[1:])]
+    # out holds the previous output; start[j] is where slot j's tails begin
+    # in it.  Only the entry for the lowest changed slot is ever read, and
+    # the walk never moves that slot past one beyond the previous one, so
+    # refreshing start[i + 1] at every step keeps each entry read current.
+    out = list(mu)
+    start = slots.copy()
+    for parts, i in _walk(spare, len(slots)):
+        del out[start[i]:]
+        out += zeros[:parts[i]]
+        out += pieces[i]
+        start[i + 1] = len(out)
+        # every part past i + 1 is zero: the rest of mu follows unchanged
+        out += zeros[:parts[i + 1]]
+        out += mu[slots[i + 1]:]
         yield tuple(out)

@@ -374,16 +374,22 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
 
     max_n bounds the pure-arithmetic sweeps, oracle_max the 2**n
     enumeration sweeps and gen_max the exhaustive generator sweeps;
-    gen_max defaults to min(10, max_n).
+    gen_max defaults to min(10, max_n).  Both of the last two sweep all
+    2**n sequences of each length, so both are refused past the oracle's
+    enumeration cap before any suite runs.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    if oracle_max < 1:
-        raise ValueError(f"oracle_max must be at least 1, got {oracle_max}")
     if gen_max is None:
         gen_max = min(10, max_n)
-    if gen_max < 1:
-        raise ValueError(f"gen_max must be at least 1, got {gen_max}")
+    cap = oracle.effective_cap()
+    for name, bound in (("oracle_max", oracle_max), ("gen_max", gen_max)):
+        if bound < 1:
+            raise ValueError(f"{name} must be at least 1, got {bound}")
+        if bound > cap:
+            raise ValueError(
+                f"{name}={bound} exceeds the enumeration cap of {cap}; "
+                f"raise it with {oracle.CAP_ENV_VAR}")
     suites: list[tuple[str, Callable[[_Recorder], None]]] = [
         ("base-tables", _base_tables),
         ("normalization", lambda rec: _normalization(rec, max_n)),

@@ -306,6 +306,21 @@ def test_oracle_refuses_lengths_past_the_word_size_whatever_the_cap():
     assert len(lines) == 1 and lines[0].startswith("error: n=65 exceeds")
 
 
+@pytest.mark.parametrize("flag, name, bound", [("--gen-max", "gen_max", 40),
+                                               ("--oracle-max", "oracle_max", 30)])
+def test_verify_refuses_enumeration_bounds_past_the_cap_at_once(flag, name, bound):
+    # a generator sweep to 40 is 2**40 words: it must be refused up front,
+    # not started, and an oracle bound past the cap before any suite runs
+    env = child_env()
+    env.pop("STREAKCOUNT_ORACLE_CAP", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "streakcount", "verify", flag, str(bound)],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (f"error: {name}={bound} exceeds the enumeration cap of 24; "
+                             f"raise it with STREAKCOUNT_ORACLE_CAP\n")
+
+
 def test_closed_output_pipe_exits_quietly():
     # far more output than a pipe buffer holds, so the writer meets the
     # closed pipe while it still has lines to print

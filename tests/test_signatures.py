@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streakcount.core import parse_sequence, score, sequence_to_text
@@ -220,3 +220,82 @@ def test_generation_is_complete_against_enumeration():
             by_group.setdefault((sig, mode), set()).add(bits)
         for (sig, mode), expected in by_group.items():
             assert set(generate_sequences(sig, n, mode)) == expected
+
+
+def slot_by_slot(sig, n, mode, fixed_leading_one):
+    # the plain construction: one insertion slot in front of each heads run
+    # of the shortest sequence (plus the end slot for taily sequences), and
+    # every output rebuilt from nothing, slot by slot, for each composition
+    mu = min_length_sequence(sig, mode).bits
+    slots = [i for i, b in enumerate(mu) if b == 1 and (i == 0 or mu[i - 1] == 0)]
+    if mode == "taily":
+        slots.append(len(mu))
+    if fixed_leading_one:
+        slots = slots[1:]
+    spare = n - len(mu)
+    if not slots:
+        if spare:
+            raise ValueError("no slot for the spare tails")
+        yield mu
+        return
+    ends = slots[1:] + [len(mu)]
+    for comp in compositions(spare, len(slots)):
+        out = list(mu[:slots[0]])
+        for c, a, b in zip(comp, slots, ends):
+            out += [0] * c
+            out += mu[a:b]
+        yield tuple(out)
+
+
+@st.composite
+def generation_requests(draw):
+    mode = draw(st.sampled_from(["heady", "taily"]))
+    sig = draw(st.text(alphabet="+-", min_size=1, max_size=10))
+    if mode == "taily" and sig.endswith("+"):
+        sig = sig[:-1] + "-"
+    spare = draw(st.integers(0, 8))
+    return sig, min_length(sig, mode) + spare, mode, draw(st.booleans())
+
+
+@given(generation_requests())
+@settings(max_examples=150)
+def test_generation_equals_the_slot_by_slot_construction(request):
+    sig, n, mode, pinned = request
+    try:
+        want = list(slot_by_slot(sig, n, mode, pinned))
+    except ValueError:
+        with pytest.raises(ValueError, match="fixing the leading head"):
+            generate_sequences(sig, n, mode, pinned)
+        return
+    got = list(generate_sequences(sig, n, mode, pinned))
+    assert got == want
+
+
+@pytest.mark.parametrize("sig, spare, mode", [
+    ("-" * 150, 40, "taily"),
+    ("+--" * 80, 25, "heady"),
+], ids=["dashes-taily", "mixed-heady"])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_deep_generation_equals_the_slot_by_slot_construction(sig, spare, mode, pinned):
+    # 151 and 161 insertion slots; over the first 300 outputs the lowest
+    # changed slot sweeps from the first slot to the last one twice, so the
+    # rewritten suffix takes every length from nearly all to a few tosses
+    n = min_length(sig, mode) + spare
+    assert sequence_count(sig, n, mode) >= binom(spare + 150, 150)
+    want = list(itertools.islice(slot_by_slot(sig, n, mode, pinned), 300))
+    assert len(set(want)) == 300
+    got = list(itertools.islice(generate_sequences(sig, n, mode, pinned), 300))
+    assert got == want
+
+
+def test_one_slot_and_spare_free_generation():
+    # one slot: every spare tail goes in front of the only heads run, or,
+    # for a pinned taily sequence, behind the last toss
+    assert list(generate_sequences("++", 6, "heady")) == [(0, 0, 0, 1, 1, 1)]
+    assert list(generate_sequences("-", 5, "taily", fixed_leading_one=True)) == [
+        (1, 0, 0, 0, 0)]
+    # no spare tails: the shortest sequence alone, however many slots
+    for sig, mode in (("+-+-", "heady"), ("--+-", "taily"), ("-" * 40, "taily")):
+        mls = min_length_sequence(sig, mode)
+        for pinned in (False, True):
+            assert list(generate_sequences(sig, mls.length, mode, pinned)) == [mls.bits]

@@ -44,6 +44,24 @@ def test_bound_validation():
         verify.run_suites(gen_max=0)
 
 
+def test_enumeration_bounds_past_the_cap_are_refused_before_any_suite(monkeypatch):
+    def ran(rec):
+        raise AssertionError("a suite ran before the bounds were checked")
+
+    monkeypatch.setattr(verify, "_base_tables", ran)
+    monkeypatch.delenv("STREAKCOUNT_ORACLE_CAP", raising=False)
+    with pytest.raises(ValueError, match="oracle_max=30 exceeds the enumeration cap of 24"):
+        verify.run_suites(oracle_max=30)
+    with pytest.raises(ValueError, match="gen_max=25 exceeds the enumeration cap of 24"):
+        verify.run_suites(gen_max=25)
+    # the cap's environment variable raises the limit for both bounds
+    monkeypatch.setenv("STREAKCOUNT_ORACLE_CAP", "8")
+    with pytest.raises(ValueError, match="gen_max=10 exceeds the enumeration cap of 8"):
+        verify.run_suites(max_n=64, oracle_max=4)
+    with pytest.raises(AssertionError, match="a suite ran"):
+        verify.run_suites(max_n=8, oracle_max=8, gen_max=8)
+
+
 def test_a_lying_closed_form_is_caught_and_localized(monkeypatch):
     honest = counting.heady_count
 
