@@ -14,9 +14,11 @@ that steps through its summation range by the exact ratio:
 - taily, score s, spare budget m = n - s:      C(2k + s - 1, k - 1) * C(m - 2k, k)
 - close call, length n:                        C(2k - 1, k) * C(n - 2k, k - 1)
 
-The heady and taily summands also have a ratio in the spare budget m, and
-step_budget moves a whole list of their terms from one budget to the next:
-that is the term-vector path's step in the length n.
+The heady and taily summands also have a ratio in the spare budget m,
+carried by their common factor C(m - 2k, k) alone.  step_budget moves a
+list of terms from one budget to the next; the term-vector path uses it to
+step the shared budget rows [C(m - 2k, k) for k = 0 .. m // 3], which is
+its step in the length n.
 """
 
 from __future__ import annotations

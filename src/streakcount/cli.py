@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from time import perf_counter
 
 from . import __version__, core, counting, oracle, recurrence, signatures, verify
@@ -93,9 +94,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     seqs = signatures.generate_sequences(args.signature, args.length, args.mode,
                                          args.fixed_leading_one)
     count = 0
-    for bits in seqs:
-        print(bytes(bits).translate(_TOSS_TEXT).decode())
-        count += 1
+    # one write per batch of lines; a batch stays small enough to keep
+    # the output streaming
+    while batch := [bytes(bits).translate(_TOSS_TEXT) for bits in islice(seqs, 1024)]:
+        sys.stdout.write(b"\n".join(batch).decode() + "\n")
+        count += len(batch)
     print(f"count {count}")
     return 0
 

@@ -4,24 +4,27 @@ Two routes live here.  The dynamic program keeps two dense lists of
 counts, one per final toss, indexed from the lowest score: a head after a
 head raises the score, a tail after a head lowers it, anything after a
 tail scores nothing, so one appended toss is two shifted list additions.
-The term-vector route instead advances each closed-form summation term in
-place, keeping each live score cell as a plain list of terms: one stepper,
-_step_terms, moves a cell from length n to n + 1, and _cell_value reads
-the cell off its terms.  Stepping the length multiplies term k of a score
-cell by a rational factor that is always integral, and a term entering the
-summation range starts as its defining product, which at its first length
-is one binomial.  Inexact division in that path is impossible by
-construction and treated as an internal bug, never an input error.
+The term-vector route reads each closed-form sum as two rows.  Term k of a
+score-s cell with spare budget m is C(2k + s, k) (heady; C(2k + s - 1,
+k - 1) taily) times C(m - 2k, k).  The first factor never changes with the
+length, so each cell keeps it as a list of coefficients, and a coefficient
+enters as one binomial when the budget reaches 3k.  The second factor
+depends on m alone, so one budget row [C(m - 2k, k) for k = 0 .. m // 3]
+serves every heady and taily cell with that budget at every length; each
+row is the one before stepped by _summands.step_budget, the only stepper.
+A cell's value is its coefficients dotted with its budget row.  Inexact
+division in that path is impossible by construction and treated as an
+internal bug, never an input error.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from . import _summands
 from .core import ScoreDistribution
-from .counting import heady_support, taily_support
+from .counting import _require_length, heady_support, taily_support
 
 
 def _dp_steps(n_max: int) -> Iterator[tuple[int, list[int], list[int]]]:
@@ -71,6 +74,7 @@ def dp_sweep(n_max: int) -> Iterator[ScoreDistribution]:
 
 def dp_distribution(n: int) -> ScoreDistribution:
     """Distribution at one length; only the last step becomes a table."""
+    _require_length(n)
     for step in _dp_steps(n):
         pass
     return _dp_table(*step)
@@ -93,71 +97,107 @@ def first_taily_n(s: int) -> int:
     return s + 3 if s >= 0 else -2 * s
 
 
-def _cell_value(kind: str, s: int, terms: Sequence[int]) -> int:
-    v = sum(terms)
-    if kind == "taily" and s == 0:
-        v += 1            # the all-tails sequence sits outside the summation
-    return v
+def _budget(kind: str, s: int, n: int) -> int:
+    """Spare budget m of a score-s cell at length n: its C(m - 2k, k) row."""
+    return n - s - 1 if kind == "heady" else n - s
 
 
-def _step_terms(kind: str, s: int, n: int, terms: Sequence[int]) -> list[int]:
-    """The live terms of a score-s cell of this kind, from length n to n + 1.
+def _grow_rows(rows: list[list[int]], m_max: int) -> list[list[int]]:
+    """Extend the budget rows in place to rows[m_max] and return them.
 
-    The live terms step by _summands.step_budget.  When the spare budget
-    reaches 3k for the next index k, term k enters as its defining product,
-    which at that budget is the leading binomial alone.
+    rows[m] is [C(m - 2k, k) for k = 0 .. m // 3], the factor that every
+    heady and taily cell with spare budget m shares.  Each row is the one
+    before stepped by _summands.step_budget, whose divisions are checked,
+    plus C(k, k) = 1 once m reaches 3k.
     """
-    k0 = _k_start(kind, s)
+    for m in range(len(rows), m_max + 1):
+        row = _summands.step_budget(rows[-1], 0, m)
+        if m % 3 == 0:
+            row.append(1)
+        rows.append(row)
+    return rows
+
+
+def _coefficient(kind: str, s: int, k: int) -> int:
+    """C(2k + s, k) heady or C(2k + s - 1, k - 1) taily: the term at budget 3k."""
     if kind == "heady":
-        budget, product = n - s, _summands.heady_term
-    else:
-        budget, product = n + 1 - s, _summands.taily_term
-    terms = _summands.step_budget(terms, k0, budget)
-    k_next = k0 + len(terms)
-    if budget > 3 * k_next:
-        raise AssertionError(f"{kind} summation bound skipped a step: s={s} n={n + 1}")
-    if budget == 3 * k_next:
-        terms.append(product(s, budget, k_next))
-    return terms
+        return _summands.heady_term(s, 3 * k, k)
+    return _summands.taily_term(s, 3 * k, k)
+
+
+def _enter(kind: str, s: int, n: int, coefs: list[int]) -> None:
+    """Append coefficient k to a cell whose budget at length n reaches 3k."""
+    k = _k_start(kind, s) + len(coefs)
+    if _budget(kind, s, n) == 3 * k:
+        coefs.append(_coefficient(kind, s, k))
+
+
+def _cell(kind: str, s: int, n: int, coefs: Sequence[int], rows: list[list[int]]) -> int:
+    """A score-s cell at length n: its coefficients dotted with its budget row."""
+    k0 = _k_start(kind, s)
+    row = rows[_budget(kind, s, n)]
+    if len(coefs) != len(row) - k0:
+        raise AssertionError(f"{kind} summation bound skipped a step: s={s} n={n}")
+    value = sum(map(mul, coefs, row[k0:]))
+    if kind == "taily" and s == 0:
+        value += 1        # the all-tails sequence sits outside the summation
+    return value
+
+
+_HALVES = (("heady", heady_support), ("taily", taily_support))
+
+
+def _read_length(n: int, rows: list[list[int]],
+                 cells: dict[str, dict[int, list[int]]]) -> ScoreDistribution:
+    """The table at length n, read off its cells' coefficients and the rows."""
+    tables = []
+    for kind, support in _HALVES:
+        by_score = cells[kind]
+        lo, hi = support(n)
+        tables.append({s: _cell(kind, s, n, by_score[s], rows) for s in range(lo, hi + 1)})
+    return ScoreDistribution(n, *tables)
 
 
 def table_sweep(n_max: int) -> Iterator[ScoreDistribution]:
-    """Stream full distributions for n = 1 .. n_max off live term lists.
+    """Stream full distributions for n = 1 .. n_max off shared budget rows.
 
-    A score cell opens the first time its support admits a term; every
-    later length steps its stored list of terms once.  Stepping the terms
-    is most of the time spent here: this path is kept as the independent
-    cross-check of the closed forms and the DP, not as a fast route.
+    A score cell opens the first time its support admits a term and then
+    only gains a coefficient whenever its budget reaches 3k; the rows of
+    C(m - 2k, k) grow by one or two budgets a length and are shared by
+    every cell.  This path is kept as the independent cross-check of the
+    closed forms and the DP.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    halves = [("heady", {}, first_heady_n, heady_support),
-              ("taily", {}, first_taily_n, taily_support)]
+    rows: list[list[int]] = [[1]]
+    cells: dict[str, dict[int, list[int]]] = {"heady": {}, "taily": {}}
+    first = {"heady": first_heady_n, "taily": first_taily_n}
     for n in range(1, n_max + 1):
-        tables: list[dict[int, int]] = []
-        for kind, cells, first_n, support in halves:
-            table: dict[int, int] = {}
+        _grow_rows(rows, n + n // 2)
+        for kind, support in _HALVES:
+            open_cells = cells[kind]
             lo, hi = support(n)
             for s in range(lo, hi + 1):
-                terms = cells.get(s)
-                if terms is None:
-                    if first_n(s) == n:
-                        terms = [1]
-                    elif kind == "taily" and s == 0 and n < first_n(0):
-                        table[0] = 1     # indicator only, no live terms yet
-                        continue
-                    else:
+                coefs = open_cells.get(s)
+                if coefs is None:
+                    # the taily s == 0 indicator is live before its first term
+                    if first[kind](s) != n and not (kind == "taily" and s == 0):
                         raise AssertionError(f"{kind} cell s={s} missed its opening at n={n}")
-                else:
-                    terms = _step_terms(kind, s, n - 1, terms)
-                cells[s] = terms
-                table[s] = _cell_value(kind, s, terms)
-            tables.append(table)
-        yield ScoreDistribution(n, *tables)
+                    coefs = open_cells[s] = []
+                _enter(kind, s, n, coefs)
+        yield _read_length(n, rows, cells)
 
 
 def incremental_distribution(n: int) -> ScoreDistribution:
-    """Distribution at one length, swept up from length 1."""
-    for dist in table_sweep(n):
-        pass
-    return dist
+    """Distribution at one length off the budget rows up to n + n // 2.
+
+    Only length n is read: each cell takes all its coefficients at once.
+    """
+    _require_length(n)
+    cells = {}
+    for kind, support in _HALVES:
+        lo, hi = support(n)
+        cells[kind] = {s: [_coefficient(kind, s, k) for k in
+                           range(_k_start(kind, s), _budget(kind, s, n) // 3 + 1)]
+                       for s in range(lo, hi + 1)}
+    return _read_length(n, _grow_rows([[1]], n + n // 2), cells)

@@ -176,17 +176,19 @@ def _gap_growth(rec: _Recorder, max_n: int) -> None:
                    f"there is always a score-one heady sequence, none at n={n}")
 
 
-def _term_shape_ok(kind: str, s: int, n: int, terms: list[int]) -> bool:
-    # every live term must equal its defining product of two binomials,
-    # and the number of live terms must match the summation bound
+def _term_shape_ok(kind: str, s: int, n: int, coefs: list[int],
+                   rows: list[list[int]]) -> bool:
+    # every coefficient and every entry of the cell's budget row must equal
+    # its defining binomial, and their counts must match the summation bound
     k0 = recurrence._k_start(kind, s)
-    if kind == "heady":
-        budget, product = n - s - 1, _summands.heady_term
-    else:
-        budget, product = n - s, _summands.taily_term
-    if len(terms) != max(0, budget // 3 - k0 + 1):
+    budget = recurrence._budget(kind, s, n)
+    row = rows[budget]
+    if len(coefs) != max(0, budget // 3 - k0 + 1) or len(row) != budget // 3 + 1:
         return False
-    return all(t == product(s, budget, k0 + i) for i, t in enumerate(terms))
+    lead = 0 if kind == "heady" else 1
+    binom = _summands.binom
+    return (all(c == binom(2 * k + s - lead, k - lead) for k, c in enumerate(coefs, k0))
+            and all(r == binom(budget - 2 * k, k) for k, r in enumerate(row)))
 
 
 def _term_updates(rec: _Recorder, max_n: int) -> None:
@@ -194,6 +196,7 @@ def _term_updates(rec: _Recorder, max_n: int) -> None:
     # closed form; exercises deep positive and negative scores alike
     lo = -min(20, max_n // 2)
     hi = min(20, max_n - 1)
+    rows = recurrence._grow_rows([[1]], max_n - lo)
     for s in range(lo, hi + 1):
         for kind, first_n, count in (
             ("heady", recurrence.first_heady_n, counting.heady_count),
@@ -202,15 +205,16 @@ def _term_updates(rec: _Recorder, max_n: int) -> None:
             n = first_n(s)
             if n > max_n:
                 continue
-            terms = [1]
-            rec.expect(recurrence._cell_value(kind, s, terms) == count(s, n),
+            coefs: list[int] = []
+            recurrence._enter(kind, s, n, coefs)
+            rec.expect(recurrence._cell(kind, s, n, coefs, rows) == count(s, n),
                        f"{kind} cell wrong at birth: s={s} n={n}")
             while n < max_n:
-                terms = recurrence._step_terms(kind, s, n, terms)
                 n += 1
-                rec.expect(recurrence._cell_value(kind, s, terms) == count(s, n),
+                recurrence._enter(kind, s, n, coefs)
+                rec.expect(recurrence._cell(kind, s, n, coefs, rows) == count(s, n),
                            f"{kind} term update drifted: s={s} n={n}")
-                rec.expect(_term_shape_ok(kind, s, n, terms),
+                rec.expect(_term_shape_ok(kind, s, n, coefs, rows),
                            f"{kind} terms lost their binomial shape: s={s} n={n}")
 
 

@@ -24,8 +24,9 @@ from streakcount.counting import (
 )
 from streakcount.oracle import enumerate_distribution
 from streakcount.recurrence import (
-    _cell_value,
-    _step_terms,
+    _cell,
+    _enter,
+    _grow_rows,
     dp_sweep,
     first_heady_n,
     first_taily_n,
@@ -155,13 +156,14 @@ def test_criterion_6_generator_soundness_and_bijection():
 
 def test_criterion_7_exact_updates_deep_and_wide():
     with criterion(7, "term updates exact to n = 500, agree to n = 200", budget=30.0):
+        rows = _grow_rows([[1]], 520)  # raises on any inexact division
         for s in range(-20, 21):
             for kind, first_n, count in (("heady", first_heady_n, heady_count),
                                          ("taily", first_taily_n, taily_count)):
-                terms = [1]
-                for n in range(first_n(s), 500):
-                    terms = _step_terms(kind, s, n, terms)  # raises on any inexact division
-                assert _cell_value(kind, s, terms) == count(s, 500)
+                coefs = []
+                for n in range(first_n(s), 501):
+                    _enter(kind, s, n, coefs)
+                assert _cell(kind, s, 500, coefs, rows) == count(s, 500)
         for n, dist in enumerate(table_sweep(200), start=1):
             assert dist == closed_distribution(n)
 

@@ -124,6 +124,14 @@ def test_dist_rejects_nonpositive_length(capsys):
     assert rc == 1 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_dist_methods_refuse_nonpositive_lengths_alike(capsys, n):
+    for method in ("closed", "dp", "incremental", "oracle"):
+        rc, out, err = run(capsys, "dist", n, "--method", method)
+        assert (rc, out) == (1, "")
+        assert err == f"error: sequence length must be at least 1, got {n}\n", method
+
+
 def test_wins_golden(capsys):
     rc, out, err = run(capsys, "wins", "3")
     assert (rc, err) == (0, "")

@@ -12,9 +12,11 @@ from streakcount.counting import (
     taily_support,
 )
 from streakcount.recurrence import (
-    _cell_value,
+    _budget,
+    _cell,
+    _enter,
+    _grow_rows,
     _k_start,
-    _step_terms,
     dp_distribution,
     dp_sweep,
     first_heady_n,
@@ -88,17 +90,27 @@ def test_dp_reaches_the_reference_rows():
 
 
 COUNT = {"heady": heady_count, "taily": taily_count}
+FIRST_N = {"heady": first_heady_n, "taily": first_taily_n}
 
 
 def _walk(kind, s, steps):
-    """(n, terms) of a score-s cell at its birth and after each of `steps` steps."""
-    n = first_heady_n(s) if kind == "heady" else first_taily_n(s)
-    terms = [1]
-    yield n, terms
-    for _ in range(steps):
-        terms = _step_terms(kind, s, n, terms)
-        n += 1
-        yield n, terms
+    """(n, coefs, rows) of a score-s cell at its birth and after each of `steps` steps."""
+    n0 = FIRST_N[kind](s)
+    rows = _grow_rows([[1]], _budget(kind, s, n0 + steps))
+    coefs = []
+    for n in range(n0, n0 + steps + 1):
+        _enter(kind, s, n, coefs)
+        yield n, list(coefs), rows
+
+
+def test_budget_rows_equal_their_binomials():
+    rows = _grow_rows([[1]], 600)
+    assert len(rows) == 601
+    for m, row in enumerate(rows):
+        assert row == [binom(m - 2 * k, k) for k in range(m // 3 + 1)]
+    # growing again only appends, and the rows already built stay as they were
+    assert _grow_rows(rows, 600) is rows and len(rows) == 601
+    assert _grow_rows([[1]], 300) == rows[:301]
 
 
 def test_term_vector_openings():
@@ -107,10 +119,14 @@ def test_term_vector_openings():
         assert heady_count(s, n0) == 1
         if n0 > 1:
             assert heady_count(s, n0 - 1) == 0
-        assert _cell_value("heady", s, [1]) == heady_count(s, n0)
+        (n, coefs, rows), = _walk("heady", s, 0)
+        assert (n, coefs) == (n0, [1])
+        assert _cell("heady", s, n, coefs, rows) == heady_count(s, n0)
 
         m0 = first_taily_n(s)
-        assert _cell_value("taily", s, [1]) == taily_count(s, m0)
+        (n, coefs, rows), = _walk("taily", s, 0)
+        assert (n, coefs) == (m0, [1])
+        assert _cell("taily", s, n, coefs, rows) == taily_count(s, m0)
         if s != 0 and m0 > 1:
             assert taily_count(s, m0 - 1) == 0
 
@@ -118,20 +134,21 @@ def test_term_vector_openings():
 def test_term_walks_match_closed_forms():
     for s in range(-6, 7):
         for kind, count in COUNT.items():
-            for n, terms in _walk(kind, s, 40):
-                assert _cell_value(kind, s, terms) == count(s, n)
+            for n, coefs, rows in _walk(kind, s, 40):
+                assert _cell(kind, s, n, coefs, rows) == count(s, n)
 
 
 def test_term_entries_equal_their_defining_binomials():
     for s in (-4, -1, 0, 1, 3):
-        *_, (n, terms) = _walk("heady", s, 30)
-        for offset, term in enumerate(terms):
-            k = _k_start("heady", s) + offset
-            assert term == binom(2 * k + s, k) * binom(n - s - 1 - 2 * k, k)
-        *_, (n, terms) = _walk("taily", s, 30)
-        for offset, term in enumerate(terms):
-            k = _k_start("taily", s) + offset
-            assert term == binom(2 * k + s - 1, k - 1) * binom(n - s - 2 * k, k)
+        for kind, lead in (("heady", 0), ("taily", 1)):
+            for n, coefs, rows in _walk(kind, s, 30):
+                m = _budget(kind, s, n)
+                assert m == (n - s - 1 if kind == "heady" else n - s)
+                row = rows[m]
+                assert len(coefs) == len(row) - _k_start(kind, s)
+                for k, coef in enumerate(coefs, _k_start(kind, s)):
+                    assert coef == binom(2 * k + s - lead, k - lead)
+                    assert coef * row[k] == binom(2 * k + s - lead, k - lead) * binom(m - 2 * k, k)
 
 
 def test_budget_step_refuses_an_inexact_update():
@@ -142,16 +159,18 @@ def test_budget_step_refuses_an_inexact_update():
 
 
 def test_term_walk_refuses_a_missing_last_term():
-    *_, (n, terms) = _walk("heady", 0, 4)
-    assert (n, len(terms)) == (5, 2)
+    *_, (n, coefs, rows) = _walk("heady", 0, 4)
+    assert (n, len(coefs)) == (5, 2)
     with pytest.raises(AssertionError, match="skipped a step"):
-        _step_terms("heady", 0, n, terms[:-1])
+        _cell("heady", 0, n, coefs[:-1], rows)
+    with pytest.raises(AssertionError, match="skipped a step"):
+        _cell("heady", 0, n, coefs + [1], rows)
 
 
 @given(st.sampled_from(["heady", "taily"]), st.integers(-10, 10), st.integers(1, 60))
 def test_term_walks_never_divide_inexactly(kind, s, steps):
-    *_, (n, terms) = _walk(kind, s, steps)
-    assert _cell_value(kind, s, terms) == COUNT[kind](s, n)
+    *_, (n, coefs, rows) = _walk(kind, s, steps)
+    assert _cell(kind, s, n, coefs, rows) == COUNT[kind](s, n)
 
 
 def test_table_sweep_labels_lengths():
@@ -167,6 +186,11 @@ def test_table_sweep_refuses_a_missed_opening(monkeypatch):
     monkeypatch.setattr(recurrence, "first_heady_n", lambda s: s + 2)
     with pytest.raises(AssertionError, match="heady cell s=0 missed its opening at n=1"):
         list(table_sweep(3))
+
+
+def test_single_incremental_tables_equal_the_dp():
+    for n in (250, 301, 400):
+        assert incremental_distribution(n) == dp_distribution(n)
 
 
 def test_incremental_reaches_the_reference_rows():
