@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-max", type=int, default=12,
                    help="bound for the full-enumeration sweeps (default 12)")
     p.add_argument("--gen-max", type=int, default=None,
-                   help="bound for the exhaustive generator sweeps "
-                        "(default: min(10, max-n))")
+                   help="bound for the exhaustive generator sweeps, at most "
+                        f"{verify.GEN_MAX_LIMIT} (default: min(10, max-n))")
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("bfile", help="one series as 'index value' lines")

@@ -4,8 +4,11 @@ All arithmetic is integer and exact.  Each closed form is a sum of
 products of two binomials; the sums are evaluated by exact term ratios
 (see _summands): one starting term, then one multiply-then-divide per
 step instead of two fresh binomials, with values identical to summing
-the products directly.  The binomial convention C(a, b) = 0 for a < 0,
-b < 0 or b > a makes every summation bound self-truncating, so the
+the products directly.  A single cell walks its own sum in k.  A whole
+table walks every summand of its length once, along the diagonals of
+fixed N = 2k + s where the ratio is shortest, into two dense lists that
+also give the win tallies.  The binomial convention C(a, b) = 0 for
+a < 0, b < 0 or b > a makes every summation bound self-truncating, so the
 formulas return 0 outside their supported score ranges without any
 separate casing.
 """
@@ -66,22 +69,31 @@ def score_support(n: int) -> tuple[int, int]:
     return -(n // 2), n - 1
 
 
+def _lists_table(n: int, heady: list[int], taily: list[int]) -> ScoreDistribution:
+    """Dense lists at length n, indexed from score -(n // 2), as a table.
+
+    Every cell inside a support is nonzero and every cell outside is zero,
+    so slicing the supports out stores exactly the nonzero counts, each
+    half in ascending score order.
+    """
+    lo = -(n // 2)
+    h_lo, h_hi = heady_support(n)
+    t_lo, t_hi = taily_support(n)
+    return ScoreDistribution(
+        n,
+        dict(zip(range(h_lo, h_hi + 1), heady[h_lo - lo:h_hi - lo + 1])),
+        dict(zip(range(t_lo, t_hi + 1), taily[t_lo - lo:t_hi - lo + 1])))
+
+
 def closed_distribution(n: int) -> ScoreDistribution:
-    """Full score distribution assembled cell by cell from the closed forms."""
+    """Full score distribution from one walk over the closed forms' summands.
+
+    Every heady and taily summand at length n is visited once, along the
+    diagonals of fixed N = 2k + s (see _summands.length_lists), and added
+    into its score's cell; the cells equal heady_count and taily_count.
+    """
     _require_length(n)
-    heady: dict[int, int] = {}
-    lo, hi = heady_support(n)
-    for s in range(lo, hi + 1):
-        v = heady_count(s, n)
-        if v:
-            heady[s] = v
-    taily: dict[int, int] = {}
-    lo, hi = taily_support(n)
-    for s in range(lo, hi + 1):
-        v = taily_count(s, n)
-        if v:
-            taily[s] = v
-    return ScoreDistribution(n, heady, taily)
+    return _lists_table(n, *_summands.length_lists(n))
 
 
 def heady_close_calls(n: int) -> int:
@@ -162,20 +174,17 @@ class WinOdds:
 def win_odds(n: int, digits: int = 6) -> WinOdds:
     """Aggregate wins, losses and ties at length n by direct summation.
 
-    Sums closed-form counts over every supported score, deliberately not
-    presupposing the single-cell identity that win_gap uses.
+    Sums the closed-form counts of every score, as walked for
+    closed_distribution, over the positive, negative and zero bands,
+    deliberately not presupposing the single-cell identity that win_gap
+    uses.
     """
     _require_length(n)
-    lo, hi = score_support(n)
-    alice = bob = ties = 0
-    for s in range(lo, hi + 1):
-        c = heady_count(s, n) + taily_count(s, n)
-        if s > 0:
-            alice += c
-        elif s < 0:
-            bob += c
-        else:
-            ties = c
+    heady, taily = _summands.length_lists(n)
+    zero = n // 2                      # index of score 0
+    alice = sum(heady[zero + 1:]) + sum(taily[zero + 1:])
+    bob = sum(heady[:zero]) + sum(taily[:zero])
+    ties = heady[zero] + taily[zero]
     gap = bob - alice
     den = 1 << n
     return WinOdds(

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from . import _summands
 from .core import ScoreDistribution
-from .counting import _require_length, heady_support, taily_support
+from .counting import _lists_table, _require_length, heady_support, taily_support
 
 
 def _dp_steps(n_max: int) -> Iterator[tuple[int, list[int], list[int]]]:
@@ -51,25 +51,10 @@ def _dp_steps(n_max: int) -> Iterator[tuple[int, list[int], list[int]]]:
         yield n, heady, taily
 
 
-def _dp_table(n: int, heady: list[int], taily: list[int]) -> ScoreDistribution:
-    """The dense lists at length n as a table over the two supports.
-
-    Every cell inside a support is nonzero and every cell outside is zero,
-    so slicing the supports out stores exactly the nonzero counts.
-    """
-    lo = -(n // 2)
-    h_lo, h_hi = heady_support(n)
-    t_lo, t_hi = taily_support(n)
-    return ScoreDistribution(
-        n,
-        dict(zip(range(h_lo, h_hi + 1), heady[h_lo - lo:h_hi - lo + 1])),
-        dict(zip(range(t_lo, t_hi + 1), taily[t_lo - lo:t_hi - lo + 1])))
-
-
 def dp_sweep(n_max: int) -> Iterator[ScoreDistribution]:
     """Stream the distribution for every length 1 .. n_max."""
     for step in _dp_steps(n_max):
-        yield _dp_table(*step)
+        yield _lists_table(*step)
 
 
 def dp_distribution(n: int) -> ScoreDistribution:
@@ -77,7 +62,7 @@ def dp_distribution(n: int) -> ScoreDistribution:
     _require_length(n)
     for step in _dp_steps(n):
         pass
-    return _dp_table(*step)
+    return _lists_table(*step)
 
 
 def _k_start(kind: str, s: int) -> int:

@@ -17,6 +17,12 @@ from typing import Callable, Iterator
 from . import _summands, core, counting, oracle, recurrence, signatures
 
 
+# largest gen_max run_suites accepts: the generator sweep keeps all 2**n
+# sequences of each length as tuples, which at 16 takes about 2 s and 35 MB
+# and grows about threefold in both every two lengths
+GEN_MAX_LIMIT = 16
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -176,19 +182,26 @@ def _gap_growth(rec: _Recorder, max_n: int) -> None:
                    f"there is always a score-one heady sequence, none at n={n}")
 
 
+def _rows_ok(rows: list[list[int]]) -> list[bool]:
+    # whether each budget row holds exactly [C(m - 2k, k) for k = 0 .. m // 3];
+    # the walked cells share these few rows, so each is checked once
+    binom = _summands.binom
+    return [len(row) == m // 3 + 1
+            and all(r == binom(m - 2 * k, k) for k, r in enumerate(row))
+            for m, row in enumerate(rows)]
+
+
 def _term_shape_ok(kind: str, s: int, n: int, coefs: list[int],
-                   rows: list[list[int]]) -> bool:
-    # every coefficient and every entry of the cell's budget row must equal
-    # its defining binomial, and their counts must match the summation bound
+                   rows_ok: list[bool]) -> bool:
+    # the cell's budget row must have passed _rows_ok, and every coefficient
+    # must equal its defining binomial, as many as the summation bound holds
     k0 = recurrence._k_start(kind, s)
     budget = recurrence._budget(kind, s, n)
-    row = rows[budget]
-    if len(coefs) != max(0, budget // 3 - k0 + 1) or len(row) != budget // 3 + 1:
+    if not rows_ok[budget] or len(coefs) != max(0, budget // 3 - k0 + 1):
         return False
     lead = 0 if kind == "heady" else 1
     binom = _summands.binom
-    return (all(c == binom(2 * k + s - lead, k - lead) for k, c in enumerate(coefs, k0))
-            and all(r == binom(budget - 2 * k, k) for k, r in enumerate(row)))
+    return all(c == binom(2 * k + s - lead, k - lead) for k, c in enumerate(coefs, k0))
 
 
 def _term_updates(rec: _Recorder, max_n: int) -> None:
@@ -197,6 +210,7 @@ def _term_updates(rec: _Recorder, max_n: int) -> None:
     lo = -min(20, max_n // 2)
     hi = min(20, max_n - 1)
     rows = recurrence._grow_rows([[1]], max_n - lo)
+    rows_ok = _rows_ok(rows)
     for s in range(lo, hi + 1):
         for kind, first_n, count in (
             ("heady", recurrence.first_heady_n, counting.heady_count),
@@ -214,17 +228,30 @@ def _term_updates(rec: _Recorder, max_n: int) -> None:
                 recurrence._enter(kind, s, n, coefs)
                 rec.expect(recurrence._cell(kind, s, n, coefs, rows) == count(s, n),
                            f"{kind} term update drifted: s={s} n={n}")
-                rec.expect(_term_shape_ok(kind, s, n, coefs, rows),
+                rec.expect(_term_shape_ok(kind, s, n, coefs, rows_ok),
                            f"{kind} terms lost their binomial shape: s={s} n={n}")
 
 
+def _cell_table(n: int) -> core.ScoreDistribution:
+    # the table read cell by cell off heady_count and taily_count, each cell
+    # walking its own sum in k: a route apart from closed_distribution's
+    # single walk over every summand of the length
+    halves = []
+    for count, support in ((counting.heady_count, counting.heady_support),
+                           (counting.taily_count, counting.taily_support)):
+        lo, hi = support(n)
+        halves.append({s: count(s, n) for s in range(lo, hi + 1)})
+    return core.ScoreDistribution(n, *halves)
+
+
 def _method_agreement(rec: _Recorder, max_n: int) -> None:
+    # the DP meets the single-cell closed forms and the term vectors meet
+    # the walked closed-form table, so a fault in any one route shows
     sweep_dp = recurrence.dp_sweep(max_n)
     sweep_terms = recurrence.table_sweep(max_n)
     for n, dp_dist, term_dist in zip(range(1, max_n + 1), sweep_dp, sweep_terms):
-        closed = counting.closed_distribution(n)
-        rec.expect(dp_dist == closed, f"dp table disagrees with closed forms at n={n}")
-        rec.expect(term_dist == closed,
+        rec.expect(dp_dist == _cell_table(n), f"dp table disagrees with closed forms at n={n}")
+        rec.expect(term_dist == counting.closed_distribution(n),
                    f"term-update table disagrees with closed forms at n={n}")
 
 
@@ -348,7 +375,8 @@ def _oracle_agreement(rec: _Recorder, oracle_max: int) -> None:
     for n in range(1, oracle_max + 1):
         seen = oracle.enumerate_distribution(n)
         closed = counting.closed_distribution(n)
-        rec.expect(seen == closed, f"enumeration disagrees with closed forms at n={n}")
+        rec.expect(seen == closed == _cell_table(n),
+                   f"enumeration disagrees with closed forms at n={n}")
         table = core.close_call_buckets(closed)
         rec.expect(oracle.close_call_table(n) == table,
                    f"enumerated close-call buckets disagree at n={n}")
@@ -380,7 +408,9 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
     enumeration sweeps and gen_max the exhaustive generator sweeps;
     gen_max defaults to min(10, max_n).  Both of the last two sweep all
     2**n sequences of each length, so both are refused past the oracle's
-    enumeration cap before any suite runs.
+    enumeration cap before any suite runs.  gen_max is also refused past
+    GEN_MAX_LIMIT, whatever the cap: the generator sweep holds every
+    sequence of a length as a tuple, in pure Python.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
@@ -394,6 +424,9 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
             raise ValueError(
                 f"{name}={bound} exceeds the enumeration cap of {cap}; "
                 f"raise it with {oracle.CAP_ENV_VAR}")
+    if gen_max > GEN_MAX_LIMIT:
+        raise ValueError(
+            f"gen_max={gen_max} exceeds the generator sweep limit of {GEN_MAX_LIMIT}")
     suites: list[tuple[str, Callable[[_Recorder], None]]] = [
         ("base-tables", _base_tables),
         ("normalization", lambda rec: _normalization(rec, max_n)),

@@ -329,6 +329,18 @@ def test_verify_refuses_enumeration_bounds_past_the_cap_at_once(flag, name, boun
                              f"raise it with STREAKCOUNT_ORACLE_CAP\n")
 
 
+def test_verify_refuses_a_generator_sweep_past_its_limit_at_once():
+    # 17 is inside the enumeration cap, but the generator sweep's tuples of
+    # every sequence would take seconds and over 50 MB
+    env = child_env()
+    env.pop("STREAKCOUNT_ORACLE_CAP", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "streakcount", "verify", "--gen-max", "17"],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: gen_max=17 exceeds the generator sweep limit of 16\n"
+
+
 def test_closed_output_pipe_exits_quietly():
     # far more output than a pipe buffer holds, so the writer meets the
     # closed pipe while it still has lines to print

@@ -21,6 +21,7 @@ from streakcount.counting import (
     win_odds,
 )
 from streakcount.oracle import enumerate_distribution
+from streakcount.recurrence import dp_distribution
 
 from reference_values import CLOSE_CALL_ROWS, WIN_GAP_AT_100
 
@@ -122,6 +123,36 @@ def test_counts_are_never_negative():
 def test_closed_distribution_matches_enumeration():
     for n in range(1, 12):
         assert closed_distribution(n) == enumerate_distribution(n)
+
+
+# closed_distribution and win_odds walk every summand of a length once,
+# along diagonals of fixed N = 2k + s; heady_count and taily_count walk
+# one cell's sum in k, and the DP shares no summand with either
+
+
+@pytest.mark.parametrize("n", [999, 1000, 1001])
+def test_walked_table_equals_the_dp_at_wide_supports(n):
+    assert closed_distribution(n) == dp_distribution(n)
+
+
+def test_walked_table_equals_the_single_cells_on_exactly_its_supports():
+    for n in [*range(1, 121), 301, 302]:
+        dist = closed_distribution(n)
+        for half, support, count in ((dist.heady, heady_support, heady_count),
+                                     (dist.taily, taily_support, taily_count)):
+            lo, hi = support(n)
+            assert list(half) == list(range(lo, hi + 1)), n   # every key, ascending
+            assert half == {s: count(s, n) for s in range(lo, hi + 1)}, n
+
+
+@pytest.mark.parametrize("n", [2, 3, 250, 301])
+def test_win_odds_bands_equal_sums_over_the_dp_table(n):
+    dist = dp_distribution(n)
+    cells = list(dist.heady.items()) + list(dist.taily.items())
+    odds = win_odds(n)
+    assert odds.alice == sum(c for s, c in cells if s > 0)
+    assert odds.bob == sum(c for s, c in cells if s < 0)
+    assert odds.ties == sum(c for s, c in cells if s == 0)
 
 
 def test_close_call_formula_agrees_with_single_cell():

@@ -62,6 +62,22 @@ def test_enumeration_bounds_past_the_cap_are_refused_before_any_suite(monkeypatc
         verify.run_suites(max_n=8, oracle_max=8, gen_max=8)
 
 
+def test_generator_bounds_past_the_sweep_limit_are_refused_before_any_suite(monkeypatch):
+    def ran(rec):
+        raise AssertionError("a suite ran before the bounds were checked")
+
+    monkeypatch.setattr(verify, "_base_tables", ran)
+    monkeypatch.delenv("STREAKCOUNT_ORACLE_CAP", raising=False)
+    with pytest.raises(ValueError, match="gen_max=17 exceeds the generator sweep limit of 16"):
+        verify.run_suites(gen_max=17)
+    # a higher enumeration cap does not lift the generator limit
+    monkeypatch.setenv("STREAKCOUNT_ORACLE_CAP", "30")
+    with pytest.raises(ValueError, match="gen_max=20 exceeds the generator sweep limit of 16"):
+        verify.run_suites(gen_max=20)
+    with pytest.raises(AssertionError, match="a suite ran"):
+        verify.run_suites(max_n=8, oracle_max=4, gen_max=16)
+
+
 def test_a_lying_closed_form_is_caught_and_localized(monkeypatch):
     honest = counting.heady_count
 
