@@ -7,12 +7,14 @@ and then one multiply-then-divide per step, never a fresh binomial.  The
 division is exact because both neighbouring terms are integers and every
 term inside a summation range is nonzero.
 
-Three summands live here, each with its defining product and a generator
-that steps through its summation range by the exact ratio:
+Two summands live here, each with its defining product and a generator
+that steps through its summation range by the exact ratio.  The taily
+summand is the heady one with its first binomial shifted one place, so a
+lead of 0 (heady) or 1 (taily) gives both final tosses from one summand:
 
-- heady, score s, spare budget m = n - s - 1:  C(2k + s, k) * C(m - 2k, k)
-- taily, score s, spare budget m = n - s:      C(2k + s - 1, k - 1) * C(m - 2k, k)
-- close call, length n:                        C(2k - 1, k) * C(n - 2k, k - 1)
+- heady or taily, score s, spare budget m = n - s - 1 + lead:
+                                       C(2k + s - lead, k - lead) * C(m - 2k, k)
+- close call, length n:                C(2k - 1, k) * C(n - 2k, k - 1)
 
 The heady and taily summands also have a ratio in the spare budget m,
 carried by their common factor C(m - 2k, k) alone.  step_budget moves a
@@ -39,50 +41,28 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
-def heady_term(s: int, m: int, k: int) -> int:
-    return binom(2 * k + s, k) * binom(m - 2 * k, k)
+def term(s: int, m: int, k: int, lead: int) -> int:
+    """C(2k + s - lead, k - lead) * C(m - 2k, k): lead 0 heady, 1 taily."""
+    return binom(2 * k + s - lead, k - lead) * binom(m - 2 * k, k)
 
 
-def heady_terms(s: int, m: int) -> Iterator[int]:
-    """heady_term(s, m, k) for max(0, -s) <= k <= m // 3, in order.
+def terms(s: int, m: int, lead: int) -> Iterator[int]:
+    """term(s, m, k, lead) for max(lead, -s) <= k <= m // 3, in order.
 
-    Each term after the first is the one before times C(2k + s + 2, k + 1)
-    / C(2k + s, k) times C(m - 2k - 2, k + 1) / C(m - 2k, k), written out
-    so that a step costs no call.
+    Each term after the first is the one before times C(b + 2, k + 1 - lead)
+    / C(b, k - lead) times C(c - 2, k + 1) / C(c, k), with b = 2k + s - lead
+    and c = m - 2k, written out so that a step costs no call.
     """
-    k, k_hi = max(0, -s), m // 3
+    k, k_hi = max(lead, -s), m // 3
     if k > k_hi:
         return
-    term = heady_term(s, m, k)
-    yield term
+    value = term(s, m, k, lead)
+    yield value
     for k in range(k, k_hi):
-        a, b = m - 3 * k, 2 * k + s
-        term = term * ((b + 2) * (b + 1) * a * (a - 1) * (a - 2)) // (
-            (k + 1) * (k + s + 1) * (k + 1) * (m - 2 * k) * (m - 2 * k - 1))
-        yield term
-
-
-def taily_term(s: int, m: int, k: int) -> int:
-    return binom(2 * k + s - 1, k - 1) * binom(m - 2 * k, k)
-
-
-def taily_terms(s: int, m: int) -> Iterator[int]:
-    """taily_term(s, m, k) for max(1, -s) <= k <= m // 3, in order.
-
-    Each term after the first is the one before times C(2k + s + 1, k)
-    / C(2k + s - 1, k - 1) times C(m - 2k - 2, k + 1) / C(m - 2k, k),
-    written out so that a step costs no call.
-    """
-    k, k_hi = max(1, -s), m // 3
-    if k > k_hi:
-        return
-    term = taily_term(s, m, k)
-    yield term
-    for k in range(k, k_hi):
-        a, b = m - 3 * k, 2 * k + s
-        term = term * ((b + 1) * b * a * (a - 1) * (a - 2)) // (
-            k * (k + s + 1) * (k + 1) * (m - 2 * k) * (m - 2 * k - 1))
-        yield term
+        a, b, c = m - 3 * k, 2 * k + s - lead, m - 2 * k
+        value = value * ((b + 2) * (b + 1) * a * (a - 1) * (a - 2)) // (
+            (k + 1 - lead) * (k + s + 1) * (k + 1) * c * (c - 1))
+        yield value
 
 
 def step_budget(terms: Sequence[int], k0: int, m: int) -> list[int]:

@@ -36,7 +36,7 @@ def heady_count(s: int, n: int) -> int:
     tails.
     """
     _require_length(n)
-    return sum(_summands.heady_terms(s, n - s - 1))
+    return sum(_summands.terms(s, n - s - 1, 0))
 
 
 def taily_count(s: int, n: int) -> int:
@@ -48,7 +48,7 @@ def taily_count(s: int, n: int) -> int:
     the sequence, leaving C(2k + s - 1, k - 1) orderings.
     """
     _require_length(n)
-    return (1 if s == 0 else 0) + sum(_summands.taily_terms(s, n - s))
+    return (1 if s == 0 else 0) + sum(_summands.terms(s, n - s, 1))
 
 
 def heady_support(n: int) -> tuple[int, int]:

@@ -30,7 +30,8 @@ MAX_N = 63
 
 # the most words in one block of the sweep: each of its five buffers holds
 # one block, so a sweep's memory stays near 2 MB whatever n is, and the
-# per-block interpreter overhead is already small at this size
+# per-block interpreter overhead is already small at this size; a power of
+# two, so that blocks stay aligned and each shares one final toss
 _CHUNK = 1 << 16
 
 
@@ -88,19 +89,18 @@ def word_score(word: int, n: int) -> int:
     return hh - ht
 
 
-def _blocks(n: int, chunk: int, finals: tuple[int, ...] = (0, 1)
+def _blocks(n: int, finals: tuple[int, ...] = (0, 1)
             ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Sweep the words of length n ending in each of finals, block by block.
 
     Yields (final toss, words, scores) per block.  A block is an aligned run
-    of 2**k words, 2**k no larger than chunk, _CHUNK or 2**(n-1), so all its
-    words share their top bit, the final toss.  Both arrays are buffers the
-    next block overwrites; a caller keeps what it needs before advancing.
+    of min(_CHUNK, 2**(n-1)) words, so all its words share their top bit,
+    the final toss.  Both arrays are buffers the next block overwrites; a
+    caller keeps what it needs before advancing.
     """
     import numpy as np
 
-    size = min(chunk, _CHUNK, 1 << (n - 1))
-    size = 1 << (size.bit_length() - 1)
+    size = min(_CHUNK, 1 << (n - 1))
     base = np.arange(size, dtype=np.uint64)
     words = np.empty_like(base)
     pairs = np.empty_like(base)
@@ -123,24 +123,21 @@ def _blocks(n: int, chunk: int, finals: tuple[int, ...] = (0, 1)
             yield last, words, scores
 
 
-def enumerate_distribution(n: int, cap: int | None = None,
-                           chunk: int = _CHUNK) -> ScoreDistribution:
+def enumerate_distribution(n: int, cap: int | None = None) -> ScoreDistribution:
     """Tally every length-n sequence by (score, final toss).
 
     The word range is swept in aligned blocks whose partial tallies are
-    summed, so the result is independent of the block size.  chunk is an
-    upper bound on it, rounded down to a power of two; blocks never exceed
-    _CHUNK words, which bounds the sweep's memory at a few MB for any n.
+    summed, so the result is independent of the block size.  Blocks never
+    exceed _CHUNK words, which bounds the sweep's memory at a few MB for
+    any n.
     """
     _checked(n, cap)
-    if chunk < 1:
-        raise ValueError(f"chunk size must be positive, got {chunk}")
     import numpy as np
 
     offset = n // 2                       # shift scores onto nonnegative bins
     bins = n + offset
     totals = np.zeros((2, bins), dtype=np.int64)
-    for last, _, scores in _blocks(n, chunk):
+    for last, _, scores in _blocks(n):
         np.add(scores, offset, out=scores)
         totals[last] += np.bincount(scores, minlength=bins)
     taily, heady = ({s - offset: c for s, c in enumerate(row) if c}
@@ -172,7 +169,7 @@ def sequences_with(n: int, score_value: int, mode: str,
 
     want_last = 1 if mode == "heady" else 0
     hits = [words[scores == score_value]
-            for _, words, scores in _blocks(n, _CHUNK, (want_last,))]
+            for _, words, scores in _blocks(n, (want_last,))]
     found = np.concatenate(hits)
     # one pass unpacks every member: row j holds toss j + 1 of each member,
     # and zip turns the rows into one tuple per member

@@ -5,20 +5,22 @@ counts, one per final toss, indexed from the lowest score: a head after a
 head raises the score, a tail after a head lowers it, anything after a
 tail scores nothing, so one appended toss is two shifted list additions.
 The term-vector route reads each closed-form sum as two rows.  Term k of a
-score-s cell with spare budget m is C(2k + s, k) (heady; C(2k + s - 1,
-k - 1) taily) times C(m - 2k, k).  The first factor never changes with the
-length, so each cell keeps it as a list of coefficients, and a coefficient
-enters as one binomial when the budget reaches 3k.  The second factor
-depends on m alone, so one budget row [C(m - 2k, k) for k = 0 .. m // 3]
-serves every heady and taily cell with that budget at every length; each
-row is the one before stepped by _summands.step_budget, the only stepper.
-A cell's value is its coefficients dotted with its budget row.  Inexact
+score-s cell with spare budget m is C(2k + s - lead, k - lead) times
+C(m - 2k, k), lead 0 heady and 1 taily.  The first factor never changes
+with the length, so each cell keeps it as a list of coefficients, which
+starts empty and before each read gains one binomial per k its budget
+now admits; no cell needs an opening step.  The second factor depends on
+m alone, so one budget row [C(m - 2k, k) for k = 0 .. m // 3] serves
+every heady and taily cell with that budget at every length; each row is
+the one before stepped by _summands.step_budget, the only stepper.  A
+cell's value is its coefficients dotted with its budget row.  Inexact
 division in that path is impossible by construction and treated as an
 internal bug, never an input error.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from operator import add, mul
 from typing import Iterator, Sequence
 
@@ -65,26 +67,27 @@ def dp_distribution(n: int) -> ScoreDistribution:
     return _lists_table(*step)
 
 
-def _k_start(kind: str, s: int) -> int:
-    return max(0 if kind == "heady" else 1, -s)
+# each half's lead in _summands.term: 0 heady, 1 taily
+_LEAD = {"heady": 0, "taily": 1}
 
 
-def first_heady_n(s: int) -> int:
-    """Smallest length at which the score-s heady sum holds a term."""
-    return s + 1 if s >= 0 else 1 - 2 * s
+def _span(kind: str, s: int, n: int) -> tuple[int, int]:
+    """First k and spare budget m of a score-s cell at length n.
 
-
-def first_taily_n(s: int) -> int:
-    """Smallest length at which the score-s taily sum holds a term.
-
-    The s == 0 indicator lives outside the sum and is live from length 1.
+    Its terms run from k to m // 3; m picks its C(m - 2k, k) row.
     """
-    return s + 3 if s >= 0 else -2 * s
+    lead = _LEAD[kind]
+    return max(lead, -s), n - s - 1 + lead
 
 
-def _budget(kind: str, s: int, n: int) -> int:
-    """Spare budget m of a score-s cell at length n: its C(m - 2k, k) row."""
-    return n - s - 1 if kind == "heady" else n - s
+def _birth(kind: str, s: int) -> int:
+    """Smallest length at which the score-s cell's sum holds a term.
+
+    That is where its budget first reaches 3k for its first k.  The taily
+    s == 0 indicator lives outside the sum and is live from length 1.
+    """
+    k0, m0 = _span(kind, s, 0)         # the budget grows by one a length from m0
+    return 3 * k0 - m0
 
 
 def _grow_rows(rows: list[list[int]], m_max: int) -> list[list[int]]:
@@ -103,24 +106,23 @@ def _grow_rows(rows: list[list[int]], m_max: int) -> list[list[int]]:
     return rows
 
 
-def _coefficient(kind: str, s: int, k: int) -> int:
-    """C(2k + s, k) heady or C(2k + s - 1, k - 1) taily: the term at budget 3k."""
-    if kind == "heady":
-        return _summands.heady_term(s, 3 * k, k)
-    return _summands.taily_term(s, 3 * k, k)
-
-
-def _enter(kind: str, s: int, n: int, coefs: list[int]) -> None:
-    """Append coefficient k to a cell whose budget at length n reaches 3k."""
-    k = _k_start(kind, s) + len(coefs)
-    if _budget(kind, s, n) == 3 * k:
-        coefs.append(_coefficient(kind, s, k))
+def _fill(kind: str, s: int, n: int, coefs: list[int]) -> list[int]:
+    """Extend a cell's coefficients in place to every k its budget admits at
+    length n, and return them.  Coefficient k is the cell's term at budget
+    3k, C(2k + s - lead, k - lead).
+    """
+    k, m = _span(kind, s, n)
+    k += len(coefs)
+    while 3 * k <= m:
+        coefs.append(_summands.term(s, 3 * k, k, _LEAD[kind]))
+        k += 1
+    return coefs
 
 
 def _cell(kind: str, s: int, n: int, coefs: Sequence[int], rows: list[list[int]]) -> int:
     """A score-s cell at length n: its coefficients dotted with its budget row."""
-    k0 = _k_start(kind, s)
-    row = rows[_budget(kind, s, n)]
+    k0, m = _span(kind, s, n)
+    row = rows[m]
     if len(coefs) != len(row) - k0:
         raise AssertionError(f"{kind} summation bound skipped a step: s={s} n={n}")
     value = sum(map(mul, coefs, row[k0:]))
@@ -133,56 +135,40 @@ _HALVES = (("heady", heady_support), ("taily", taily_support))
 
 
 def _read_length(n: int, rows: list[list[int]],
-                 cells: dict[str, dict[int, list[int]]]) -> ScoreDistribution:
-    """The table at length n, read off its cells' coefficients and the rows."""
+                 cells: dict[str, defaultdict[int, list[int]]]) -> ScoreDistribution:
+    """The table at length n: each cell filled to length n, then read off the rows."""
     tables = []
     for kind, support in _HALVES:
         by_score = cells[kind]
         lo, hi = support(n)
-        tables.append({s: _cell(kind, s, n, by_score[s], rows) for s in range(lo, hi + 1)})
+        tables.append({s: _cell(kind, s, n, _fill(kind, s, n, by_score[s]), rows)
+                       for s in range(lo, hi + 1)})
     return ScoreDistribution(n, *tables)
 
 
 def table_sweep(n_max: int) -> Iterator[ScoreDistribution]:
     """Stream full distributions for n = 1 .. n_max off shared budget rows.
 
-    A score cell opens the first time its support admits a term and then
-    only gains a coefficient whenever its budget reaches 3k; the rows of
-    C(m - 2k, k) grow by one or two budgets a length and are shared by
-    every cell.  This path is kept as the independent cross-check of the
-    closed forms and the DP.
+    The cells and the rows of C(m - 2k, k) persist across lengths: a cell
+    only gains a coefficient whenever its budget reaches 3k, and the rows
+    grow by one or two budgets a length and are shared by every cell.  This
+    path is kept as the independent cross-check of the closed forms and
+    the DP.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     rows: list[list[int]] = [[1]]
-    cells: dict[str, dict[int, list[int]]] = {"heady": {}, "taily": {}}
-    first = {"heady": first_heady_n, "taily": first_taily_n}
+    cells = {kind: defaultdict(list) for kind in _LEAD}
     for n in range(1, n_max + 1):
-        _grow_rows(rows, n + n // 2)
-        for kind, support in _HALVES:
-            open_cells = cells[kind]
-            lo, hi = support(n)
-            for s in range(lo, hi + 1):
-                coefs = open_cells.get(s)
-                if coefs is None:
-                    # the taily s == 0 indicator is live before its first term
-                    if first[kind](s) != n and not (kind == "taily" and s == 0):
-                        raise AssertionError(f"{kind} cell s={s} missed its opening at n={n}")
-                    coefs = open_cells[s] = []
-                _enter(kind, s, n, coefs)
-        yield _read_length(n, rows, cells)
+        yield _read_length(n, _grow_rows(rows, n + n // 2), cells)
 
 
 def incremental_distribution(n: int) -> ScoreDistribution:
     """Distribution at one length off the budget rows up to n + n // 2.
 
-    Only length n is read: each cell takes all its coefficients at once.
+    Only length n is read, from fresh cells: each takes all its
+    coefficients at once.
     """
     _require_length(n)
-    cells = {}
-    for kind, support in _HALVES:
-        lo, hi = support(n)
-        cells[kind] = {s: [_coefficient(kind, s, k) for k in
-                           range(_k_start(kind, s), _budget(kind, s, n) // 3 + 1)]
-                       for s in range(lo, hi + 1)}
-    return _read_length(n, _grow_rows([[1]], n + n // 2), cells)
+    return _read_length(n, _grow_rows([[1]], n + n // 2),
+                        {kind: defaultdict(list) for kind in _LEAD})

@@ -195,11 +195,10 @@ def _term_shape_ok(kind: str, s: int, n: int, coefs: list[int],
                    rows_ok: list[bool]) -> bool:
     # the cell's budget row must have passed _rows_ok, and every coefficient
     # must equal its defining binomial, as many as the summation bound holds
-    k0 = recurrence._k_start(kind, s)
-    budget = recurrence._budget(kind, s, n)
+    k0, budget = recurrence._span(kind, s, n)
     if not rows_ok[budget] or len(coefs) != max(0, budget // 3 - k0 + 1):
         return False
-    lead = 0 if kind == "heady" else 1
+    lead = recurrence._LEAD[kind]
     binom = _summands.binom
     return all(c == binom(2 * k + s - lead, k - lead) for k, c in enumerate(coefs, k0))
 
@@ -212,20 +211,17 @@ def _term_updates(rec: _Recorder, max_n: int) -> None:
     rows = recurrence._grow_rows([[1]], max_n - lo)
     rows_ok = _rows_ok(rows)
     for s in range(lo, hi + 1):
-        for kind, first_n, count in (
-            ("heady", recurrence.first_heady_n, counting.heady_count),
-            ("taily", recurrence.first_taily_n, counting.taily_count),
-        ):
-            n = first_n(s)
+        for kind, count in (("heady", counting.heady_count), ("taily", counting.taily_count)):
+            n = recurrence._birth(kind, s)
             if n > max_n:
                 continue
             coefs: list[int] = []
-            recurrence._enter(kind, s, n, coefs)
+            recurrence._fill(kind, s, n, coefs)
             rec.expect(recurrence._cell(kind, s, n, coefs, rows) == count(s, n),
                        f"{kind} cell wrong at birth: s={s} n={n}")
             while n < max_n:
                 n += 1
-                recurrence._enter(kind, s, n, coefs)
+                recurrence._fill(kind, s, n, coefs)
                 rec.expect(recurrence._cell(kind, s, n, coefs, rows) == count(s, n),
                            f"{kind} term update drifted: s={s} n={n}")
                 rec.expect(_term_shape_ok(kind, s, n, coefs, rows_ok),

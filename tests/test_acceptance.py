@@ -24,12 +24,11 @@ from streakcount.counting import (
 )
 from streakcount.oracle import enumerate_distribution
 from streakcount.recurrence import (
+    _birth,
     _cell,
-    _enter,
+    _fill,
     _grow_rows,
     dp_sweep,
-    first_heady_n,
-    first_taily_n,
     table_sweep,
 )
 from streakcount.signatures import (
@@ -158,11 +157,10 @@ def test_criterion_7_exact_updates_deep_and_wide():
     with criterion(7, "term updates exact to n = 500, agree to n = 200", budget=30.0):
         rows = _grow_rows([[1]], 520)  # raises on any inexact division
         for s in range(-20, 21):
-            for kind, first_n, count in (("heady", first_heady_n, heady_count),
-                                         ("taily", first_taily_n, taily_count)):
+            for kind, count in (("heady", heady_count), ("taily", taily_count)):
                 coefs = []
-                for n in range(first_n(s), 501):
-                    _enter(kind, s, n, coefs)
+                for n in range(_birth(kind, s), 501):
+                    _fill(kind, s, n, coefs)
                 assert _cell(kind, s, 500, coefs, rows) == count(s, 500)
         for n, dist in enumerate(table_sweep(200), start=1):
             assert dist == closed_distribution(n)

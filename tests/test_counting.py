@@ -277,9 +277,9 @@ def test_large_gap_cells_equal_the_defining_sum():
 def test_term_ratios_reproduce_every_defining_product(s, n):
     m = n - s - 1
     ks = range(max(0, -s), m // 3 + 1)
-    assert list(_summands.heady_terms(s, m)) == [heady_product(s, n, k) for k in ks]
+    assert list(_summands.terms(s, m, 0)) == [heady_product(s, n, k) for k in ks]
     ks = range(max(1, -s), (m + 1) // 3 + 1)
-    assert list(_summands.taily_terms(s, m + 1)) == [taily_product(s, n, k) for k in ks]
+    assert list(_summands.terms(s, m + 1, 1)) == [taily_product(s, n, k) for k in ks]
     if n >= 2:
         ks = range(1, (n + 1) // 3 + 1)
         assert list(_summands.close_call_terms(n)) == [close_call_product(n, k) for k in ks]

@@ -51,13 +51,15 @@ def test_word_score_matches_random_words(n, data):
     assert word_score(word, n) == score(word_to_bits(word, n))
 
 
-def test_chunking_does_not_change_the_census():
-    # chunk is an upper bound rounded down to a power of two (3 and 7 make
-    # blocks of 2 and 4 words); past 2**(n-1) words it changes nothing
+def test_chunking_does_not_change_the_census(monkeypatch):
+    # blocks of 1, 2 and 4 words, and of 2**(n-1) words once _CHUNK
+    # exceeds that
     for n in (10, 11, 12):
         default = enumerate_distribution(n)
-        for chunk in (1, 3, 7, 1 << 12, 1 << 40):
-            assert enumerate_distribution(n, chunk=chunk) == default
+        for size in (1, 2, 4, 1 << 12, 1 << 40):
+            monkeypatch.setattr(oracle, "_CHUNK", size)
+            assert enumerate_distribution(n) == default
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n", [17, 18])

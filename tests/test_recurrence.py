@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streakcount import _summands, recurrence
+from streakcount import _summands
 from streakcount.counting import (
     binom,
     closed_distribution,
@@ -12,15 +12,13 @@ from streakcount.counting import (
     taily_support,
 )
 from streakcount.recurrence import (
-    _budget,
+    _birth,
     _cell,
-    _enter,
+    _fill,
     _grow_rows,
-    _k_start,
+    _span,
     dp_distribution,
     dp_sweep,
-    first_heady_n,
-    first_taily_n,
     incremental_distribution,
     table_sweep,
 )
@@ -90,17 +88,35 @@ def test_dp_reaches_the_reference_rows():
 
 
 COUNT = {"heady": heady_count, "taily": taily_count}
-FIRST_N = {"heady": first_heady_n, "taily": first_taily_n}
+SUPPORT = {"heady": heady_support, "taily": taily_support}
 
 
 def _walk(kind, s, steps):
     """(n, coefs, rows) of a score-s cell at its birth and after each of `steps` steps."""
-    n0 = FIRST_N[kind](s)
-    rows = _grow_rows([[1]], _budget(kind, s, n0 + steps))
+    n0 = _birth(kind, s)
+    rows = _grow_rows([[1]], _span(kind, s, n0 + steps)[1])
     coefs = []
     for n in range(n0, n0 + steps + 1):
-        _enter(kind, s, n, coefs)
+        _fill(kind, s, n, coefs)
         yield n, list(coefs), rows
+
+
+def test_birth_is_the_first_length_whose_support_holds_the_score():
+    rows = _grow_rows([[1]], 2)
+    for kind, support in SUPPORT.items():
+        for s in range(-40, 41):
+            first = next(n for n in range(1, 200)
+                         if support(n)[0] <= s <= support(n)[1])
+            if kind == "taily" and s == 0:
+                # the all-tails indicator is live from length 1; the first
+                # term of the sum enters at length 3
+                assert (first, _birth(kind, s)) == (1, 3)
+                for n in (1, 2):
+                    coefs = []
+                    _fill(kind, s, n, coefs)
+                    assert coefs == [] and _cell(kind, s, n, coefs, rows) == 1
+            else:
+                assert _birth(kind, s) == first
 
 
 def test_budget_rows_equal_their_binomials():
@@ -115,7 +131,7 @@ def test_budget_rows_equal_their_binomials():
 
 def test_term_vector_openings():
     for s in range(-8, 9):
-        n0 = first_heady_n(s)
+        n0 = _birth("heady", s)
         assert heady_count(s, n0) == 1
         if n0 > 1:
             assert heady_count(s, n0 - 1) == 0
@@ -123,7 +139,7 @@ def test_term_vector_openings():
         assert (n, coefs) == (n0, [1])
         assert _cell("heady", s, n, coefs, rows) == heady_count(s, n0)
 
-        m0 = first_taily_n(s)
+        m0 = _birth("taily", s)
         (n, coefs, rows), = _walk("taily", s, 0)
         assert (n, coefs) == (m0, [1])
         assert _cell("taily", s, n, coefs, rows) == taily_count(s, m0)
@@ -142,11 +158,11 @@ def test_term_entries_equal_their_defining_binomials():
     for s in (-4, -1, 0, 1, 3):
         for kind, lead in (("heady", 0), ("taily", 1)):
             for n, coefs, rows in _walk(kind, s, 30):
-                m = _budget(kind, s, n)
-                assert m == (n - s - 1 if kind == "heady" else n - s)
+                k0, m = _span(kind, s, n)
+                assert (k0, m) == (max(lead, -s), n - s - 1 if kind == "heady" else n - s)
                 row = rows[m]
-                assert len(coefs) == len(row) - _k_start(kind, s)
-                for k, coef in enumerate(coefs, _k_start(kind, s)):
+                assert len(coefs) == len(row) - k0
+                for k, coef in enumerate(coefs, k0):
                     assert coef == binom(2 * k + s - lead, k - lead)
                     assert coef * row[k] == binom(2 * k + s - lead, k - lead) * binom(m - 2 * k, k)
 
@@ -179,13 +195,6 @@ def test_table_sweep_labels_lengths():
         assert dist == closed_distribution(n)
     with pytest.raises(ValueError, match="at least 1"):
         list(table_sweep(0))
-
-
-def test_table_sweep_refuses_a_missed_opening(monkeypatch):
-    # a cell whose birth length is misplaced must not open late in silence
-    monkeypatch.setattr(recurrence, "first_heady_n", lambda s: s + 2)
-    with pytest.raises(AssertionError, match="heady cell s=0 missed its opening at n=1"):
-        list(table_sweep(3))
 
 
 def test_single_incremental_tables_equal_the_dp():
