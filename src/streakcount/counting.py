@@ -11,13 +11,21 @@ also give the win tallies.  The binomial convention C(a, b) = 0 for
 a < 0, b < 0 or b > a makes every summation bound self-truncating, so the
 formulas return 0 outside their supported score ranges without any
 separate casing.
+
+The three series functions, heady_close_calls, win_gap and win_gap_step,
+also read from one P-recursive stream (see _series): a loop over
+ascending lengths resumes it with one step per length instead of a fresh
+sum, and a length far from where the stream stands walks its closed form
+as above.  heady_count, taily_count, closed_distribution and win_odds
+never read the stream, so they stay an independent path to every series
+value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _summands
+from . import _series, _summands
 from ._summands import binom
 from .core import ScoreDistribution
 
@@ -97,36 +105,43 @@ def closed_distribution(n: int) -> ScoreDistribution:
 
 
 def heady_close_calls(n: int) -> int:
-    """Direct census of score-one heady sequences.
+    """Direct census of score-one heady sequences.  Defined for n >= 2.
 
     Grouped by the number k of heads runs: such a sequence has k
     heads-heads pairs, k - 1 heads-tails pairs, C(2k - 1, k) orderings of
     those pairs and C(n - 2k, k - 1) placements of the spare tails.  The
     derivation is separate from heady_count(1, n) and the two are held
-    equal by the verification suites.
+    equal by the verification suites.  Near the series cursor the value is
+    read from the stream instead, as y[n + 1] / 2 (see _series).
     """
     _require_length(n, 2)
-    return sum(_summands.close_call_terms(n))
+    got = _series.read(n + 1)
+    return sum(_summands.close_call_terms(n)) if got is None else got[0] // 2
 
 
 def win_gap(n: int) -> int:
     """Bob-winning sequences minus Alice-winning sequences at length n.
 
     Computed through the single cell the whole gap collapses onto, the
-    score minus-one heady count.  win_odds recomputes the same number by
-    brute summation over every score.  Defined for n >= 2.
+    score minus-one heady count, or near the series cursor read from the
+    stream as (y[1] + ... + y[n]) / 2 (see _series).  win_odds recomputes
+    the same number by brute summation over every score.  Defined for
+    n >= 2.
     """
     _require_length(n, 2)
-    return heady_count(-1, n)
+    got = _series.read(n)
+    return heady_count(-1, n) if got is None else got[1] // 2
 
 
 def win_gap_step(n: int) -> int:
     """Growth of the win gap from length n - 1 to n.  Defined for n >= 3.
 
-    Equals the score-one heady count one length back.
+    Equals the score-one heady count one length back, which is walked
+    unless the series cursor is near, when it is read as y[n] / 2.
     """
     _require_length(n, 3)
-    return heady_count(1, n - 1)
+    got = _series.read(n)
+    return heady_count(1, n - 1) if got is None else got[0] // 2
 
 
 def decimal_ratio(num: int, den: int, digits: int) -> str:

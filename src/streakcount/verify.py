@@ -133,12 +133,15 @@ def _taily_recursion(rec: _Recorder, max_n: int) -> None:
 
 
 def _close_call_census(rec: _Recorder, max_n: int) -> None:
-    # two unrelated derivations of the score-one heady count must agree
+    # two unrelated derivations of the score-one heady count must agree;
+    # heady_close_calls and win_gap_step read the series stream on these
+    # ascending runs, so the census sum and the cell are named directly
     for n in range(2, max_n + 1):
-        rec.expect(counting.heady_close_calls(n) == counting.heady_count(1, n),
+        rec.expect(counting.heady_close_calls(n) == counting.heady_count(1, n)
+                   == sum(_summands.close_call_terms(n)),
                    f"close-call census disagrees with the closed form at n={n}")
     for n in range(3, max_n + 1):
-        rec.expect(counting.win_gap_step(n) == counting.heady_close_calls(n - 1),
+        rec.expect(counting.win_gap_step(n) == counting.heady_count(1, n - 1),
                    f"gap step is not the previous close-call count at n={n}")
 
 

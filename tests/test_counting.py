@@ -171,7 +171,7 @@ def test_win_gap_telescopes():
     for n in range(3, 60):
         running += win_gap_step(n)
         assert win_gap(n) == running
-        assert win_gap_step(n) == heady_close_calls(n - 1)
+        assert win_gap_step(n) == heady_count(1, n - 1)
 
 
 def test_win_gap_step_spot_values():
