@@ -5,17 +5,20 @@ counts, one per final toss, indexed from the lowest score: a head after a
 head raises the score, a tail after a head lowers it, anything after a
 tail scores nothing, so one appended toss is two shifted list additions.
 The term-vector route reads each closed-form sum as two rows.  Term k of a
-score-s cell with spare budget m is C(2k + s - lead, k - lead) times
-C(m - 2k, k), lead 0 heady and 1 taily.  The first factor never changes
-with the length, so each cell keeps it as a list of coefficients, which
-starts empty and before each read gains one binomial per k its budget
-now admits; no cell needs an opening step.  The second factor depends on
-m alone, so one budget row [C(m - 2k, k) for k = 0 .. m // 3] serves
-every heady and taily cell with that budget at every length; each row is
-the one before stepped by _summands.step_budget, the only stepper.  A
-cell's value is its coefficients dotted with its budget row.  Inexact
-division in that path is impossible by construction and treated as an
-internal bug, never an input error.
+score-s cell with spare budget m = n - s - 1 + lead is C(2k + s - lead,
+k - lead) times C(m - 2k, k), lead 0 heady and 1 taily.  With j = k - lead
+and sigma = s + lead the first factor is C(2j + sigma, j) for both leads,
+so one coefficient list per heady score sigma serves two cells: heady
+sigma and taily sigma - 1.  It never changes with the length, so the list
+starts empty and before each read gains one binomial per j the heady
+bound now admits; no cell needs an opening step.  The second factor
+depends on m alone, so one budget row [C(m - 2k, k) for k = 0 .. m // 3]
+serves every cell with that budget at every length; each row is the one
+before stepped by _summands.step_budget, the only stepper.  A cell's
+value is its list dotted with its budget row from index j0 + lead, where
+j0 = max(0, -sigma), and the tables leave as the same dense lists as the
+DP's.  Inexact division in that path is impossible by construction and
+treated as an internal bug, never an input error.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterator, Sequence
 
 from . import _summands
 from .core import ScoreDistribution
-from .counting import _lists_table, _require_length, heady_support, taily_support
+from .counting import _lists_table, _require_length
 
 
 def _dp_steps(n_max: int) -> Iterator[tuple[int, list[int], list[int]]]:
@@ -67,27 +70,15 @@ def dp_distribution(n: int) -> ScoreDistribution:
     return _lists_table(*step)
 
 
-# each half's lead in _summands.term: 0 heady, 1 taily
-_LEAD = {"heady": 0, "taily": 1}
+def _birth(lead: int, s: int) -> int:
+    """Smallest length at which a score-s cell's sum holds a term.
 
-
-def _span(kind: str, s: int, n: int) -> tuple[int, int]:
-    """First k and spare budget m of a score-s cell at length n.
-
-    Its terms run from k to m // 3; m picks its C(m - 2k, k) row.
+    That is where its budget n - s - 1 + lead first reaches 3k for its first
+    k = j0 + lead, j0 = max(0, -s - lead).  The taily s == 0 indicator lives
+    outside the sum and is live from length 1.
     """
-    lead = _LEAD[kind]
-    return max(lead, -s), n - s - 1 + lead
-
-
-def _birth(kind: str, s: int) -> int:
-    """Smallest length at which the score-s cell's sum holds a term.
-
-    That is where its budget first reaches 3k for its first k.  The taily
-    s == 0 indicator lives outside the sum and is live from length 1.
-    """
-    k0, m0 = _span(kind, s, 0)         # the budget grows by one a length from m0
-    return 3 * k0 - m0
+    sigma = s + lead
+    return 3 * max(0, -sigma) + sigma + 1 + lead
 
 
 def _grow_rows(rows: list[list[int]], m_max: int) -> list[list[int]]:
@@ -106,69 +97,72 @@ def _grow_rows(rows: list[list[int]], m_max: int) -> list[list[int]]:
     return rows
 
 
-def _fill(kind: str, s: int, n: int, coefs: list[int]) -> list[int]:
-    """Extend a cell's coefficients in place to every k its budget admits at
-    length n, and return them.  Coefficient k is the cell's term at budget
-    3k, C(2k + s - lead, k - lead).
+def _fill(sigma: int, n: int, coefs: list[int]) -> list[int]:
+    """Extend heady score sigma's coefficients C(2j + sigma, j) in place to
+    j = max(0, -sigma) .. (n - sigma - 1) // 3, the heady bound at length n,
+    and return them.
     """
-    k, m = _span(kind, s, n)
-    k += len(coefs)
-    while 3 * k <= m:
-        coefs.append(_summands.term(s, 3 * k, k, _LEAD[kind]))
-        k += 1
+    j = max(0, -sigma) + len(coefs)
+    while 3 * j < n - sigma:
+        coefs.append(_summands.term(sigma, 3 * j, j, 0))
+        j += 1
     return coefs
 
 
-def _cell(kind: str, s: int, n: int, coefs: Sequence[int], rows: list[list[int]]) -> int:
-    """A score-s cell at length n: its coefficients dotted with its budget row."""
-    k0, m = _span(kind, s, n)
-    row = rows[m]
-    if len(coefs) != len(row) - k0:
-        raise AssertionError(f"{kind} summation bound skipped a step: s={s} n={n}")
-    value = sum(map(mul, coefs, row[k0:]))
-    if kind == "taily" and s == 0:
+def _cell(lead: int, s: int, n: int, coefs: Sequence[int], rows: list[list[int]]) -> int:
+    """A score-s cell at length n: heady score s + lead's coefficients dotted
+    with the cell's budget row from index j0 + lead, j0 = max(0, -s - lead).
+
+    The taily bound is at most the heady one, so a taily read may leave the
+    last coefficient unused; coefs must hold exactly the heady bound's.
+    """
+    sigma = s + lead
+    j0 = max(0, -sigma)
+    if len(coefs) != (n - sigma - 1) // 3 + 1 - j0:
+        raise AssertionError(f"summation bound skipped a step: lead={lead} s={s} n={n}")
+    value = sum(map(mul, coefs, rows[n - s - 1 + lead][j0 + lead:]))
+    if lead and s == 0:
         value += 1        # the all-tails sequence sits outside the summation
     return value
 
 
-_HALVES = (("heady", heady_support), ("taily", taily_support))
-
-
 def _read_length(n: int, rows: list[list[int]],
-                 cells: dict[str, defaultdict[int, list[int]]]) -> ScoreDistribution:
-    """The table at length n: each cell filled to length n, then read off the rows."""
-    tables = []
-    for kind, support in _HALVES:
-        by_score = cells[kind]
-        lo, hi = support(n)
-        tables.append({s: _cell(kind, s, n, _fill(kind, s, n, by_score[s]), rows)
-                       for s in range(lo, hi + 1)})
-    return ScoreDistribution(n, *tables)
+                 coefs: defaultdict[int, list[int]]) -> ScoreDistribution:
+    """The table at length n, two cells read off each heady score's list."""
+    lo = -(n // 2)
+    heady = [0] * (n - lo)
+    taily = [0] * (n - lo)
+    taily[-lo] = 1        # the all-tails cell; its list (sigma = 1) starts at n = 2
+    for sigma in range(-((n - 1) // 2), n):
+        own = _fill(sigma, n, coefs[sigma])
+        heady[sigma - lo] = _cell(0, sigma, n, own, rows)
+        if sigma > lo:    # at odd n the lowest heady score has no taily partner
+            taily[sigma - 1 - lo] = _cell(1, sigma - 1, n, own, rows)
+    return _lists_table(n, heady, taily)
 
 
 def table_sweep(n_max: int) -> Iterator[ScoreDistribution]:
     """Stream full distributions for n = 1 .. n_max off shared budget rows.
 
-    The cells and the rows of C(m - 2k, k) persist across lengths: a cell
-    only gains a coefficient whenever its budget reaches 3k, and the rows
-    grow by one or two budgets a length and are shared by every cell.  This
-    path is kept as the independent cross-check of the closed forms and
-    the DP.
+    The coefficient lists and the rows of C(m - 2k, k) persist across
+    lengths: a list only gains a coefficient whenever its heady budget
+    reaches 3k, and the rows grow by one or two budgets a length and are
+    shared by every cell.  This path is kept as the independent
+    cross-check of the closed forms and the DP.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     rows: list[list[int]] = [[1]]
-    cells = {kind: defaultdict(list) for kind in _LEAD}
+    coefs: defaultdict[int, list[int]] = defaultdict(list)
     for n in range(1, n_max + 1):
-        yield _read_length(n, _grow_rows(rows, n + n // 2), cells)
+        yield _read_length(n, _grow_rows(rows, n + n // 2), coefs)
 
 
 def incremental_distribution(n: int) -> ScoreDistribution:
     """Distribution at one length off the budget rows up to n + n // 2.
 
-    Only length n is read, from fresh cells: each takes all its
+    Only length n is read, from fresh lists: each takes all its
     coefficients at once.
     """
     _require_length(n)
-    return _read_length(n, _grow_rows([[1]], n + n // 2),
-                        {kind: defaultdict(list) for kind in _LEAD})
+    return _read_length(n, _grow_rows([[1]], n + n // 2), defaultdict(list))

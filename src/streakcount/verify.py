@@ -157,8 +157,9 @@ def _gap_definition(rec: _Recorder, max_n: int) -> None:
 
 def _gap_recursion(rec: _Recorder, max_n: int) -> None:
     for n in range(2, max_n):
+        # both sides read the series stream here, so the closed cell checks them
         want = counting.win_gap(n) + counting.win_gap_step(n + 1)
-        rec.expect(counting.win_gap(n + 1) == want,
+        rec.expect(counting.win_gap(n + 1) == want == counting.heady_count(-1, n + 1),
                    f"gap recursion broken at n={n + 1}")
         rec.expect(counting.heady_count(-1, n + 1)
                    == counting.heady_count(1, n) + counting.heady_count(-1, n),
@@ -176,8 +177,8 @@ def _gap_growth(rec: _Recorder, max_n: int) -> None:
     running = 0
     for n in range(3, max_n + 1):
         running += counting.win_gap_step(n)
-        rec.expect(counting.win_gap(n) == running,
-                   f"gap does not telescope over its steps at n={n}")
+        rec.expect(counting.win_gap(n) == running == counting.heady_count(-1, n),
+                   f"gap does not telescope over its steps to the closed cell at n={n}")
         rec.expect(counting.win_gap(n) > counting.win_gap(n - 1),
                    f"gap should grow strictly from n=3 on, flat at n={n}")
     for n in range(2, max_n + 1):
@@ -194,16 +195,14 @@ def _rows_ok(rows: list[list[int]]) -> list[bool]:
             for m, row in enumerate(rows)]
 
 
-def _term_shape_ok(kind: str, s: int, n: int, coefs: list[int],
+def _term_shape_ok(lead: int, s: int, n: int, coefs: list[int],
                    rows_ok: list[bool]) -> bool:
-    # the cell's budget row must have passed _rows_ok, and every coefficient
-    # must equal its defining binomial, as many as the summation bound holds
-    k0, budget = recurrence._span(kind, s, n)
-    if not rows_ok[budget] or len(coefs) != max(0, budget // 3 - k0 + 1):
+    # the cell's budget row must have passed _rows_ok, and its list must hold
+    # heady score s + lead's binomials, as many as the heady bound holds
+    sigma, j0 = s + lead, max(0, -s - lead)
+    if not rows_ok[n - s - 1 + lead] or len(coefs) != max(0, (n - sigma - 1) // 3 - j0 + 1):
         return False
-    lead = recurrence._LEAD[kind]
-    binom = _summands.binom
-    return all(c == binom(2 * k + s - lead, k - lead) for k, c in enumerate(coefs, k0))
+    return all(c == _summands.binom(2 * j + sigma, j) for j, c in enumerate(coefs, j0))
 
 
 def _term_updates(rec: _Recorder, max_n: int) -> None:
@@ -214,20 +213,21 @@ def _term_updates(rec: _Recorder, max_n: int) -> None:
     rows = recurrence._grow_rows([[1]], max_n - lo)
     rows_ok = _rows_ok(rows)
     for s in range(lo, hi + 1):
-        for kind, count in (("heady", counting.heady_count), ("taily", counting.taily_count)):
-            n = recurrence._birth(kind, s)
+        for lead, (kind, count) in enumerate((("heady", counting.heady_count),
+                                              ("taily", counting.taily_count))):
+            n = recurrence._birth(lead, s)
             if n > max_n:
                 continue
             coefs: list[int] = []
-            recurrence._fill(kind, s, n, coefs)
-            rec.expect(recurrence._cell(kind, s, n, coefs, rows) == count(s, n),
+            recurrence._fill(s + lead, n, coefs)
+            rec.expect(recurrence._cell(lead, s, n, coefs, rows) == count(s, n),
                        f"{kind} cell wrong at birth: s={s} n={n}")
             while n < max_n:
                 n += 1
-                recurrence._fill(kind, s, n, coefs)
-                rec.expect(recurrence._cell(kind, s, n, coefs, rows) == count(s, n),
+                recurrence._fill(s + lead, n, coefs)
+                rec.expect(recurrence._cell(lead, s, n, coefs, rows) == count(s, n),
                            f"{kind} term update drifted: s={s} n={n}")
-                rec.expect(_term_shape_ok(kind, s, n, coefs, rows_ok),
+                rec.expect(_term_shape_ok(lead, s, n, coefs, rows_ok),
                            f"{kind} terms lost their binomial shape: s={s} n={n}")
 
 

@@ -157,11 +157,11 @@ def test_criterion_7_exact_updates_deep_and_wide():
     with criterion(7, "term updates exact to n = 500, agree to n = 200", budget=30.0):
         rows = _grow_rows([[1]], 520)  # raises on any inexact division
         for s in range(-20, 21):
-            for kind, count in (("heady", heady_count), ("taily", taily_count)):
+            for lead, count in enumerate((heady_count, taily_count)):
                 coefs = []
-                for n in range(_birth(kind, s), 501):
-                    _fill(kind, s, n, coefs)
-                assert _cell(kind, s, 500, coefs, rows) == count(s, 500)
+                for n in range(_birth(lead, s), 501):
+                    _fill(s + lead, n, coefs)
+                assert _cell(lead, s, 500, coefs, rows) == count(s, 500)
         for n, dist in enumerate(table_sweep(200), start=1):
             assert dist == closed_distribution(n)
 

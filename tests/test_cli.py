@@ -44,6 +44,27 @@ WINS_3 = (
 )
 
 
+# every suite at the default bounds, with its check count
+VERIFY_DEFAULT = (
+    "PASS base-tables (12 checks)\n"
+    "PASS normalization (128 checks)\n"
+    "PASS support-bounds (768 checks)\n"
+    "PASS heady-recursion (3229 checks)\n"
+    "PASS taily-recursion (3229 checks)\n"
+    "PASS close-call-census (125 checks)\n"
+    "PASS gap-definition (126 checks)\n"
+    "PASS gap-recursion (186 checks)\n"
+    "PASS gap-growth (188 checks)\n"
+    "PASS term-updates (7850 checks)\n"
+    "PASS method-agreement (128 checks)\n"
+    "PASS min-length-formula (4080 checks)\n"
+    "PASS insertion-census (24 checks)\n"
+    "PASS insertion-bijection (441 checks)\n"
+    "PASS generator-coverage (2859 checks)\n"
+    "PASS oracle-agreement (88 checks)\n"
+)
+
+
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -239,6 +260,13 @@ def test_verify_passes_at_small_bounds(capsys):
     assert (rc, err) == (0, "")
     lines = out.splitlines()
     assert lines and all(line.startswith("PASS ") for line in lines)
+
+
+def test_verify_default_golden(capsys, monkeypatch):
+    monkeypatch.delenv("STREAKCOUNT_ORACLE_CAP", raising=False)
+    rc, out, err = run(capsys, "verify")
+    assert (rc, err) == (0, "")
+    assert out == VERIFY_DEFAULT
 
 
 def test_verify_names_an_injected_fault(capsys, monkeypatch):

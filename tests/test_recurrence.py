@@ -16,7 +16,6 @@ from streakcount.recurrence import (
     _cell,
     _fill,
     _grow_rows,
-    _span,
     dp_distribution,
     dp_sweep,
     incremental_distribution,
@@ -87,36 +86,41 @@ def test_dp_reaches_the_reference_rows():
     assert dist.win_gap() == CLOSE_CALL_ROWS[25][1]
 
 
-COUNT = {"heady": heady_count, "taily": taily_count}
-SUPPORT = {"heady": heady_support, "taily": taily_support}
+COUNT = (heady_count, taily_count)      # indexed by lead: 0 heady, 1 taily
+SUPPORT = (heady_support, taily_support)
 
 
-def _walk(kind, s, steps):
-    """(n, coefs, rows) of a score-s cell at its birth and after each of `steps` steps."""
-    n0 = _birth(kind, s)
-    rows = _grow_rows([[1]], _span(kind, s, n0 + steps)[1])
+def _walk(lead, s, steps):
+    """(n, coefs, rows) of a score-s cell at its birth and after each of `steps` steps.
+
+    coefs is heady score s + lead's coefficient list, which the cell reads.
+    """
+    n0 = _birth(lead, s)
+    rows = _grow_rows([[1]], n0 + steps - s - 1 + lead)
     coefs = []
     for n in range(n0, n0 + steps + 1):
-        _fill(kind, s, n, coefs)
+        _fill(s + lead, n, coefs)
         yield n, list(coefs), rows
 
 
 def test_birth_is_the_first_length_whose_support_holds_the_score():
     rows = _grow_rows([[1]], 2)
-    for kind, support in SUPPORT.items():
+    for lead, support in enumerate(SUPPORT):
         for s in range(-40, 41):
             first = next(n for n in range(1, 200)
                          if support(n)[0] <= s <= support(n)[1])
-            if kind == "taily" and s == 0:
+            if lead == 1 and s == 0:
                 # the all-tails indicator is live from length 1; the first
-                # term of the sum enters at length 3
-                assert (first, _birth(kind, s)) == (1, 3)
-                for n in (1, 2):
+                # term of the sum enters at length 3.  At length 2 the list
+                # already holds heady score 1's opening, which the taily
+                # read does not reach
+                assert (first, _birth(lead, s)) == (1, 3)
+                for n, want in ((1, []), (2, [1])):
                     coefs = []
-                    _fill(kind, s, n, coefs)
-                    assert coefs == [] and _cell(kind, s, n, coefs, rows) == 1
+                    _fill(s + lead, n, coefs)
+                    assert coefs == want and _cell(lead, s, n, coefs, rows) == 1
             else:
-                assert _birth(kind, s) == first
+                assert _birth(lead, s) == first
 
 
 def test_budget_rows_equal_their_binomials():
@@ -131,40 +135,58 @@ def test_budget_rows_equal_their_binomials():
 
 def test_term_vector_openings():
     for s in range(-8, 9):
-        n0 = _birth("heady", s)
+        n0 = _birth(0, s)
         assert heady_count(s, n0) == 1
         if n0 > 1:
             assert heady_count(s, n0 - 1) == 0
-        (n, coefs, rows), = _walk("heady", s, 0)
+        (n, coefs, rows), = _walk(0, s, 0)
         assert (n, coefs) == (n0, [1])
-        assert _cell("heady", s, n, coefs, rows) == heady_count(s, n0)
+        assert _cell(0, s, n, coefs, rows) == heady_count(s, n0)
 
-        m0 = _birth("taily", s)
-        (n, coefs, rows), = _walk("taily", s, 0)
+        m0 = _birth(1, s)
+        (n, coefs, rows), = _walk(1, s, 0)
         assert (n, coefs) == (m0, [1])
-        assert _cell("taily", s, n, coefs, rows) == taily_count(s, m0)
+        assert _cell(1, s, n, coefs, rows) == taily_count(s, m0)
         if s != 0 and m0 > 1:
             assert taily_count(s, m0 - 1) == 0
 
 
 def test_term_walks_match_closed_forms():
     for s in range(-6, 7):
-        for kind, count in COUNT.items():
-            for n, coefs, rows in _walk(kind, s, 40):
-                assert _cell(kind, s, n, coefs, rows) == count(s, n)
+        for lead, count in enumerate(COUNT):
+            for n, coefs, rows in _walk(lead, s, 40):
+                assert _cell(lead, s, n, coefs, rows) == count(s, n)
+
+
+def test_one_list_serves_heady_sigma_and_taily_sigma_minus_one():
+    rows = _grow_rows([[1]], 120 + 30)
+    for sigma in range(-29, 32):
+        coefs = []
+        for n in range(1, 121):
+            _fill(sigma, n, coefs)
+            lo, hi = heady_support(n)
+            if lo <= sigma <= hi:
+                assert _cell(0, sigma, n, coefs, rows) == heady_count(sigma, n)
+            lo, hi = taily_support(n)
+            if lo <= sigma - 1 <= hi:
+                assert _cell(1, sigma - 1, n, coefs, rows) == taily_count(sigma - 1, n)
 
 
 def test_term_entries_equal_their_defining_binomials():
     for s in (-4, -1, 0, 1, 3):
-        for kind, lead in (("heady", 0), ("taily", 1)):
-            for n, coefs, rows in _walk(kind, s, 30):
-                k0, m = _span(kind, s, n)
-                assert (k0, m) == (max(lead, -s), n - s - 1 if kind == "heady" else n - s)
+        for lead in (0, 1):
+            sigma, j0 = s + lead, max(0, -(s + lead))
+            for n, coefs, rows in _walk(lead, s, 30):
+                m = n - s - 1 + lead
                 row = rows[m]
-                assert len(coefs) == len(row) - k0
-                for k, coef in enumerate(coefs, k0):
+                # the list holds heady sigma's terms; the cell's own terms
+                # are all of it, or all but the last for a taily cell
+                assert len(coefs) == len(rows[n - sigma - 1]) - j0
+                assert 0 <= len(coefs) - (len(row) - (j0 + lead)) <= lead
+                for k, coef in enumerate(coefs, j0 + lead):
                     assert coef == binom(2 * k + s - lead, k - lead)
-                    assert coef * row[k] == binom(2 * k + s - lead, k - lead) * binom(m - 2 * k, k)
+                    if k < len(row):
+                        assert coef * row[k] == binom(2 * k + s - lead, k - lead) * binom(m - 2 * k, k)
 
 
 def test_budget_step_refuses_an_inexact_update():
@@ -175,18 +197,19 @@ def test_budget_step_refuses_an_inexact_update():
 
 
 def test_term_walk_refuses_a_missing_last_term():
-    *_, (n, coefs, rows) = _walk("heady", 0, 4)
-    assert (n, len(coefs)) == (5, 2)
-    with pytest.raises(AssertionError, match="skipped a step"):
-        _cell("heady", 0, n, coefs[:-1], rows)
-    with pytest.raises(AssertionError, match="skipped a step"):
-        _cell("heady", 0, n, coefs + [1], rows)
+    for lead, want in ((0, (5, 2)), (1, (7, 2))):
+        *_, (n, coefs, rows) = _walk(lead, 0, 4)
+        assert (n, len(coefs)) == want
+        with pytest.raises(AssertionError, match="skipped a step"):
+            _cell(lead, 0, n, coefs[:-1], rows)
+        with pytest.raises(AssertionError, match="skipped a step"):
+            _cell(lead, 0, n, coefs + [1], rows)
 
 
-@given(st.sampled_from(["heady", "taily"]), st.integers(-10, 10), st.integers(1, 60))
-def test_term_walks_never_divide_inexactly(kind, s, steps):
-    *_, (n, coefs, rows) = _walk(kind, s, steps)
-    assert _cell(kind, s, n, coefs, rows) == COUNT[kind](s, n)
+@given(st.sampled_from([0, 1]), st.integers(-10, 10), st.integers(1, 60))
+def test_term_walks_never_divide_inexactly(lead, s, steps):
+    *_, (n, coefs, rows) = _walk(lead, s, steps)
+    assert _cell(lead, s, n, coefs, rows) == COUNT[lead](s, n)
 
 
 def test_table_sweep_labels_lengths():

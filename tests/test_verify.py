@@ -1,6 +1,6 @@
 import pytest
 
-from streakcount import counting, signatures, verify
+from streakcount import _series, counting, signatures, verify
 
 SUITE_NAMES = [
     "base-tables",
@@ -111,3 +111,16 @@ def test_a_lying_generator_census_is_caught(monkeypatch):
     assert "method-agreement" not in failed
     detail = next(r.detail for r in results if r.name == "insertion-census")
     assert detail != ""
+
+
+def test_a_stream_with_doubled_seeds_fails_the_gap_suites(monkeypatch):
+    # every y doubles, so the stream stays consistent with itself: only the
+    # closed cell heady_count(-1, n) can tell its running sum is wrong
+    doubled = (3, (2, 0, 0, 4), 4)
+    monkeypatch.setattr(_series, "SEEDS", doubled)
+    monkeypatch.setattr(_series, "_cursor", doubled)
+    results = verify.run_suites(max_n=8, oracle_max=4, gen_max=4)
+    failed = failed_names(results)
+    assert {"gap-recursion", "gap-growth"} <= failed
+    detail = next(r.detail for r in results if r.name == "gap-growth")
+    assert "telescope" in detail and "n=3" in detail
