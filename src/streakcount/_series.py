@@ -38,20 +38,29 @@ from it:
 
 - m - 3 <= i <= m: read from the window, without stepping;
 - i < m - 3: start again from the seeds, then as below;
-- i > m: step forward to i if i - m <= i // 4, else return None, and the
-  caller walks its closed form while the cursor stays where it is.
+- i > m: step forward to i if i - m <= i // 4; else a miss.
 
-So a loop over ascending lengths takes one step per length, while a cell
-far from the cursor costs what its closed-form walk costs.  The known
-limit: a loop that starts at a large length never resumes, since its first
-call is far from the cursor, so each of its calls walks a closed form.
+A miss is a read that the cursor cannot reach cheaply.  A lone miss
+returns None, and the caller walks its closed form while the cursor stays
+where it is, so a cell far from the cursor costs what its closed-form walk
+costs.  A second miss within the window of the one before, 0 < |i - j| <= 3
+for the earlier miss j, moves the cursor there instead: it is seeded at
+m = max(i, j) from the closed forms, y[t] = 2·heady_count(1, t - 1) for
+t = m - 3 .. m and S(m) = 2·heady_count(-1, m), five walks in all, and i is
+read from it.  So a loop over ascending lengths takes one step per length
+wherever it starts: a loop from a large length (the table command reads
+n + 1, then n) pays one walk and the five-walk seed on its first two
+calls, then steps.  A far cell asked for again and again walks each time.
 
 Threads.  read takes the cursor tuple once at the start and stores a new
 one once at the end.  Concurrent callers can only overwrite each other's
-progress and lose a resume; none can see a torn state.
+progress, or the latest miss, and lose a resume; none can see a torn
+state.
 """
 
 from __future__ import annotations
+
+from . import _summands
 
 Cursor = tuple[int, tuple[int, int, int, int], int]
 
@@ -65,6 +74,8 @@ SEEDS: Cursor = (3, (1, 0, 0, 2), 2)
 RESUME_SHARE = 4
 
 _cursor: Cursor = SEEDS
+# the index of the latest miss, which a miss next to it seeds the cursor at
+_last_miss = 0
 
 
 def advance(cursor: Cursor, i: int) -> Cursor:
@@ -81,16 +92,31 @@ def advance(cursor: Cursor, i: int) -> Cursor:
     return m, (a, b, c, d), total
 
 
+def seeded(m: int) -> Cursor:
+    """The cursor at m >= 5 from the closed forms alone: five walks.
+
+    y[t] = 2·heady_count(1, t - 1) and S(m) = 2·heady_count(-1, m), each
+    summed as counting.heady_count sums it (the terms at spare budget
+    n - s - 1).
+    """
+    window = tuple(2 * sum(_summands.terms(1, t - 3, 0)) for t in range(m - 3, m + 1))
+    return m, window, 2 * sum(_summands.terms(-1, m, 0))
+
+
 def read(i: int) -> tuple[int, int] | None:
     """(y[i], S(i)) from the cursor, or None where a closed form is cheaper."""
-    global _cursor
+    global _cursor, _last_miss
     cursor = _cursor
     if i < cursor[0] - 3:
         cursor = SEEDS
     if i > cursor[0]:
-        if i - cursor[0] > i // RESUME_SHARE:
+        if i - cursor[0] <= i // RESUME_SHARE:
+            cursor = advance(cursor, i)
+        elif 0 < abs(i - _last_miss) <= 3:
+            cursor = seeded(max(i, _last_miss))
+        else:
+            _last_miss = i
             return None
-        cursor = advance(cursor, i)
     _cursor = cursor
     m, window, total = cursor
     tail = window[4 - (m - i):]          # y[i + 1 .. m]

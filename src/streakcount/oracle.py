@@ -1,38 +1,39 @@
-"""Ground truth by exhausting all 2**n sequences of one length.
+"""Ground truth by counting all 2**n sequences of one length.
 
 This module is the referee for the analytic paths and shares nothing with
-them beyond the plain data types.  Sequences pack into machine words,
-toss i at bit i - 1, so the space of one length is a plain integer range
-that numpy sweeps in blocks: aligned runs of a power of two words, at most
-_CHUNK of them, that share their top bit and so their final toss.  Every
-block reuses the same few buffers, so memory is bounded by the block size,
-not by 2**n.  numpy is imported by the functions that sweep, so importing
-this module, and the package, does not load it.
+them beyond the plain data types.  Sequences pack into words, toss i at
+bit i - 1.  A word of length n is cut after its b = n // 2 low tosses into
+a low half (tosses 1..b) and a high half (tosses b + 1..n), and its score
+is the low half's score, plus the high half's, plus the one pair across
+the cut: 0 when toss b is tails, +1 when tosses b and b + 1 are both
+heads, -1 when they are heads then tails.  That pair reads only the low
+half's top toss and the high half's first toss.
+
+So each half is scored once, word by word, and grouped: the low halves by
+(top toss, score), the high halves by (final toss, first toss, score).
+Every pairing of one low and one high half is exactly one word, so
+multiplying the sizes of every pair of groups and adding the product at
+the sum of their scores and the cross pair counts each of the 2**n words
+exactly once, while only 2**b + 2**(n - b) half-words are ever scored (the
+meet-in-the-middle split of Horowitz and Sahni, "Computing partitions with
+applications to the knapsack problem", 1974).  Everything runs on plain
+ints, with no import beyond the standard library.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
-from typing import TYPE_CHECKING
+from collections import Counter
 
 from .core import CloseCallTable, ScoreDistribution, TossSequence, close_call_buckets
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "STREAKCOUNT_ORACLE_CAP"
 
-# the word range [0, 2**n) is swept as uint64, whose end 2**n must itself
-# fit, so no cap can admit a longer sequence
+# a hard ceiling whatever the cap: the packed form of a sequence is one
+# 64-bit word, so no cap admits a longer one; at n = 63 the halves already
+# span 2**31 and 2**32 words, far past any count that could finish
 MAX_N = 63
-
-# the most words in one block of the sweep: each of its five buffers holds
-# one block, so a sweep's memory stays near 2 MB whatever n is, and the
-# per-block interpreter overhead is already small at this size; a power of
-# two, so that blocks stay aligned and each shares one final toss
-_CHUNK = 1 << 16
 
 
 class OracleCapExceeded(ValueError):
@@ -89,59 +90,30 @@ def word_score(word: int, n: int) -> int:
     return hh - ht
 
 
-def _blocks(n: int, finals: tuple[int, ...] = (0, 1)
-            ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Sweep the words of length n ending in each of finals, block by block.
-
-    Yields (final toss, words, scores) per block.  A block is an aligned run
-    of min(_CHUNK, 2**(n-1)) words, so all its words share their top bit,
-    the final toss.  Both arrays are buffers the next block overwrites; a
-    caller keeps what it needs before advancing.
-    """
-    import numpy as np
-
-    size = min(_CHUNK, 1 << (n - 1))
-    base = np.arange(size, dtype=np.uint64)
-    words = np.empty_like(base)
-    pairs = np.empty_like(base)
-    ones = np.empty(size, dtype=np.uint8)
-    scores = np.empty(size, dtype=np.intp)
-    mask = np.uint64((1 << (n - 1)) - 1)
-    for last in finals:
-        for lo in range(last << (n - 1), (last + 1) << (n - 1), size):
-            np.add(base, np.uint64(lo), out=words)
-            # hh + ht counts the heads among the first n - 1 tosses, so the
-            # score hh - ht is 2 hh minus that count
-            np.right_shift(words, 1, out=pairs)
-            np.bitwise_and(pairs, words, out=pairs)
-            np.bitwise_and(pairs, mask, out=pairs)
-            np.bitwise_count(pairs, out=scores)
-            np.left_shift(scores, 1, out=scores)
-            np.bitwise_and(words, mask, out=pairs)
-            np.bitwise_count(pairs, out=ones)
-            np.subtract(scores, ones, out=scores)
-            yield last, words, scores
+def _cross(top: int, first: int) -> int:
+    """Score of the pair across the cut: the low half's top toss, the high half's first."""
+    return top * (2 * first - 1)
 
 
 def enumerate_distribution(n: int, cap: int | None = None) -> ScoreDistribution:
     """Tally every length-n sequence by (score, final toss).
 
-    The word range is swept in aligned blocks whose partial tallies are
-    summed, so the result is independent of the block size.  Blocks never
-    exceed _CHUNK words, which bounds the sweep's memory at a few MB for
-    any n.
+    Both halves of the cut are scored once and grouped; each pair of a
+    low group and a high group adds the product of their sizes at the
+    score the joined words share.
     """
     _checked(n, cap)
-    import numpy as np
-
-    offset = n // 2                       # shift scores onto nonnegative bins
-    bins = n + offset
-    totals = np.zeros((2, bins), dtype=np.int64)
-    for last, _, scores in _blocks(n):
-        np.add(scores, offset, out=scores)
-        totals[last] += np.bincount(scores, minlength=bins)
-    taily, heady = ({s - offset: c for s, c in enumerate(row) if c}
-                    for row in totals.tolist())
+    b, h = n // 2, n - n // 2
+    # a low half of length 0 has no top toss; w >> 0 reads it as tails
+    low = Counter((w >> max(b - 1, 0), word_score(w, b)) for w in range(1 << b))
+    high = Counter((w >> (h - 1), w & 1, word_score(w, h)) for w in range(1 << h))
+    totals: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for (last, first, s_high), c_high in high.items():
+        row = totals[last]
+        for (top, s_low), c_low in low.items():
+            s = s_low + s_high + _cross(top, first)
+            row[s] = row.get(s, 0) + c_low * c_high
+    taily, heady = ({s: row[s] for s in sorted(row)} for row in totals)
     return ScoreDistribution(n, heady, taily)
 
 
@@ -159,19 +131,24 @@ def sequences_with(n: int, score_value: int, mode: str,
                    cap: int | None = None) -> list[TossSequence]:
     """Every length-n sequence with the given score and final toss.
 
-    Ordered ascending by packed word.  Only the half of the word range with
-    that final toss is swept.
+    Ordered ascending by packed word: the high halves with that final toss
+    are walked in ascending order, and each is joined to the low halves of
+    the two groups that complete its score, top toss tails first, each
+    group ascending.
     """
     if mode not in ("heady", "taily"):
         raise ValueError(f"mode must be 'heady' or 'taily', got {mode!r}")
     _checked(n, cap)
-    import numpy as np
-
-    want_last = 1 if mode == "heady" else 0
-    hits = [words[scores == score_value]
-            for _, words, scores in _blocks(n, (want_last,))]
-    found = np.concatenate(hits)
-    # one pass unpacks every member: row j holds toss j + 1 of each member,
-    # and zip turns the rows into one tuple per member
-    tosses = (found >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)
-    return list(zip(*tosses.tolist()))
+    b, h = n // 2, n - n // 2
+    low: dict[tuple[int, int], list[TossSequence]] = {}
+    for w in range(1 << b):
+        low.setdefault((w >> max(b - 1, 0), word_score(w, b)), []).append(word_to_bits(w, b))
+    last = 1 if mode == "heady" else 0
+    found: list[TossSequence] = []
+    for w in range(last << (h - 1), (last + 1) << (h - 1)):
+        rest, first = score_value - word_score(w, h), w & 1
+        halves = [low.get((top, rest - _cross(top, first)), ()) for top in (0, 1)]
+        if any(halves):
+            tail = word_to_bits(w, h)
+            found += [head + tail for group in halves for head in group]
+    return found

@@ -321,14 +321,34 @@ def child_env(**extra):
 
 
 def test_analytic_commands_do_not_import_numpy():
+    # the oracle commands included: nothing in the package needs numpy
     code = ("import contextlib, io, sys\n"
             "import streakcount, streakcount.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = streakcount.cli.main(['wins', '10'])\n"
-            "print(rc, 'numpy' in sys.modules)\n")
+            "    rcs = [streakcount.cli.main(argv) for argv in (\n"
+            "        ['wins', '10'], ['dist', '12', '--method', 'oracle'], ['verify'])]\n"
+            "print(rcs, 'numpy' in sys.modules)\n")
+    env = child_env()
+    env.pop("STREAKCOUNT_ORACLE_CAP", None)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=child_env(), timeout=60)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "0 False\n", "")
+                            env=env, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 0, 0] False\n", "")
+
+
+def test_oracle_commands_run_where_numpy_cannot_be_imported(capsys):
+    # None in sys.modules makes any import of numpy raise ImportError
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import streakcount.cli\n"
+            "for argv in (['dist', '12', '--method', 'oracle'], ['verify']):\n"
+            "    print('rc', streakcount.cli.main(argv))\n")
+    env = child_env()
+    env.pop("STREAKCOUNT_ORACLE_CAP", None)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    _, dist, _ = run(capsys, "dist", "12", "--method", "closed")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == dist + "rc 0\n" + VERIFY_DEFAULT + "rc 0\n"
 
 
 def test_oracle_refuses_lengths_past_the_word_size_whatever_the_cap():

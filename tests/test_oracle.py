@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streakcount import oracle
-from streakcount.core import parse_sequence, score
+from streakcount.core import ScoreDistribution, parse_sequence, score
 from streakcount.counting import closed_distribution
 from streakcount.oracle import (
     OracleCapExceeded,
@@ -51,20 +51,40 @@ def test_word_score_matches_random_words(n, data):
     assert word_score(word, n) == score(word_to_bits(word, n))
 
 
-def test_chunking_does_not_change_the_census(monkeypatch):
-    # blocks of 1, 2 and 4 words, and of 2**(n-1) words once _CHUNK
-    # exceeds that
-    for n in (10, 11, 12):
-        default = enumerate_distribution(n)
-        for size in (1, 2, 4, 1 << 12, 1 << 40):
-            monkeypatch.setattr(oracle, "_CHUNK", size)
-            assert enumerate_distribution(n) == default
-        monkeypatch.undo()
+def _tosses(word, n):
+    # unpacked here rather than by word_to_bits, so the checks below share
+    # nothing with the oracle but the packing convention
+    return tuple((word >> i) & 1 for i in range(n))
+
+
+def test_census_equals_a_per_word_tally():
+    # core.score on every word of every length to 14: both parities of the
+    # cut, and the one-toss word whose low half is empty
+    for n in range(1, 15):
+        tally = ({}, {})
+        for word in range(1 << n):
+            bits = _tosses(word, n)
+            row = tally[bits[-1]]
+            s = score(bits)
+            row[s] = row.get(s, 0) + 1
+        taily, heady = tally
+        assert enumerate_distribution(n) == ScoreDistribution(n, heady, taily), n
+
+
+def test_sequences_with_equals_a_per_word_filter_in_order():
+    for n in range(1, 11):
+        cells = {}
+        for word in range(1 << n):
+            bits = _tosses(word, n)
+            cells.setdefault((score(bits), bits[-1]), []).append(bits)
+        for s in range(-n, n + 1):
+            for mode, last in (("heady", 1), ("taily", 0)):
+                assert sequences_with(n, s, mode) == cells.get((s, last), []), (n, s, mode)
 
 
 @pytest.mark.parametrize("n", [17, 18])
 def test_census_across_many_blocks_per_final_toss(n):
-    # 2**16-word blocks: each final toss spans two (n = 17) or four (n = 18)
+    # an odd and an even cut at lengths past the per-word tallies
     assert enumerate_distribution(n) == closed_distribution(n)
 
 
@@ -81,15 +101,16 @@ def test_sequences_with_across_block_boundaries():
 
 
 def test_sweep_memory_is_bounded_by_the_block_not_the_range():
-    import numpy  # noqa: F401  (its import is not part of the sweep)
+    # only the halves are held: 2**12 half-words at the default cap of 24
     enumerate_distribution(12)
-    tracemalloc.start()
-    try:
-        enumerate_distribution(20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << 20
+    for n in (20, 24):
+        tracemalloc.start()
+        try:
+            enumerate_distribution(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, n
 
 
 def test_close_call_table_rows():

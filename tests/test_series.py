@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streakcount import _series
+from streakcount import _series, _summands, cli
 from streakcount.counting import heady_close_calls, heady_count, win_gap, win_gap_step
 
 
@@ -23,8 +23,9 @@ INDEX = {"win_gap": 0, "win_gap_step": 0, "heady_close_calls": 1}
 
 @pytest.fixture
 def cursor(monkeypatch):
-    """Start every test from the seeds and restore the cursor afterwards."""
+    """Start every test from the seeds, with no miss before, and restore both afterwards."""
     monkeypatch.setattr(_series, "_cursor", _series.SEEDS)
+    monkeypatch.setattr(_series, "_last_miss", 0)
 
 
 def at(m):
@@ -84,6 +85,37 @@ def test_lengths_below_the_window_start_again_from_the_seeds(cursor, monkeypatch
     monkeypatch.setattr(_series, "_cursor", at(500))
     assert fn(200) == cell(200)                        # far from the seeds: walked
     assert _series._cursor == at(500)
+
+
+def test_a_loop_from_a_large_length_resumes(cursor, monkeypatch, capsys):
+    # every closed-form walk goes through one of these two generators
+    walks = []
+    for name in ("terms", "close_call_terms"):
+        walk = getattr(_summands, name)
+        monkeypatch.setattr(_summands, name,
+                            lambda *args, walk=walk: walks.append(args) or walk(*args))
+    assert cli.main(["table", "--from", "2000", "--to", "2100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # heady_close_calls(2000) walks; win_gap(2000) seeds the cursor at 2001
+    # in five walks; every later line steps
+    assert len(walks) == 6
+    assert _series._cursor[0] == 2101
+    for n in (2000, 2001, 2100):
+        assert lines[n - 2000] == f"{n} {heady_count(1, n)} {heady_count(-1, n)}"
+
+
+def test_misses_next_to_each_other_seed_the_cursor(cursor):
+    # each pair lies more than a quarter of its length past the one before
+    for first, second in ((500, 503), (803, 800), (1200, 1197)):
+        assert win_gap(first) == heady_count(-1, first)
+        assert _series._cursor[0] < first                # a lone miss walks
+        assert win_gap_step(second) == heady_count(1, second - 1)
+        assert _series._cursor == _series.seeded(max(first, second))
+    # a miss four away, or at the same length, walks
+    for first, second in ((1700, 1704), (2300, 2300)):
+        assert win_gap(first) == heady_count(-1, first)
+        assert win_gap(second) == heady_count(-1, second)
+        assert _series._cursor[0] == 1200
 
 
 def test_table_order_reads_backwards_from_the_window(cursor):
