@@ -49,7 +49,6 @@ from .recurrence import (
     table_sweep,
 )
 from .signatures import (
-    MinLengthSeq,
     complement,
     compositions,
     generate_sequences,
@@ -63,7 +62,6 @@ from .verify import SuiteResult, run_suites
 
 __all__ = [
     "CloseCallTable",
-    "MinLengthSeq",
     "Outcome",
     "OracleCapExceeded",
     "ScoreDistribution",

@@ -7,20 +7,24 @@ and then one multiply-then-divide per step, never a fresh binomial.  The
 division is exact because both neighbouring terms are integers and every
 term inside a summation range is nonzero.
 
-Two summands live here, each with its defining product and a generator
-that steps through its summation range by the exact ratio.  The taily
-summand is the heady one with its first binomial shifted one place, so a
-lead of 0 (heady) or 1 (taily) gives both final tosses from one summand:
+Two summands live here, each as a generator that steps through its
+summation range by the exact ratio.  The taily summand is the heady one
+with its first binomial shifted one place, so a lead of 0 (heady) or 1
+(taily) gives both final tosses from one summand:
 
 - heady or taily, score s, spare budget m = n - s - 1 + lead:
                                        C(2k + s - lead, k - lead) * C(m - 2k, k)
 - close call, length n:                C(2k - 1, k) * C(n - 2k, k - 1)
 
+The heady walk opens with the product, term; the close-call walk opens
+with 1, since its first term, k = 1, is C(1, 1) * C(n - 2, 0) = 1 at
+every length, and its ratio gives the rest.
+
 The heady and taily summands also have a ratio in the spare budget m,
 carried by their common factor C(m - 2k, k) alone.  step_budget moves a
-list of terms from one budget to the next; the term-vector path uses it to
-step the shared budget rows [C(m - 2k, k) for k = 0 .. m // 3], which is
-its step in the length n.
+list of these factors from one budget to the next; the term-vector path
+uses it to step the shared budget rows [C(m - 2k, k) for k = 0 .. m // 3],
+which is its step in the length n.
 
 A whole table at length n is walked along a third direction instead:
 length_lists follows the diagonals of fixed N = 2k + s, on which both
@@ -65,8 +69,8 @@ def terms(s: int, m: int, lead: int) -> Iterator[int]:
         yield value
 
 
-def step_budget(terms: Sequence[int], k0: int, m: int) -> list[int]:
-    """Heady or taily terms k0, k0 + 1, ... moved from spare budget m - 1 to m.
+def step_budget(terms: Sequence[int], m: int) -> list[int]:
+    """Terms k = 0, 1, ... moved from spare budget m - 1 to m.
 
     Only the factor C(m - 2k, k) depends on the budget, and it grows by
     (m - 2k) / (m - 3k), so term k gains term * k / (m - 3k).  Both terms
@@ -74,7 +78,7 @@ def step_budget(terms: Sequence[int], k0: int, m: int) -> list[int]:
     AssertionError, since only a wrong term list or budget can leave one.
     """
     out = []
-    for k, term in enumerate(terms, k0):
+    for k, term in enumerate(terms):
         gain, rem = divmod(term * k, m - 3 * k)
         if rem:
             raise AssertionError(
@@ -131,17 +135,14 @@ def length_lists(n: int) -> tuple[list[int], list[int]]:
     return heady, taily
 
 
-def close_call_term(n: int, k: int) -> int:
-    return binom(2 * k - 1, k) * binom(n - 2 * k, k - 1)
-
-
 def close_call_terms(n: int) -> Iterator[int]:
-    """close_call_term(n, k) for 1 <= k <= (n + 1) // 3, in order; n >= 2.
+    """C(2k - 1, k) * C(n - 2k, k - 1) for 1 <= k <= (n + 1) // 3, in order;
+    n >= 2.  The first term is 1.
 
     The ratio from k to k + 1 is C(2k + 1, k + 1) / C(2k - 1, k) =
     2(2k + 1) / (k + 1) times C(n - 2k - 2, k) / C(n - 2k, k - 1).
     """
-    term = close_call_term(n, 1)
+    term = 1
     yield term
     for k in range(1, (n + 1) // 3):
         a = n - 3 * k

@@ -30,14 +30,14 @@ from .core import CloseCallTable, ScoreDistribution, TossSequence, close_call_bu
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "STREAKCOUNT_ORACLE_CAP"
 
-# a hard ceiling whatever the cap: the packed form of a sequence is one
-# 64-bit word, so no cap admits a longer one; at n = 63 the halves already
-# span 2**31 and 2**32 words, far past any count that could finish
+# a hard ceiling whatever the cap: at n = 63 the two halves already span
+# 2**31 and 2**32 words, far past any census that could finish, so no cap
+# admits a longer sequence
 MAX_N = 63
 
 
 class OracleCapExceeded(ValueError):
-    """Enumeration request beyond the safety cap or the word size (MAX_N)."""
+    """Enumeration request beyond the safety cap or the hard limit MAX_N."""
 
 
 def effective_cap(cap: int | None = None) -> int:
@@ -58,8 +58,8 @@ def _checked(n: int, cap: int | None) -> None:
         raise ValueError(f"sequence length must be at least 1, got {n}")
     if n > MAX_N:
         raise OracleCapExceeded(
-            f"n={n} exceeds the oracle's hard limit of {MAX_N}: sequences are "
-            f"packed into 64-bit words, whatever the cap")
+            f"n={n} exceeds the oracle's hard limit of {MAX_N}: at {MAX_N} the two "
+            f"halves already span 2**31 and 2**32 words, whatever the cap")
     limit = effective_cap(cap)
     if n > limit:
         raise OracleCapExceeded(

@@ -90,7 +90,7 @@ def _grow_rows(rows: list[list[int]], m_max: int) -> list[list[int]]:
     plus C(k, k) = 1 once m reaches 3k.
     """
     for m in range(len(rows), m_max + 1):
-        row = _summands.step_budget(rows[-1], 0, m)
+        row = _summands.step_budget(rows[-1], m)
         if m % 3 == 0:
             row.append(1)
         rows.append(row)
@@ -104,7 +104,7 @@ def _fill(sigma: int, n: int, coefs: list[int]) -> list[int]:
     """
     j = max(0, -sigma) + len(coefs)
     while 3 * j < n - sigma:
-        coefs.append(_summands.term(sigma, 3 * j, j, 0))
+        coefs.append(_summands.binom(2 * j + sigma, j))
         j += 1
     return coefs
 

@@ -12,7 +12,6 @@ the spare tails over the legal insertion slots in every possible way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
 from .core import TossSequence
@@ -76,20 +75,7 @@ def min_length(sig: str, mode: Mode = "heady") -> int:
     return 3 * q + s + (1 if mode == "heady" else 0)
 
 
-@dataclass(frozen=True)
-class MinLengthSeq:
-    """The shortest sequence carrying a signature, plus how it was asked for."""
-
-    signature: str
-    mode: str
-    bits: TossSequence
-
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
-
-def min_length_sequence(sig: str, mode: Mode = "heady") -> MinLengthSeq:
+def min_length_sequence(sig: str, mode: Mode = "heady") -> TossSequence:
     """Build the unique shortest sequence carrying the signature.
 
     A run of j consecutive '+' marks becomes j + 1 consecutive heads.  A
@@ -114,7 +100,7 @@ def min_length_sequence(sig: str, mode: Mode = "heady") -> MinLengthSeq:
         prev = mark
     if mode == "heady" and sig.endswith("-"):
         out.append(1)
-    return MinLengthSeq(sig, mode, tuple(out))
+    return tuple(out)
 
 
 def compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
@@ -177,18 +163,18 @@ def _insertion_slots(mu: TossSequence, mode: str, fixed_leading_one: bool) -> li
 
 def _plan(sig: str, n: int, mode: str,
           fixed_leading_one: bool) -> tuple[TossSequence, list[int], int]:
-    mls = min_length_sequence(sig, mode)
-    spare = n - mls.length
+    mu = min_length_sequence(sig, mode)
+    spare = n - len(mu)
     if spare < 0:
         raise ValueError(
             f"signature {sig!r} has no {mode} sequence of length {n}; "
-            f"the minimum feasible length is {mls.length}")
-    slots = _insertion_slots(mls.bits, mode, fixed_leading_one)
+            f"the minimum feasible length is {len(mu)}")
+    slots = _insertion_slots(mu, mode, fixed_leading_one)
     if not slots and spare:
         raise ValueError(
             f"fixing the leading head leaves no slot for {spare} spare tails; "
-            f"signature {sig!r} only fits length {mls.length} that way")
-    return mls.bits, slots, spare
+            f"signature {sig!r} only fits length {len(mu)} that way")
+    return mu, slots, spare
 
 
 def sequence_count(sig: str, n: int, mode: Mode = "heady",

@@ -272,20 +272,20 @@ def _min_length_formula(rec: _Recorder) -> None:
     for sig in _all_signatures(8):
         modes = ["heady"] if sig.endswith("+") else ["heady", "taily"]
         for mode in modes:
-            mls = signatures.min_length_sequence(sig, mode)
-            rec.expect(mls.length == signatures.min_length(sig, mode),
+            mu = signatures.min_length_sequence(sig, mode)
+            rec.expect(len(mu) == signatures.min_length(sig, mode),
                        f"built length disagrees with the formula: {sig!r} {mode}")
-            rec.expect(signatures.signature_of(mls.bits) == sig,
+            rec.expect(signatures.signature_of(mu) == sig,
                        f"shortest sequence carries the wrong marks: {sig!r} {mode}")
-            rec.expect(mls.bits[-1] == (1 if mode == "heady" else 0),
+            rec.expect(mu[-1] == (1 if mode == "heady" else 0),
                        f"shortest sequence ends on the wrong toss: {sig!r} {mode}")
-            built = list(signatures.generate_sequences(sig, mls.length, mode))
-            rec.expect(built == [mls.bits],
+            built = list(signatures.generate_sequences(sig, len(mu), mode))
+            rec.expect(built == [mu],
                        f"generation at the minimum length is not unique: {sig!r} {mode}")
-            if mls.length > 1:
+            if len(mu) > 1:
                 rec.expect(
                     _rejected(lambda: list(
-                        signatures.generate_sequences(sig, mls.length - 1, mode))),
+                        signatures.generate_sequences(sig, len(mu) - 1, mode))),
                     f"generation below the minimum length succeeded: {sig!r} {mode}")
         if sig.endswith("+"):
             rec.expect(_rejected(lambda: signatures.min_length(sig, "taily")),
@@ -311,15 +311,16 @@ def _insertion_census(rec: _Recorder, max_n: int) -> None:
                    f"signature census misses the taily table at n={n}")
 
 
-def _insertion_bijection(rec: _Recorder, max_marks: int, n_span: int) -> None:
+def _insertion_bijection(rec: _Recorder, max_marks: int) -> None:
     # a score-one signature at length n and its complement, pinned to a
-    # leading head, at length n + 1 generate equally many sequences
+    # leading head, at length n + 1 generate equally many sequences, for
+    # the signature's shortest length and the six above it
     for sig in _all_signatures(max_marks):
         if signatures.signature_score(sig) != 1:
             continue
         twin = signatures.complement(sig)
         first = signatures.min_length(sig, "heady")
-        for n in range(first, first + n_span + 1):
+        for n in range(first, first + 7):
             ours = signatures.sequence_count(sig, n, "heady")
             theirs = signatures.sequence_count(twin, n + 1, "heady",
                                                fixed_leading_one=True)
@@ -403,10 +404,11 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
                gen_max: int | None = None) -> list[SuiteResult]:
     """Run every suite and return the results in a fixed order.
 
-    max_n bounds the pure-arithmetic sweeps, oracle_max the 2**n
-    enumeration sweeps and gen_max the exhaustive generator sweeps;
-    gen_max defaults to min(10, max_n).  Both of the last two sweep all
-    2**n sequences of each length, so both are refused past the oracle's
+    max_n bounds the pure-arithmetic sweeps, oracle_max the enumeration
+    sweeps and gen_max the exhaustive generator sweeps; gen_max defaults
+    to min(10, max_n).  Each oracle enumeration scores about
+    2 * 2**(n / 2) half-words, while the generator sweep builds all 2**n
+    sequences of each length; both bounds are refused past the oracle's
     enumeration cap before any suite runs.  gen_max is also refused past
     GEN_MAX_LIMIT, whatever the cap: the generator sweep holds every
     sequence of a length as a tuple, in pure Python.
@@ -440,7 +442,7 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
         ("method-agreement", lambda rec: _method_agreement(rec, max_n)),
         ("min-length-formula", _min_length_formula),
         ("insertion-census", lambda rec: _insertion_census(rec, min(gen_max + 2, 14))),
-        ("insertion-bijection", lambda rec: _insertion_bijection(rec, 7, 6)),
+        ("insertion-bijection", lambda rec: _insertion_bijection(rec, 7)),
         ("generator-coverage", lambda rec: _generator_coverage(rec, gen_max)),
         ("oracle-agreement", lambda rec: _oracle_agreement(rec, oracle_max)),
     ]

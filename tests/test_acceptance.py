@@ -132,8 +132,8 @@ def test_criterion_5_min_length_depends_only_on_mark_counts():
                 for mode in modes:
                     built = min_length_sequence(sig, mode)
                     value = min_length(sig, mode)
-                    assert value == built.length == len(built.bits)
-                    assert signature_of(built.bits) == sig
+                    assert value == len(built)
+                    assert signature_of(built) == sig
                     key = (sig.count("+"), sig.count("-"), mode)
                     assert groups.setdefault(key, value) == value
         assert seen == 2**11 - 2
@@ -148,7 +148,7 @@ def test_criterion_6_generator_soundness_and_bijection():
         assert coverage.ok, coverage.detail
         bijection = verify._run(
             "bijection-to-9-marks",
-            lambda rec: verify._insertion_bijection(rec, 9, 6),
+            lambda rec: verify._insertion_bijection(rec, 9),
         )
         assert bijection.ok, bijection.detail
 

@@ -231,6 +231,12 @@ def test_gen_error_paths(capsys):
     assert rc == 1 and err.startswith("error:")
     rc, _, err = run(capsys, "gen", "--signature=-+", "--length", "5", "--mode", "taily")
     assert rc == 1 and "ending in '+'" in err
+    # '+' is the run 11; pinning its head leaves no slot for a third toss
+    rc, out, err = run(capsys, "gen", "--signature=+", "--length", "3",
+                       "--fixed-leading-one")
+    assert (rc, out) == (1, "")
+    assert err == ("error: fixing the leading head leaves no slot for 1 spare tails; "
+                   "signature '+' only fits length 2 that way\n")
 
 
 def test_bfile_goldens(capsys):

@@ -190,10 +190,10 @@ def test_term_entries_equal_their_defining_binomials():
 
 
 def test_budget_step_refuses_an_inexact_update():
-    assert _summands.step_budget([1, 2], 0, 5) == [1, 3]
+    assert _summands.step_budget([1, 2], 5) == [1, 3]
     # term k = 1 would gain 1 * 1 / (5 - 3)
     with pytest.raises(AssertionError, match="inexact term update"):
-        _summands.step_budget([1, 1], 0, 5)
+        _summands.step_budget([1, 1], 5)
 
 
 def test_term_walk_refuses_a_missing_last_term():

@@ -77,17 +77,17 @@ def test_min_length_depends_only_on_mark_counts_and_mode():
 
 
 def test_min_length_sequence_realizes_the_signature():
-    assert min_length_sequence("--+", "heady").bits == (1, 0, 1, 0, 1, 1)
-    assert min_length_sequence("++-", "heady").bits == (1, 1, 1, 0, 1)
-    assert min_length_sequence("-", "taily").bits == (1, 0)
+    assert min_length_sequence("--+", "heady") == (1, 0, 1, 0, 1, 1)
+    assert min_length_sequence("++-", "heady") == (1, 1, 1, 0, 1)
+    assert min_length_sequence("-", "taily") == (1, 0)
     for sig in all_signatures(7):
         for mode in ("heady", "taily"):
             if mode == "taily" and sig.endswith("+"):
                 continue
-            mls = min_length_sequence(sig, mode)
-            assert mls.length == min_length(sig, mode) == len(mls.bits)
-            assert signature_of(mls.bits) == sig
-            assert mls.bits[-1] == (1 if mode == "heady" else 0)
+            mu = min_length_sequence(sig, mode)
+            assert len(mu) == min_length(sig, mode)
+            assert signature_of(mu) == sig
+            assert mu[-1] == (1 if mode == "heady" else 0)
 
 
 def test_min_length_sequence_is_unique_at_its_length():
@@ -107,7 +107,7 @@ def test_min_length_sequence_is_unique_at_its_length():
                 ]
                 assert len(hits) == (0 if n < length else 1)
                 if n == length:
-                    assert hits[0] == min_length_sequence(sig, mode).bits
+                    assert hits[0] == min_length_sequence(sig, mode)
 
 
 def test_signature_validation():
@@ -226,7 +226,7 @@ def slot_by_slot(sig, n, mode, fixed_leading_one):
     # the plain construction: one insertion slot in front of each heads run
     # of the shortest sequence (plus the end slot for taily sequences), and
     # every output rebuilt from nothing, slot by slot, for each composition
-    mu = min_length_sequence(sig, mode).bits
+    mu = min_length_sequence(sig, mode)
     slots = [i for i, b in enumerate(mu) if b == 1 and (i == 0 or mu[i - 1] == 0)]
     if mode == "taily":
         slots.append(len(mu))
@@ -296,6 +296,6 @@ def test_one_slot_and_spare_free_generation():
         (1, 0, 0, 0, 0)]
     # no spare tails: the shortest sequence alone, however many slots
     for sig, mode in (("+-+-", "heady"), ("--+-", "taily"), ("-" * 40, "taily")):
-        mls = min_length_sequence(sig, mode)
+        mu = min_length_sequence(sig, mode)
         for pinned in (False, True):
-            assert list(generate_sequences(sig, mls.length, mode, pinned)) == [mls.bits]
+            assert list(generate_sequences(sig, len(mu), mode, pinned)) == [mu]
