@@ -136,12 +136,12 @@ def win_gap(n: int) -> int:
 def win_gap_step(n: int) -> int:
     """Growth of the win gap from length n - 1 to n.  Defined for n >= 3.
 
-    Equals the score-one heady count one length back, which is walked
-    unless the series cursor is near, when it is read as y[n] / 2.
+    The recursive identity: the gap grows by the close-call count one
+    length back, so win_gap_step(n) is heady_close_calls(n - 1), read from
+    the stream as y[n] / 2 or walked by its census.
     """
     _require_length(n, 3)
-    got = _series.read(n)
-    return heady_count(1, n - 1) if got is None else got[0] // 2
+    return heady_close_calls(n - 1)
 
 
 def decimal_ratio(num: int, den: int, digits: int) -> str:

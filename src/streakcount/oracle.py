@@ -67,14 +67,6 @@ def _checked(n: int, cap: int | None) -> None:
             f"cap argument, the --oracle-cap flag, or {CAP_ENV_VAR}")
 
 
-def bits_to_word(bits: TossSequence) -> int:
-    word = 0
-    for i, b in enumerate(bits):
-        if b:
-            word |= 1 << i
-    return word
-
-
 def word_to_bits(word: int, n: int) -> TossSequence:
     return tuple((word >> i) & 1 for i in range(n))
 
@@ -117,14 +109,14 @@ def enumerate_distribution(n: int, cap: int | None = None) -> ScoreDistribution:
     return ScoreDistribution(n, heady, taily)
 
 
-def close_call_table(n: int, cap: int | None = None) -> CloseCallTable:
+def close_call_table(n: int) -> CloseCallTable:
     """Close-call buckets of the enumerated distribution."""
-    return close_call_buckets(enumerate_distribution(n, cap=cap))
+    return close_call_buckets(enumerate_distribution(n))
 
 
-def win_gap(n: int, cap: int | None = None) -> int:
+def win_gap(n: int) -> int:
     """Bob's wins minus Alice's, straight off the enumeration."""
-    return enumerate_distribution(n, cap=cap).win_gap()
+    return enumerate_distribution(n).win_gap()
 
 
 def sequences_with(n: int, score_value: int, mode: str,

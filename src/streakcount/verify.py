@@ -112,24 +112,16 @@ def _support_bounds(rec: _Recorder, max_n: int) -> None:
                        f"taily count leaked outside support: s={s} n={n}")
 
 
-def _heady_recursion(rec: _Recorder, max_n: int) -> None:
-    # an appended head extends a heady sequence (score up one) or a taily one
+def _appended_toss(rec: _Recorder, max_n: int, lead: int) -> None:
+    # an appended head (lead 0) extends a taily sequence or raises a heady one
+    # by one; an appended tail (lead 1) extends a taily one or drops a heady one
+    kind, own = (("heady", counting.heady_count), ("taily", counting.taily_count))[lead]
     for n in range(1, max_n):
         lo, hi = counting.score_support(n + 1)
         for s in range(lo - 1, hi + 2):
-            want = counting.heady_count(s - 1, n) + counting.taily_count(s, n)
-            rec.expect(counting.heady_count(s, n + 1) == want,
-                       f"heady recursion broken at s={s} n={n + 1}")
-
-
-def _taily_recursion(rec: _Recorder, max_n: int) -> None:
-    # an appended tail extends a taily sequence or drops a heady one by one
-    for n in range(1, max_n):
-        lo, hi = counting.score_support(n + 1)
-        for s in range(lo - 1, hi + 2):
-            want = counting.taily_count(s, n) + counting.heady_count(s + 1, n)
-            rec.expect(counting.taily_count(s, n + 1) == want,
-                       f"taily recursion broken at s={s} n={n + 1}")
+            want = counting.taily_count(s, n) + counting.heady_count(s - 1 + 2 * lead, n)
+            rec.expect(own(s, n + 1) == want,
+                       f"{kind} recursion broken at s={s} n={n + 1}")
 
 
 def _close_call_census(rec: _Recorder, max_n: int) -> None:
@@ -409,9 +401,10 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
     to min(10, max_n).  Each oracle enumeration scores about
     2 * 2**(n / 2) half-words, while the generator sweep builds all 2**n
     sequences of each length; both bounds are refused past the oracle's
-    enumeration cap before any suite runs.  gen_max is also refused past
-    GEN_MAX_LIMIT, whatever the cap: the generator sweep holds every
-    sequence of a length as a tuple, in pure Python.
+    enumeration cap before any suite runs.  Whatever the cap, gen_max is
+    also refused past GEN_MAX_LIMIT, since the generator sweep holds every
+    sequence of a length as a tuple, in pure Python, and oracle_max past
+    the oracle's hard limit, oracle.MAX_N.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
@@ -428,12 +421,13 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
     if gen_max > GEN_MAX_LIMIT:
         raise ValueError(
             f"gen_max={gen_max} exceeds the generator sweep limit of {GEN_MAX_LIMIT}")
+    oracle._checked(oracle_max, cap)
     suites: list[tuple[str, Callable[[_Recorder], None]]] = [
         ("base-tables", _base_tables),
         ("normalization", lambda rec: _normalization(rec, max_n)),
         ("support-bounds", lambda rec: _support_bounds(rec, max_n)),
-        ("heady-recursion", lambda rec: _heady_recursion(rec, max_n)),
-        ("taily-recursion", lambda rec: _taily_recursion(rec, max_n)),
+        ("heady-recursion", lambda rec: _appended_toss(rec, max_n, 0)),
+        ("taily-recursion", lambda rec: _appended_toss(rec, max_n, 1)),
         ("close-call-census", lambda rec: _close_call_census(rec, max_n)),
         ("gap-definition", lambda rec: _gap_definition(rec, max_n)),
         ("gap-recursion", lambda rec: _gap_recursion(rec, max_n)),

@@ -383,6 +383,20 @@ def test_verify_refuses_enumeration_bounds_past_the_cap_at_once(flag, name, boun
                              f"raise it with STREAKCOUNT_ORACLE_CAP\n")
 
 
+def test_verify_refuses_an_oracle_bound_past_the_hard_limit_at_once():
+    # a cap of 70 admits 64, but the oracle stops at 63 whatever the cap, so
+    # the bound is refused before the oracle suite enumerates n = 1..63
+    result = subprocess.run(
+        [sys.executable, "-m", "streakcount", "verify", "--max-n", "4", "--gen-max", "4",
+         "--oracle-max", "64"],
+        capture_output=True, text=True, timeout=10,
+        env=child_env(STREAKCOUNT_ORACLE_CAP="70"))
+    assert (result.returncode, result.stdout) == (1, "")
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: n=64 exceeds the oracle's hard limit of 63: ")
+
+
 def test_verify_refuses_a_generator_sweep_past_its_limit_at_once():
     # 17 is inside the enumeration cap, but the generator sweep's tuples of
     # every sequence would take seconds and over 50 MB
@@ -478,6 +492,8 @@ def test_main_restores_the_int_to_str_limit():
 
 
 _FUZZ_INT = st.integers(-3, 24)
+# verify bounds stay small, so one drawn run takes about 50 ms
+_FUZZ_VERIFY_INT = st.integers(-3, 8)
 _FUZZ_SIGNATURE = st.text(alphabet="+-x ", max_size=8)
 
 
@@ -488,7 +504,8 @@ def _opt(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
 @st.composite
 def _fuzz_argv(draw) -> list[str]:
     n = str(draw(_FUZZ_INT))
-    command = draw(st.sampled_from(("dist", "wins", "table", "bfile", "gen")))
+    command = draw(st.sampled_from(("dist", "wins", "table", "bfile", "gen", "bench",
+                                    "verify")))
     if command == "dist":
         return (["dist", n]
                 + draw(_opt("--method", st.sampled_from(
@@ -502,6 +519,13 @@ def _fuzz_argv(draw) -> list[str]:
     if command == "bfile":
         return (["bfile"] + draw(_opt("--series", st.sampled_from(("h2", "h4", "D", "delta", "x"))))
                 + draw(_opt("--max-n", _FUZZ_INT)) + draw(_opt("--offset", _FUZZ_INT)))
+    if command == "bench":
+        return ["bench"] + draw(_opt("--max-n", _FUZZ_INT))
+    if command == "verify":
+        # --max-n is always drawn: its default of 64 takes ten times as long
+        return (["verify", "--max-n", str(draw(_FUZZ_VERIFY_INT))]
+                + draw(_opt("--oracle-max", _FUZZ_VERIFY_INT))
+                + draw(_opt("--gen-max", _FUZZ_VERIFY_INT)))
     sig = draw(_FUZZ_SIGNATURE)
     signature = draw(st.sampled_from(([f"--signature={sig}"], ["--signature", sig], [])))
     return (["gen"] + signature + draw(_opt("--length", _FUZZ_INT))

@@ -104,6 +104,23 @@ def test_a_loop_from_a_large_length_resumes(cursor, monkeypatch, capsys):
         assert lines[n - 2000] == f"{n} {heady_count(1, n)} {heady_count(-1, n)}"
 
 
+def test_a_cold_gap_step_walks_the_close_call_census_once(cursor, monkeypatch):
+    walks = {"terms": 0, "close_call_terms": 0}
+    for name in walks:
+        walk = getattr(_summands, name)
+
+        def counted(*args, name=name, walk=walk):
+            walks[name] += 1
+            return walk(*args)
+        monkeypatch.setattr(_summands, name, counted)
+    got = win_gap_step(7001)
+    # 7001 is far past the seeds, so the step is a lone miss and walks the
+    # one fallback it shares with heady_close_calls
+    assert walks == {"terms": 0, "close_call_terms": 1}
+    assert _series._cursor == _series.SEEDS
+    assert got == heady_close_calls(7000) == heady_count(1, 7000)
+
+
 def test_misses_next_to_each_other_seed_the_cursor(cursor):
     # each pair lies more than a quarter of its length past the one before
     for first, second in ((500, 503), (803, 800), (1200, 1197)):

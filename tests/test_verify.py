@@ -78,6 +78,20 @@ def test_generator_bounds_past_the_sweep_limit_are_refused_before_any_suite(monk
         verify.run_suites(max_n=8, oracle_max=4, gen_max=16)
 
 
+def test_an_oracle_bound_past_the_hard_limit_is_refused_before_any_suite(monkeypatch):
+    # a cap of 70 admits oracle_max=64, but the oracle never enumerates past
+    # MAX_N, so the bound is refused before n = 1..63 are enumerated
+    def ran(rec):
+        raise AssertionError("a suite ran before the bounds were checked")
+
+    monkeypatch.setattr(verify, "_base_tables", ran)
+    monkeypatch.setenv("STREAKCOUNT_ORACLE_CAP", "70")
+    with pytest.raises(ValueError, match="n=64 exceeds the oracle's hard limit of 63"):
+        verify.run_suites(max_n=2, oracle_max=64, gen_max=2)
+    with pytest.raises(AssertionError, match="a suite ran"):
+        verify.run_suites(max_n=2, oracle_max=63, gen_max=2)
+
+
 def test_a_lying_closed_form_is_caught_and_localized(monkeypatch):
     honest = counting.heady_count
 
