@@ -358,14 +358,19 @@ def test_oracle_commands_run_where_numpy_cannot_be_imported(capsys):
 
 
 def test_oracle_refuses_lengths_past_the_word_size_whatever_the_cap():
-    result = subprocess.run(
-        [sys.executable, "-m", "streakcount", "dist", "65", "--method", "oracle"],
-        capture_output=True, text=True, timeout=10,
-        env=child_env(STREAKCOUNT_ORACLE_CAP="70"))
-    assert result.returncode == 1
-    assert result.stdout == ""
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: n=65 exceeds")
+    # a cap of 70 admits 64 and 65, but the oracle stops at 63 whatever the
+    # cap; verify refuses its bound before the oracle suite enumerates 1..63
+    for argv, n in ((["dist", "65", "--method", "oracle"], 65),
+                    (["verify", "--max-n", "4", "--gen-max", "4", "--oracle-max", "64"], 64)):
+        result = subprocess.run(
+            [sys.executable, "-m", "streakcount", *argv],
+            capture_output=True, text=True, timeout=10,
+            env=child_env(STREAKCOUNT_ORACLE_CAP="70"))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: n={n} exceeds the oracle's hard limit of 63: ")
 
 
 @pytest.mark.parametrize("flag, name, bound", [("--gen-max", "gen_max", 40),
@@ -381,20 +386,6 @@ def test_verify_refuses_enumeration_bounds_past_the_cap_at_once(flag, name, boun
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == (f"error: {name}={bound} exceeds the enumeration cap of 24; "
                              f"raise it with STREAKCOUNT_ORACLE_CAP\n")
-
-
-def test_verify_refuses_an_oracle_bound_past_the_hard_limit_at_once():
-    # a cap of 70 admits 64, but the oracle stops at 63 whatever the cap, so
-    # the bound is refused before the oracle suite enumerates n = 1..63
-    result = subprocess.run(
-        [sys.executable, "-m", "streakcount", "verify", "--max-n", "4", "--gen-max", "4",
-         "--oracle-max", "64"],
-        capture_output=True, text=True, timeout=10,
-        env=child_env(STREAKCOUNT_ORACLE_CAP="70"))
-    assert (result.returncode, result.stdout) == (1, "")
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: n=64 exceeds the oracle's hard limit of 63: ")
 
 
 def test_verify_refuses_a_generator_sweep_past_its_limit_at_once():
