@@ -22,14 +22,14 @@ from time import perf_counter
 from . import __version__, core, counting, oracle, recurrence, signatures, verify
 
 
-def _dist_for(method: str, n: int, cap: int | None) -> core.ScoreDistribution:
+def _dist_for(method: str, n: int) -> core.ScoreDistribution:
     if method == "closed":
         return counting.closed_distribution(n)
     if method == "dp":
         return recurrence.dp_distribution(n)
     if method == "incremental":
         return recurrence.incremental_distribution(n)
-    return oracle.enumerate_distribution(n, cap=cap)
+    return oracle.enumerate_distribution(n)
 
 
 def _dist_rows(dist: core.ScoreDistribution) -> list[tuple[int, int, int]]:
@@ -39,7 +39,7 @@ def _dist_rows(dist: core.ScoreDistribution) -> list[tuple[int, int, int]]:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    dist = _dist_for(args.method, args.n, args.oracle_cap)
+    dist = _dist_for(args.method, args.n)
     rows = _dist_rows(dist)
     if args.format == "json":
         payload = {"n": dist.n,
@@ -176,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("closed", "dp", "incremental", "oracle"),
                    default="closed", help="computation path (default closed)")
     p.add_argument("--format", choices=("table", "tsv", "json"), default="table")
-    p.add_argument("--oracle-cap", type=int, default=None,
-                   help="raise the enumeration cap for --method oracle")
     p.set_defaults(run=_cmd_dist)
 
     p = sub.add_parser("wins", help="aggregate win, loss and tie counts")
@@ -245,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull so the

@@ -202,6 +202,10 @@ def win_odds(n: int, digits: int = 6) -> WinOdds:
     ties = heady[zero] + taily[zero]
     gap = bob - alice
     den = 1 << n
+    # a count over 2**n ends within n decimals, so any digit past the n-th
+    # is exactly 0 and no rounding reaches it: pad instead of dividing
+    shown = min(digits, n)
+    pad = "0" * (digits - shown)
     return WinOdds(
         n=n,
         alice=alice,
@@ -209,8 +213,8 @@ def win_odds(n: int, digits: int = 6) -> WinOdds:
         ties=ties,
         gap=gap,
         digits=digits,
-        alice_share=decimal_ratio(alice, den, digits),
-        bob_share=decimal_ratio(bob, den, digits),
-        tie_share=decimal_ratio(ties, den, digits),
-        gap_share=decimal_ratio(gap, den, digits),
+        alice_share=decimal_ratio(alice, den, shown) + pad,
+        bob_share=decimal_ratio(bob, den, shown) + pad,
+        tie_share=decimal_ratio(ties, den, shown) + pad,
+        gap_share=decimal_ratio(gap, den, shown) + pad,
     )

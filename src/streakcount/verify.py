@@ -400,28 +400,21 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
     sweeps and gen_max the exhaustive generator sweeps; gen_max defaults
     to min(10, max_n).  Each oracle enumeration scores about
     2 * 2**(n / 2) half-words, while the generator sweep builds all 2**n
-    sequences of each length; both bounds are refused past the oracle's
-    enumeration cap before any suite runs.  Whatever the cap, gen_max is
-    also refused past GEN_MAX_LIMIT, since the generator sweep holds every
-    sequence of a length as a tuple, in pure Python, and oracle_max past
-    the oracle's hard limit, oracle.MAX_N.
+    sequences of each length as tuples, in pure Python; before any suite
+    runs, oracle_max is refused past the oracle's limit, oracle.MAX_N, and
+    gen_max past GEN_MAX_LIMIT.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
     if gen_max is None:
         gen_max = min(10, max_n)
-    cap = oracle.effective_cap()
-    for name, bound in (("oracle_max", oracle_max), ("gen_max", gen_max)):
+    for name, bound, limit, what in (
+            ("oracle_max", oracle_max, oracle.MAX_N, "the oracle's enumeration limit"),
+            ("gen_max", gen_max, GEN_MAX_LIMIT, "the generator sweep limit")):
         if bound < 1:
             raise ValueError(f"{name} must be at least 1, got {bound}")
-        if bound > cap:
-            raise ValueError(
-                f"{name}={bound} exceeds the enumeration cap of {cap}; "
-                f"raise it with {oracle.CAP_ENV_VAR}")
-    if gen_max > GEN_MAX_LIMIT:
-        raise ValueError(
-            f"gen_max={gen_max} exceeds the generator sweep limit of {GEN_MAX_LIMIT}")
-    oracle._checked(oracle_max, cap)
+        if bound > limit:
+            raise ValueError(f"{name}={bound} exceeds {what} of {limit}")
     suites: list[tuple[str, Callable[[_Recorder], None]]] = [
         ("base-tables", _base_tables),
         ("normalization", lambda rec: _normalization(rec, max_n)),

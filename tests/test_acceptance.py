@@ -3,7 +3,8 @@
 Each test prints a single pass/fail line (straight to the terminal, past
 pytest's capture) so a glance at the run shows which criteria hold.
 Criteria with a runtime budget assert it; the slow sweeps honour
-STREAKCOUNT_ACCEPTANCE_ORACLE_MAX for the extended enumeration run.
+STREAKCOUNT_ACCEPTANCE_ORACLE_MAX for the extended enumeration run, up to
+the oracle's limit of 24.
 """
 
 import itertools
@@ -94,7 +95,7 @@ def test_criterion_3_enumeration_equivalence():
     limit = int(os.environ.get("STREAKCOUNT_ACCEPTANCE_ORACLE_MAX", "18"))
     with criterion(3, f"enumeration agreement for n <= {limit}", budget=60.0):
         for n in range(1, limit + 1):
-            brute = enumerate_distribution(n, cap=limit)
+            brute = enumerate_distribution(n)
             dist = closed_distribution(n)
             assert brute == dist
             lo, hi = score_support(n)

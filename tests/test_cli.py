@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streakcount
-from streakcount import cli, counting
+from streakcount import _summands, cli, counting
 
 from reference_values import CLOSE_CALL_ROWS
 
@@ -126,18 +126,25 @@ def test_dist_is_deterministic(capsys):
     assert first == second
 
 
-def test_dist_oracle_respects_the_cap(capsys, monkeypatch):
-    monkeypatch.delenv("STREAKCOUNT_ORACLE_CAP", raising=False)
+def test_dist_oracle_respects_the_cap(capsys):
     rc, out, err = run(capsys, "dist", "25", "--method", "oracle")
-    assert rc == 1 and out == ""
-    assert err.startswith("error: n=25 exceeds the enumeration cap of 24")
-    assert "STREAKCOUNT_ORACLE_CAP" in err
-    monkeypatch.setenv("STREAKCOUNT_ORACLE_CAP", "10")
-    rc, _, err = run(capsys, "dist", "11", "--method", "oracle")
-    assert rc == 1 and "cap of 10" in err
-    rc, out, _ = run(capsys, "dist", "11", "--method", "oracle", "--oracle-cap", "12")
-    assert rc == 0
-    assert out == run(capsys, "dist", "11")[1]
+    assert (rc, out, err) == (1, "", "error: n=25 exceeds the oracle's enumeration limit of 24\n")
+    assert run(capsys, "dist", "24", "--method", "oracle") == run(capsys, "dist", "24")
+    # the retired --oracle-cap is an unknown flag now
+    with pytest.raises(SystemExit) as info:
+        cli.main(["dist", "11", "--method", "oracle", "--oracle-cap", "12"])
+    assert info.value.code == 2
+
+
+def test_running_out_of_memory_ends_in_one_error_line(capsys, monkeypatch):
+    # the lists for 3e10 tosses cannot be allocated; raise as that would,
+    # without allocating
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(_summands, "length_lists", exhausted)
+    for command in ("dist", "wins"):
+        assert run(capsys, command, "30000000000") == (1, "", "error: out of memory\n")
 
 
 def test_dist_rejects_nonpositive_length(capsys):
@@ -268,8 +275,7 @@ def test_verify_passes_at_small_bounds(capsys):
     assert lines and all(line.startswith("PASS ") for line in lines)
 
 
-def test_verify_default_golden(capsys, monkeypatch):
-    monkeypatch.delenv("STREAKCOUNT_ORACLE_CAP", raising=False)
+def test_verify_default_golden(capsys):
     rc, out, err = run(capsys, "verify")
     assert (rc, err) == (0, "")
     assert out == VERIFY_DEFAULT
@@ -334,10 +340,8 @@ def test_analytic_commands_do_not_import_numpy():
             "    rcs = [streakcount.cli.main(argv) for argv in (\n"
             "        ['wins', '10'], ['dist', '12', '--method', 'oracle'], ['verify'])]\n"
             "print(rcs, 'numpy' in sys.modules)\n")
-    env = child_env()
-    env.pop("STREAKCOUNT_ORACLE_CAP", None)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=60)
+                            env=child_env(), timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 0, 0] False\n", "")
 
 
@@ -348,54 +352,46 @@ def test_oracle_commands_run_where_numpy_cannot_be_imported(capsys):
             "import streakcount.cli\n"
             "for argv in (['dist', '12', '--method', 'oracle'], ['verify']):\n"
             "    print('rc', streakcount.cli.main(argv))\n")
-    env = child_env()
-    env.pop("STREAKCOUNT_ORACLE_CAP", None)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=60)
+                            env=child_env(), timeout=60)
     _, dist, _ = run(capsys, "dist", "12", "--method", "closed")
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == dist + "rc 0\n" + VERIFY_DEFAULT + "rc 0\n"
 
 
 def test_oracle_refuses_lengths_past_the_word_size_whatever_the_cap():
-    # a cap of 70 admits 64 and 65, but the oracle stops at 63 whatever the
-    # cap; verify refuses its bound before the oracle suite enumerates 1..63
-    for argv, n in ((["dist", "65", "--method", "oracle"], 65),
-                    (["verify", "--max-n", "4", "--gen-max", "4", "--oracle-max", "64"], 64)):
+    # one limit for the oracle, refused before any enumeration starts
+    for argv, name in ((["dist", "25", "--method", "oracle"], "n"),
+                       (["verify", "--oracle-max", "25"], "oracle_max")):
         result = subprocess.run(
             [sys.executable, "-m", "streakcount", *argv],
-            capture_output=True, text=True, timeout=10,
-            env=child_env(STREAKCOUNT_ORACLE_CAP="70"))
-        assert result.returncode == 1
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"error: n={n} exceeds the oracle's hard limit of 63: ")
+            capture_output=True, text=True, timeout=10, env=child_env())
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"error: {name}=25 exceeds the oracle's enumeration limit of 24\n"
+
+
+_BOUND_LIMITS = {"gen_max": "the generator sweep limit of 16",
+                 "oracle_max": "the oracle's enumeration limit of 24"}
 
 
 @pytest.mark.parametrize("flag, name, bound", [("--gen-max", "gen_max", 40),
                                                ("--oracle-max", "oracle_max", 30)])
 def test_verify_refuses_enumeration_bounds_past_the_cap_at_once(flag, name, bound):
     # a generator sweep to 40 is 2**40 words: it must be refused up front,
-    # not started, and an oracle bound past the cap before any suite runs
-    env = child_env()
-    env.pop("STREAKCOUNT_ORACLE_CAP", None)
+    # not started, and an oracle bound past its limit before any suite runs
     result = subprocess.run(
         [sys.executable, "-m", "streakcount", "verify", flag, str(bound)],
-        capture_output=True, text=True, timeout=30, env=env)
+        capture_output=True, text=True, timeout=30, env=child_env())
     assert (result.returncode, result.stdout) == (1, "")
-    assert result.stderr == (f"error: {name}={bound} exceeds the enumeration cap of 24; "
-                             f"raise it with STREAKCOUNT_ORACLE_CAP\n")
+    assert result.stderr == f"error: {name}={bound} exceeds {_BOUND_LIMITS[name]}\n"
 
 
 def test_verify_refuses_a_generator_sweep_past_its_limit_at_once():
-    # 17 is inside the enumeration cap, but the generator sweep's tuples of
+    # 17 is inside the oracle's limit, but the generator sweep's tuples of
     # every sequence would take seconds and over 50 MB
-    env = child_env()
-    env.pop("STREAKCOUNT_ORACLE_CAP", None)
     result = subprocess.run(
         [sys.executable, "-m", "streakcount", "verify", "--gen-max", "17"],
-        capture_output=True, text=True, timeout=30, env=env)
+        capture_output=True, text=True, timeout=30, env=child_env())
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == "error: gen_max=17 exceeds the generator sweep limit of 16\n"
 
@@ -451,8 +447,10 @@ def test_readme_python_examples_run():
 
 
 def test_lengths_past_the_int_to_str_limit_print_in_full():
-    # 14500 puts win_gap past 4300 digits; 5000 decimals do the same to the
-    # share strings.  argv itself is still parsed under the default limit
+    # 14500 puts win_gap past 4300 digits.  The 5000 decimals of wins no
+    # longer convert a big int, since win_odds pads every digit past the
+    # n-th; the table case still needs the lifted limit.  argv itself is
+    # still parsed under the default limit
     table = subprocess.run(
         [sys.executable, "-m", "streakcount", "table", "--from", "14500", "--to", "14500"],
         capture_output=True, text=True, timeout=60, env=child_env())
@@ -471,6 +469,15 @@ def test_lengths_past_the_int_to_str_limit_print_in_full():
             [sys.executable, "-m", "streakcount", "wins", "1" * 5000],
             capture_output=True, text=True, timeout=60, env=child_env())
         assert huge.returncode == 2 and "invalid int value" in huge.stderr
+
+
+def test_wins_pads_a_million_digits_at_once():
+    # 93/1024 ends after 10 decimals, so the rest are zeros, not a division
+    result = subprocess.run(
+        [sys.executable, "-m", "streakcount", "wins", "10", "--digits", "1000000"],
+        capture_output=True, text=True, timeout=10, env=child_env())
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-1] == "gap_share 93/1024 0.0908203125" + "0" * 999990
 
 
 def test_main_restores_the_int_to_str_limit():
@@ -501,8 +508,7 @@ def _fuzz_argv(draw) -> list[str]:
         return (["dist", n]
                 + draw(_opt("--method", st.sampled_from(
                     ("closed", "dp", "incremental", "oracle", "bogus"))))
-                + draw(_opt("--format", st.sampled_from(("table", "tsv", "json"))))
-                + draw(_opt("--oracle-cap", _FUZZ_INT)))
+                + draw(_opt("--format", st.sampled_from(("table", "tsv", "json")))))
     if command == "wins":
         return ["wins", n] + draw(_opt("--digits", _FUZZ_INT))
     if command == "table":

@@ -155,6 +155,18 @@ def test_win_odds_bands_equal_sums_over_the_dp_table(n):
     assert odds.ties == sum(c for s, c in cells if s == 0)
 
 
+def test_win_odds_pads_the_digits_past_the_nth_with_zeros():
+    for n in range(1, 13):
+        den = 1 << n
+        for digits in range(max(1, n - 1), n + 4):
+            odds = win_odds(n, digits)
+            assert (odds.alice_share, odds.bob_share, odds.tie_share, odds.gap_share) == tuple(
+                decimal_ratio(x, den, digits) for x in (odds.alice, odds.bob, odds.ties, odds.gap)
+            ), (n, digits)
+    with pytest.raises(ValueError, match="digits"):
+        win_odds(3, 0)
+
+
 def test_close_call_formula_agrees_with_single_cell():
     for n in range(2, 201):
         assert heady_close_calls(n) == heady_count(1, n)

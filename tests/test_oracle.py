@@ -5,12 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streakcount import oracle
-from streakcount.core import ScoreDistribution, parse_sequence, score
+from streakcount.core import ScoreDistribution, close_call_buckets, parse_sequence, score
 from streakcount.counting import closed_distribution
 from streakcount.oracle import (
     OracleCapExceeded,
     close_call_table,
-    effective_cap,
     enumerate_distribution,
     sequences_with,
     word_score,
@@ -82,12 +81,12 @@ def test_sequences_with_equals_a_per_word_filter_in_order():
 
 
 @pytest.mark.parametrize("n", [17, 18])
-def test_census_across_many_blocks_per_final_toss(n):
+def test_census_at_an_odd_and_an_even_cut(n):
     # an odd and an even cut at lengths past the per-word tallies
     assert enumerate_distribution(n) == closed_distribution(n)
 
 
-def test_sequences_with_across_block_boundaries():
+def test_sequences_with_joins_both_halves_at_length_18():
     n = 18
     cells = {(s, m): [] for s, m in ((0, "heady"), (1, "taily"), (-3, "heady"),
                                      (5, "taily"), (17, "heady"), (-9, "taily"))}
@@ -99,8 +98,8 @@ def test_sequences_with_across_block_boundaries():
         assert sequences_with(n, s, mode) == want
 
 
-def test_sweep_memory_is_bounded_by_the_block_not_the_range():
-    # only the halves are held: 2**12 half-words at the default cap of 24
+def test_census_memory_is_bounded_by_the_halves_not_the_words():
+    # only the halves are held: 2**12 half-words at the limit of 24
     enumerate_distribution(12)
     for n in (20, 24):
         tracemalloc.start()
@@ -140,42 +139,30 @@ def test_sequences_with_rejects_unknown_mode():
         sequences_with(3, 0, "sideways")
 
 
-def test_cap_default_and_overrides(monkeypatch):
-    monkeypatch.delenv(oracle.CAP_ENV_VAR, raising=False)
-    assert effective_cap() == oracle.DEFAULT_CAP
-    assert effective_cap(30) == 30
-    monkeypatch.setenv(oracle.CAP_ENV_VAR, "10")
-    assert effective_cap() == 10
-    assert effective_cap(12) == 12
-    monkeypatch.setenv(oracle.CAP_ENV_VAR, "not-a-number")
-    with pytest.raises(ValueError):
-        effective_cap()
-
-
-def test_cap_guards_every_entry_point(monkeypatch):
-    monkeypatch.delenv(oracle.CAP_ENV_VAR, raising=False)
-    with pytest.raises(OracleCapExceeded, match="STREAKCOUNT_ORACLE_CAP"):
-        enumerate_distribution(oracle.DEFAULT_CAP + 1)
-    monkeypatch.setenv(oracle.CAP_ENV_VAR, "6")
-    with pytest.raises(OracleCapExceeded):
-        close_call_table(7)
-    with pytest.raises(OracleCapExceeded):
-        oracle.win_gap(7)
-    with pytest.raises(OracleCapExceeded):
-        sequences_with(7, 0, "heady")
-    # an explicit cap argument beats the environment
-    assert enumerate_distribution(7, cap=7).total() == 128
+def test_cap_guards_every_entry_point():
+    for refused in (enumerate_distribution, close_call_table, oracle.win_gap,
+                    lambda n: sequences_with(n, n - 1, "heady")):
+        with pytest.raises(OracleCapExceeded,
+                           match=r"^n=25 exceeds the oracle's enumeration limit of 24$"):
+            refused(oracle.MAX_N + 1)
+    assert oracle.MAX_N == 24
+    assert enumerate_distribution(24).total() == 1 << 24
+    assert close_call_table(24) == close_call_buckets(closed_distribution(24))
+    assert oracle.win_gap(24) == closed_distribution(24).win_gap()
+    # score 23 is the all-heads sequence alone
+    assert sequences_with(24, 23, "heady") == [(1,) * 24]
 
 
 def test_word_size_is_a_hard_ceiling(monkeypatch):
-    monkeypatch.setenv(oracle.CAP_ENV_VAR, "70")
-    for n in (oracle.MAX_N + 1, 65):
-        with pytest.raises(OracleCapExceeded, match="hard limit of 63"):
+    # no setting lifts the limit: the retired cap variable is ignored, and a
+    # length far past it is refused by the same message, before any work
+    monkeypatch.setenv("STREAKCOUNT_ORACLE_CAP", "70")
+    for n in (25, 63, 64, 10**9):
+        with pytest.raises(OracleCapExceeded) as refused:
             enumerate_distribution(n)
-        with pytest.raises(OracleCapExceeded, match="hard limit of 63"):
-            enumerate_distribution(n, cap=1000)
-        with pytest.raises(OracleCapExceeded, match="hard limit of 63"):
-            sequences_with(n, 0, "heady", cap=1000)
+        assert str(refused.value) == f"n={n} exceeds the oracle's enumeration limit of 24"
+        with pytest.raises(OracleCapExceeded):
+            sequences_with(n, 0, "heady")
 
 
 def test_rejects_nonpositive_length():

@@ -49,17 +49,11 @@ def test_enumeration_bounds_past_the_cap_are_refused_before_any_suite(monkeypatc
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
-    monkeypatch.delenv("STREAKCOUNT_ORACLE_CAP", raising=False)
-    with pytest.raises(ValueError, match="oracle_max=30 exceeds the enumeration cap of 24"):
-        verify.run_suites(oracle_max=30)
-    with pytest.raises(ValueError, match="gen_max=25 exceeds the enumeration cap of 24"):
-        verify.run_suites(gen_max=25)
-    # the cap's environment variable raises the limit for both bounds
-    monkeypatch.setenv("STREAKCOUNT_ORACLE_CAP", "8")
-    with pytest.raises(ValueError, match="gen_max=10 exceeds the enumeration cap of 8"):
-        verify.run_suites(max_n=64, oracle_max=4)
+    with pytest.raises(ValueError,
+                       match=r"^oracle_max=25 exceeds the oracle's enumeration limit of 24$"):
+        verify.run_suites(oracle_max=25)
     with pytest.raises(AssertionError, match="a suite ran"):
-        verify.run_suites(max_n=8, oracle_max=8, gen_max=8)
+        verify.run_suites(max_n=8, oracle_max=24, gen_max=8)
 
 
 def test_generator_bounds_past_the_sweep_limit_are_refused_before_any_suite(monkeypatch):
@@ -67,29 +61,26 @@ def test_generator_bounds_past_the_sweep_limit_are_refused_before_any_suite(monk
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
-    monkeypatch.delenv("STREAKCOUNT_ORACLE_CAP", raising=False)
-    with pytest.raises(ValueError, match="gen_max=17 exceeds the generator sweep limit of 16"):
-        verify.run_suites(gen_max=17)
-    # a higher enumeration cap does not lift the generator limit
-    monkeypatch.setenv("STREAKCOUNT_ORACLE_CAP", "30")
-    with pytest.raises(ValueError, match="gen_max=20 exceeds the generator sweep limit of 16"):
-        verify.run_suites(gen_max=20)
+    for bound in (17, 20, 25):
+        with pytest.raises(ValueError,
+                           match=f"^gen_max={bound} exceeds the generator sweep limit of 16$"):
+            verify.run_suites(gen_max=bound)
     with pytest.raises(AssertionError, match="a suite ran"):
         verify.run_suites(max_n=8, oracle_max=4, gen_max=16)
 
 
 def test_an_oracle_bound_past_the_hard_limit_is_refused_before_any_suite(monkeypatch):
-    # a cap of 70 admits oracle_max=64, but the oracle never enumerates past
-    # MAX_N, so the bound is refused before n = 1..63 are enumerated
+    # a bound far past the limit gets the same one refusal, before the
+    # oracle suite would enumerate a single length
     def ran(rec):
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
-    monkeypatch.setenv("STREAKCOUNT_ORACLE_CAP", "70")
-    with pytest.raises(ValueError, match="n=64 exceeds the oracle's hard limit of 63"):
-        verify.run_suites(max_n=2, oracle_max=64, gen_max=2)
-    with pytest.raises(AssertionError, match="a suite ran"):
-        verify.run_suites(max_n=2, oracle_max=63, gen_max=2)
+    for bound in (63, 64, 10**9):
+        with pytest.raises(ValueError,
+                           match=f"^oracle_max={bound} exceeds the oracle's enumeration "
+                                 f"limit of 24$"):
+            verify.run_suites(max_n=2, oracle_max=bound, gen_max=2)
 
 
 def test_a_lying_closed_form_is_caught_and_localized(monkeypatch):
