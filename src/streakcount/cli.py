@@ -13,7 +13,6 @@ and an interrupt with status 130, the shell's codes for SIGPIPE and SIGINT.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice
@@ -42,6 +41,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     dist = _dist_for(args.method, args.n)
     rows = _dist_rows(dist)
     if args.format == "json":
+        import json     # its only use: keep it off every other command's start-up
         payload = {"n": dist.n,
                    "rows": [{"s": s, "heady": h, "taily": t} for s, h, t in rows]}
         print(json.dumps(payload, indent=2))
@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wins", help="aggregate win, loss and tie counts")
     p.add_argument("n", type=int, help="sequence length")
     p.add_argument("--digits", type=int, default=6,
-                   help="decimal places in the share columns (default 6)")
+                   help="decimal places in the share columns, at most "
+                        f"{counting.MAX_DIGITS} (default 6)")
     p.set_defaults(run=_cmd_wins)
 
     p = sub.add_parser("table", help="close-call and gap columns over a length range")
@@ -204,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-checking invariant suites")
     p.add_argument("--max-n", type=int, default=64,
-                   help="bound for the pure-arithmetic sweeps (default 64)")
+                   help="bound for the pure-arithmetic sweeps, at most "
+                        f"{verify.MAX_N_LIMIT} (default 64)")
     p.add_argument("--oracle-max", type=int, default=12,
                    help="bound for the full-enumeration sweeps (default 12)")
     p.add_argument("--gen-max", type=int, default=None,

@@ -12,9 +12,8 @@ package close, so the distribution type keeps the two halves separate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 TossSequence = tuple[int, ...]
 
@@ -62,8 +61,7 @@ def sequence_to_text(bits: Sequence[int]) -> str:
     return "".join("1" if b else "0" for b in bits)
 
 
-@dataclass(frozen=True)
-class ScoreDistribution:
+class ScoreDistribution(NamedTuple):
     """Counts of length-n sequences keyed by score, split by final toss.
 
     heady maps score to count over sequences ending in heads, taily over
@@ -79,6 +77,7 @@ class ScoreDistribution:
         return sum(self.heady.values()) + sum(self.taily.values())
 
     def count(self, s: int) -> int:
+        # shadows tuple.count: the sequences scoring s, not a field's tally
         return self.heady.get(s, 0) + self.taily.get(s, 0)
 
     def alice_wins(self) -> int:
@@ -97,8 +96,7 @@ class ScoreDistribution:
         return self.bob_wins() - self.alice_wins()
 
 
-@dataclass(frozen=True)
-class CloseCallTable:
+class CloseCallTable(NamedTuple):
     """The ten close-call buckets for one length.
 
     Final toss crossed with the score bands s > 1, s = 1, s = 0, s = -1,

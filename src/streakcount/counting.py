@@ -23,7 +23,7 @@ value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _series, _summands
 from ._summands import binom
@@ -162,8 +162,7 @@ def decimal_ratio(num: int, den: int, digits: int) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-@dataclass(frozen=True)
-class WinOdds:
+class WinOdds(NamedTuple):
     """Win, loss and tie counts for one length, with share renderings.
 
     Shares are exact decimal strings of count / 2**n rounded half to even
@@ -186,15 +185,22 @@ class WinOdds:
         return 1 << self.n
 
 
+# most decimal places win_odds renders: its four shares of 10**7 digits
+# print in about 0.3 s and a 120 MB process, and both grow linearly
+MAX_DIGITS = 10 ** 7
+
+
 def win_odds(n: int, digits: int = 6) -> WinOdds:
     """Aggregate wins, losses and ties at length n by direct summation.
 
     Sums the closed-form counts of every score, as walked for
     closed_distribution, over the positive, negative and zero bands,
     deliberately not presupposing the single-cell identity that win_gap
-    uses.
+    uses.  digits past MAX_DIGITS is refused before any count is walked.
     """
     _require_length(n)
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits={digits} exceeds the limit of {MAX_DIGITS} decimal places")
     heady, taily = _summands.length_lists(n)
     zero = n // 2                      # index of score 0
     alice = sum(heady[zero + 1:]) + sum(taily[zero + 1:])

@@ -11,8 +11,7 @@ reports what broke; nothing in this module prints or exits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import _summands, core, counting, oracle, recurrence, signatures
 
@@ -22,9 +21,13 @@ from . import _summands, core, counting, oracle, recurrence, signatures
 # and grows about threefold in both every two lengths
 GEN_MAX_LIMIT = 16
 
+# largest max_n run_suites accepts: the arithmetic sweeps at 200 take about
+# 6.4 s, and their time grows as about max_n**3.3 (12 s at 250, past 60 s
+# at 400)
+MAX_N_LIMIT = 200
 
-@dataclass(frozen=True)
-class SuiteResult:
+
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
     checks: int
@@ -401,14 +404,13 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
     to min(10, max_n).  Each oracle enumeration scores about
     2 * 2**(n / 2) half-words, while the generator sweep builds all 2**n
     sequences of each length as tuples, in pure Python; before any suite
-    runs, oracle_max is refused past the oracle's limit, oracle.MAX_N, and
-    gen_max past GEN_MAX_LIMIT.
+    runs, max_n is refused past MAX_N_LIMIT, oracle_max past the oracle's
+    limit, oracle.MAX_N, and gen_max past GEN_MAX_LIMIT.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
     if gen_max is None:
         gen_max = min(10, max_n)
     for name, bound, limit, what in (
+            ("max_n", max_n, MAX_N_LIMIT, "the arithmetic sweep limit"),
             ("oracle_max", oracle_max, oracle.MAX_N, "the oracle's enumeration limit"),
             ("gen_max", gen_max, GEN_MAX_LIMIT, "the generator sweep limit")):
         if bound < 1:

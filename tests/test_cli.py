@@ -345,6 +345,26 @@ def test_analytic_commands_do_not_import_numpy():
     assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 0, 0] False\n", "")
 
 
+def test_cold_import_leaves_dataclasses_inspect_and_json_unloaded():
+    # a cold start pays only for what its command uses: json loads for
+    # --format json alone, and nothing loads dataclasses or its inspect chain
+    code = ("import contextlib, io, sys\n"
+            "import streakcount.cli\n"
+            "loaded = lambda: [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rcs = [streakcount.cli.main(argv) for argv in (\n"
+            "        ['wins', '10'], ['dist', '12'], ['verify', '--max-n', '8'])]\n"
+            "print(rcs, loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    streakcount.cli.main(['dist', '3', '--format', 'json'])\n"
+            "print(loaded())\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env(), timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "[]\n[0, 0, 0] []\n['json']\n"
+
+
 def test_oracle_commands_run_where_numpy_cannot_be_imported(capsys):
     # None in sys.modules makes any import of numpy raise ImportError
     code = ("import sys\n"
@@ -394,6 +414,20 @@ def test_verify_refuses_a_generator_sweep_past_its_limit_at_once():
         capture_output=True, text=True, timeout=30, env=child_env())
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == "error: gen_max=17 exceeds the generator sweep limit of 16\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["wins", "10", "--digits", str(10**20)],
+     f"error: digits={10**20} exceeds the limit of 10000000 decimal places\n"),
+    (["verify", "--max-n", "400"],
+     "error: max_n=400 exceeds the arithmetic sweep limit of 200\n"),
+], ids=["wins-digits", "verify-max-n"])
+def test_digits_and_sweep_bounds_past_their_limits_are_refused_at_once(argv, line):
+    # unbounded, the zero padding of 10**20 digits raised OverflowError and
+    # the arithmetic sweeps to 400 ran for more than a minute
+    result = subprocess.run([sys.executable, "-m", "streakcount", *argv],
+                            capture_output=True, text=True, timeout=10, env=child_env())
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", line)
 
 
 def test_closed_output_pipe_exits_quietly():
@@ -480,6 +514,15 @@ def test_wins_pads_a_million_digits_at_once():
     assert result.stdout.splitlines()[-1] == "gap_share 93/1024 0.0908203125" + "0" * 999990
 
 
+def test_wins_prints_the_largest_accepted_digits():
+    result = subprocess.run(
+        [sys.executable, "-m", "streakcount", "wins", "10", "--digits", str(counting.MAX_DIGITS)],
+        capture_output=True, timeout=10, env=child_env())
+    assert (result.returncode, result.stderr) == (0, b"")
+    last = result.stdout.splitlines()[-1]
+    assert last == b"gap_share 93/1024 0.0908203125" + b"0" * (counting.MAX_DIGITS - 10)
+
+
 def test_main_restores_the_int_to_str_limit():
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int-to-str limit")
@@ -493,6 +536,10 @@ _FUZZ_INT = st.integers(-3, 24)
 # verify bounds stay small, so one drawn run takes about 50 ms
 _FUZZ_VERIFY_INT = st.integers(-3, 8)
 _FUZZ_SIGNATURE = st.text(alphabet="+-x ", max_size=8)
+# bounds past counting.MAX_DIGITS and verify.MAX_N_LIMIT, which must be
+# refused before any work
+_FUZZ_PAST_DIGITS = st.integers(10**7 + 1, 10**30)
+_FUZZ_PAST_MAX_N = st.integers(201, 10**30)
 
 
 def _opt(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
@@ -510,7 +557,7 @@ def _fuzz_argv(draw) -> list[str]:
                     ("closed", "dp", "incremental", "oracle", "bogus"))))
                 + draw(_opt("--format", st.sampled_from(("table", "tsv", "json")))))
     if command == "wins":
-        return ["wins", n] + draw(_opt("--digits", _FUZZ_INT))
+        return ["wins", n] + draw(_opt("--digits", _FUZZ_PAST_DIGITS | _FUZZ_INT))
     if command == "table":
         return ["table"] + draw(_opt("--from", _FUZZ_INT)) + draw(_opt("--to", _FUZZ_INT))
     if command == "bfile":
@@ -520,7 +567,7 @@ def _fuzz_argv(draw) -> list[str]:
         return ["bench"] + draw(_opt("--max-n", _FUZZ_INT))
     if command == "verify":
         # --max-n is always drawn: its default of 64 takes ten times as long
-        return (["verify", "--max-n", str(draw(_FUZZ_VERIFY_INT))]
+        return (["verify", "--max-n", str(draw(_FUZZ_PAST_MAX_N | _FUZZ_VERIFY_INT))]
                 + draw(_opt("--oracle-max", _FUZZ_VERIFY_INT))
                 + draw(_opt("--gen-max", _FUZZ_VERIFY_INT)))
     sig = draw(_FUZZ_SIGNATURE)

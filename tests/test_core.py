@@ -12,7 +12,10 @@ from streakcount.core import (
     score,
     sequence_to_text,
 )
-from streakcount.counting import closed_distribution
+from streakcount.counting import closed_distribution, win_odds
+from streakcount.oracle import close_call_table, enumerate_distribution
+from streakcount.recurrence import dp_distribution
+from streakcount.verify import SuiteResult
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=40)
 
@@ -114,3 +117,23 @@ def test_close_call_buckets_cover_everything():
         table = close_call_buckets(dist)
         assert sum(table.heady_row()) + sum(table.taily_row()) == 1 << n
         assert table.h4 == dist.win_gap()
+
+
+def test_result_types_keep_their_repr_default_and_equality():
+    # the result types are NamedTuples; they must print, default and
+    # compare as they did when they were frozen dataclasses
+    odds = win_odds(3)
+    assert repr(odds) == (
+        "WinOdds(n=3, alice=2, bob=3, ties=3, gap=1, digits=6, alice_share='0.250000', "
+        "bob_share='0.375000', tie_share='0.375000', gap_share='0.125000')")
+    assert odds.total == 8 and odds._asdict()["gap_share"] == "0.125000"
+    dist = closed_distribution(3)
+    assert repr(dist) == (
+        "ScoreDistribution(n=3, heady={-1: 1, 0: 1, 1: 1, 2: 1}, taily={-1: 2, 0: 2})")
+    assert SuiteResult("x", True, 1).detail == ""
+    # count is a score's count, not tuple.count over the fields
+    assert [dist.count(s) for s in (0, 1, -1, 3, -2)] == [3, 1, 3, 0, 0]
+    for n in (1, 4, 9):
+        assert closed_distribution(n) == dp_distribution(n) == enumerate_distribution(n)
+        assert close_call_buckets(closed_distribution(n)) == close_call_table(n)
+    assert closed_distribution(4) != closed_distribution(5)

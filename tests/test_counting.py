@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streakcount import _summands
+from streakcount import _summands, counting
 from streakcount.counting import (
     binom,
     closed_distribution,
@@ -165,6 +165,19 @@ def test_win_odds_pads_the_digits_past_the_nth_with_zeros():
             ), (n, digits)
     with pytest.raises(ValueError, match="digits"):
         win_odds(3, 0)
+
+
+def test_win_odds_refuses_digits_past_the_limit_before_any_walk(monkeypatch):
+    def walked(n):
+        raise AssertionError("a table was walked before digits was checked")
+
+    monkeypatch.setattr(_summands, "length_lists", walked)
+    for digits in (counting.MAX_DIGITS + 1, 10**20):
+        with pytest.raises(ValueError, match=f"^digits={digits} exceeds the limit of "
+                                             f"10000000 decimal places$"):
+            win_odds(10, digits)
+    with pytest.raises(AssertionError, match="walked"):
+        win_odds(10, counting.MAX_DIGITS)
 
 
 def test_close_call_formula_agrees_with_single_cell():

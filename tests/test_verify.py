@@ -69,6 +69,19 @@ def test_generator_bounds_past_the_sweep_limit_are_refused_before_any_suite(monk
         verify.run_suites(max_n=8, oracle_max=4, gen_max=16)
 
 
+def test_sweep_bounds_past_the_limit_are_refused_before_any_suite(monkeypatch):
+    def ran(rec):
+        raise AssertionError("a suite ran before the bounds were checked")
+
+    monkeypatch.setattr(verify, "_base_tables", ran)
+    for bound in (verify.MAX_N_LIMIT + 1, 400, 10**9):
+        with pytest.raises(ValueError,
+                           match=f"^max_n={bound} exceeds the arithmetic sweep limit of 200$"):
+            verify.run_suites(max_n=bound)
+    with pytest.raises(AssertionError, match="a suite ran"):
+        verify.run_suites(max_n=200, oracle_max=4, gen_max=4)
+
+
 def test_an_oracle_bound_past_the_hard_limit_is_refused_before_any_suite(monkeypatch):
     # a bound far past the limit gets the same one refusal, before the
     # oracle suite would enumerate a single length
