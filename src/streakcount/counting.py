@@ -196,9 +196,12 @@ def win_odds(n: int, digits: int = 6) -> WinOdds:
     Sums the closed-form counts of every score, as walked for
     closed_distribution, over the positive, negative and zero bands,
     deliberately not presupposing the single-cell identity that win_gap
-    uses.  digits past MAX_DIGITS is refused before any count is walked.
+    uses.  digits below 1 or past MAX_DIGITS is refused before any count
+    is walked.
     """
     _require_length(n)
+    if digits < 1:
+        raise ValueError("digits must be at least 1")
     if digits > MAX_DIGITS:
         raise ValueError(f"digits={digits} exceeds the limit of {MAX_DIGITS} decimal places")
     heady, taily = _summands.length_lists(n)

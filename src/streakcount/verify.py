@@ -22,8 +22,8 @@ from . import _summands, core, counting, oracle, recurrence, signatures
 GEN_MAX_LIMIT = 16
 
 # largest max_n run_suites accepts: the arithmetic sweeps at 200 take about
-# 6.4 s, and their time grows as about max_n**3.3 (12 s at 250, past 60 s
-# at 400)
+# 2.5 s and hold about 9 MB of shared closed-form reads, and their time
+# grows as about max_n**3 (about 7 s at 283)
 MAX_N_LIMIT = 200
 
 
@@ -48,6 +48,67 @@ class _Recorder:
             raise _CheckFailed(detail)
 
 
+class _Reads:
+    """The closed forms that one run_suites call checks, each read at most once.
+
+    Several suites check the same cells and tables, so each value is read
+    off its own route once and then shared: heady_count and taily_count
+    cells as dense lists per length, indexed from score -(n // 2) - 3 up
+    to n + 2 (a score outside that falls through to a fresh call),
+    closed_distribution tables, and per heady score sigma the binomials
+    C(2j + sigma, j) from j = max(0, -sigma) on.  No route's value stands
+    in for another's.  Misses look the counting functions up at call time,
+    so a patched closed form is what every suite reads, and the object
+    lives only as long as the call that made it.
+    """
+
+    def __init__(self) -> None:
+        self._cells: tuple[dict[int, list[int | None]], ...] = ({}, {})
+        self._tables: dict[int, core.ScoreDistribution] = {}
+        self._binoms: dict[int, list[int]] = {}
+
+    def cell(self, lead: int, s: int, n: int) -> int:
+        """heady_count(s, n) for lead 0, taily_count(s, n) for lead 1."""
+        count = counting.taily_count if lead else counting.heady_count
+        cells = self._cells[lead].get(n)
+        if cells is None:
+            cells = self._cells[lead][n] = [None] * (n + n // 2 + 6)
+        i = s + n // 2 + 3
+        if not 0 <= i < len(cells):
+            return count(s, n)
+        if cells[i] is None:
+            cells[i] = count(s, n)
+        return cells[i]
+
+    def heady(self, s: int, n: int) -> int:
+        return self.cell(0, s, n)
+
+    def taily(self, s: int, n: int) -> int:
+        return self.cell(1, s, n)
+
+    def table(self, n: int) -> core.ScoreDistribution:
+        table = self._tables.get(n)
+        if table is None:
+            table = self._tables[n] = counting.closed_distribution(n)
+        return table
+
+    def keep_to(self, n_max: int) -> None:
+        """Drop the binomials and every cell and table past length n_max."""
+        for held in (*self._cells, self._tables):
+            for n in [n for n in held if n > n_max]:
+                del held[n]
+        self._binoms.clear()
+
+    def binoms(self, sigma: int, count: int) -> list[int]:
+        """At least the first count binomials C(2j + sigma, j), j from max(0, -sigma)."""
+        got = self._binoms.setdefault(sigma, [])
+        j = max(0, -sigma) + len(got)
+        while len(got) < count:
+            got.append(_summands.binom(2 * j + sigma, j))
+            j += 1
+        return got
+
+
 def _run(name: str, body: Callable[[_Recorder], None]) -> SuiteResult:
     rec = _Recorder()
     try:
@@ -65,11 +126,11 @@ _BASE = {
 }
 
 
-def _base_tables(rec: _Recorder) -> None:
+def _base_tables(rec: _Recorder, reads: _Reads) -> None:
     for n, (heady, taily) in _BASE.items():
         want = core.ScoreDistribution(n, dict(heady), dict(taily))
         for label, build in (
-            ("closed", counting.closed_distribution),
+            ("closed", reads.table),
             ("dp", recurrence.dp_distribution),
             ("incremental", recurrence.incremental_distribution),
         ):
@@ -80,14 +141,14 @@ def _base_tables(rec: _Recorder) -> None:
     odds = counting.win_odds(3)
     rec.expect((odds.alice, odds.bob, odds.ties, odds.gap) == (2, 3, 3, 1),
                f"win tallies wrong at n=3: {odds}")
-    rec.expect(counting.taily_count(-1, 4) == 3,
+    rec.expect(reads.taily(-1, 4) == 3,
                "score -1 taily count at n=4 should be 3")
 
 
-def _normalization(rec: _Recorder, max_n: int) -> None:
+def _normalization(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     # each final-toss family covers exactly half the 2**n sequences
     for n in range(1, max_n + 1):
-        dist = counting.closed_distribution(n)
+        dist = reads.table(n)
         half = 1 << (n - 1)
         rec.expect(sum(dist.heady.values()) == half,
                    f"heady counts at n={n} do not sum to 2**{n - 1}")
@@ -95,84 +156,84 @@ def _normalization(rec: _Recorder, max_n: int) -> None:
                    f"taily counts at n={n} do not sum to 2**{n - 1}")
 
 
-def _support_bounds(rec: _Recorder, max_n: int) -> None:
+def _support_bounds(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     for n in range(1, max_n + 1):
         lo, hi = counting.heady_support(n)
-        rec.expect(counting.heady_count(lo, n) > 0,
+        rec.expect(reads.heady(lo, n) > 0,
                    f"heady support low edge empty: s={lo} n={n}")
-        rec.expect(counting.heady_count(hi, n) == 1,
+        rec.expect(reads.heady(hi, n) == 1,
                    f"all-heads cell should be 1: n={n}")
         for s in (lo - 2, lo - 1, hi + 1, hi + 2):
-            rec.expect(counting.heady_count(s, n) == 0,
+            rec.expect(reads.heady(s, n) == 0,
                        f"heady count leaked outside support: s={s} n={n}")
         lo, hi = counting.taily_support(n)
-        rec.expect(counting.taily_count(lo, n) > 0,
+        rec.expect(reads.taily(lo, n) > 0,
                    f"taily support low edge empty: s={lo} n={n}")
-        rec.expect(counting.taily_count(hi, n) > 0,
+        rec.expect(reads.taily(hi, n) > 0,
                    f"taily support high edge empty: s={hi} n={n}")
         for s in (lo - 2, lo - 1, hi + 1, hi + 2):
-            rec.expect(counting.taily_count(s, n) == 0,
+            rec.expect(reads.taily(s, n) == 0,
                        f"taily count leaked outside support: s={s} n={n}")
 
 
-def _appended_toss(rec: _Recorder, max_n: int, lead: int) -> None:
+def _appended_toss(rec: _Recorder, reads: _Reads, max_n: int, lead: int) -> None:
     # an appended head (lead 0) extends a taily sequence or raises a heady one
     # by one; an appended tail (lead 1) extends a taily one or drops a heady one
-    kind, own = (("heady", counting.heady_count), ("taily", counting.taily_count))[lead]
+    kind = ("heady", "taily")[lead]
     for n in range(1, max_n):
         lo, hi = counting.score_support(n + 1)
         for s in range(lo - 1, hi + 2):
-            want = counting.taily_count(s, n) + counting.heady_count(s - 1 + 2 * lead, n)
-            rec.expect(own(s, n + 1) == want,
+            want = reads.taily(s, n) + reads.heady(s - 1 + 2 * lead, n)
+            rec.expect(reads.cell(lead, s, n + 1) == want,
                        f"{kind} recursion broken at s={s} n={n + 1}")
 
 
-def _close_call_census(rec: _Recorder, max_n: int) -> None:
+def _close_call_census(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     # two unrelated derivations of the score-one heady count must agree;
     # heady_close_calls and win_gap_step read the series stream on these
     # ascending runs, so the census sum and the cell are named directly
     for n in range(2, max_n + 1):
-        rec.expect(counting.heady_close_calls(n) == counting.heady_count(1, n)
+        rec.expect(counting.heady_close_calls(n) == reads.heady(1, n)
                    == sum(_summands.close_call_terms(n)),
                    f"close-call census disagrees with the closed form at n={n}")
     for n in range(3, max_n + 1):
-        rec.expect(counting.win_gap_step(n) == counting.heady_count(1, n - 1),
+        rec.expect(counting.win_gap_step(n) == reads.heady(1, n - 1),
                    f"gap step is not the previous close-call count at n={n}")
 
 
-def _gap_definition(rec: _Recorder, max_n: int) -> None:
+def _gap_definition(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     # the one-cell gap formula versus brute summation over every score
     for n in range(2, max_n + 1):
         gap = counting.win_gap(n)
         rec.expect(counting.win_odds(n, digits=4).gap == gap,
                    f"summed gap disagrees with the one-cell gap at n={n}")
-        rec.expect(counting.closed_distribution(n).win_gap() == gap,
+        rec.expect(reads.table(n).win_gap() == gap,
                    f"distribution gap disagrees with the one-cell gap at n={n}")
 
 
-def _gap_recursion(rec: _Recorder, max_n: int) -> None:
+def _gap_recursion(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     for n in range(2, max_n):
         # both sides read the series stream here, so the closed cell checks them
         want = counting.win_gap(n) + counting.win_gap_step(n + 1)
-        rec.expect(counting.win_gap(n + 1) == want == counting.heady_count(-1, n + 1),
+        rec.expect(counting.win_gap(n + 1) == want == reads.heady(-1, n + 1),
                    f"gap recursion broken at n={n + 1}")
-        rec.expect(counting.heady_count(-1, n + 1)
-                   == counting.heady_count(1, n) + counting.heady_count(-1, n),
+        rec.expect(reads.heady(-1, n + 1)
+                   == reads.heady(1, n) + reads.heady(-1, n),
                    f"close-call cell recursion broken at n={n + 1}")
         # the step also equals the whole gap minus the close-call imbalance
-        dist = counting.closed_distribution(n)
+        dist = reads.table(n)
         table = core.close_call_buckets(dist)
         rec.expect(
             counting.win_gap_step(n + 1) == dist.win_gap() - (table.h4 - table.h2),
             f"step-from-imbalance identity broken at n={n + 1}")
 
 
-def _gap_growth(rec: _Recorder, max_n: int) -> None:
+def _gap_growth(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     rec.expect(counting.win_gap(2) == 0, "the gap at n=2 should be 0")
     running = 0
     for n in range(3, max_n + 1):
         running += counting.win_gap_step(n)
-        rec.expect(counting.win_gap(n) == running == counting.heady_count(-1, n),
+        rec.expect(counting.win_gap(n) == running == reads.heady(-1, n),
                    f"gap does not telescope over its steps to the closed cell at n={n}")
         rec.expect(counting.win_gap(n) > counting.win_gap(n - 1),
                    f"gap should grow strictly from n=3 on, flat at n={n}")
@@ -190,17 +251,18 @@ def _rows_ok(rows: list[list[int]]) -> list[bool]:
             for m, row in enumerate(rows)]
 
 
-def _term_shape_ok(lead: int, s: int, n: int, coefs: list[int],
+def _term_shape_ok(reads: _Reads, lead: int, s: int, n: int, coefs: list[int],
                    rows_ok: list[bool]) -> bool:
     # the cell's budget row must have passed _rows_ok, and its list must hold
     # heady score s + lead's binomials, as many as the heady bound holds
     sigma, j0 = s + lead, max(0, -s - lead)
-    if not rows_ok[n - s - 1 + lead] or len(coefs) != max(0, (n - sigma - 1) // 3 - j0 + 1):
+    count = max(0, (n - sigma - 1) // 3 - j0 + 1)
+    if not rows_ok[n - s - 1 + lead] or len(coefs) != count:
         return False
-    return all(c == _summands.binom(2 * j + sigma, j) for j, c in enumerate(coefs, j0))
+    return coefs == reads.binoms(sigma, count)[:count]
 
 
-def _term_updates(rec: _Recorder, max_n: int) -> None:
+def _term_updates(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     # walk single cells from birth, one length at a time, against the
     # closed form; exercises deep positive and negative scores alike
     lo = -min(20, max_n // 2)
@@ -208,44 +270,43 @@ def _term_updates(rec: _Recorder, max_n: int) -> None:
     rows = recurrence._grow_rows([[1]], max_n - lo)
     rows_ok = _rows_ok(rows)
     for s in range(lo, hi + 1):
-        for lead, (kind, count) in enumerate((("heady", counting.heady_count),
-                                              ("taily", counting.taily_count))):
+        for lead, kind in enumerate(("heady", "taily")):
             n = recurrence._birth(lead, s)
             if n > max_n:
                 continue
             coefs: list[int] = []
             recurrence._fill(s + lead, n, coefs)
-            rec.expect(recurrence._cell(lead, s, n, coefs, rows) == count(s, n),
+            rec.expect(recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
                        f"{kind} cell wrong at birth: s={s} n={n}")
             while n < max_n:
                 n += 1
                 recurrence._fill(s + lead, n, coefs)
-                rec.expect(recurrence._cell(lead, s, n, coefs, rows) == count(s, n),
+                rec.expect(recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
                            f"{kind} term update drifted: s={s} n={n}")
-                rec.expect(_term_shape_ok(lead, s, n, coefs, rows_ok),
+                rec.expect(_term_shape_ok(reads, lead, s, n, coefs, rows_ok),
                            f"{kind} terms lost their binomial shape: s={s} n={n}")
 
 
-def _cell_table(n: int) -> core.ScoreDistribution:
+def _cell_table(reads: _Reads, n: int) -> core.ScoreDistribution:
     # the table read cell by cell off heady_count and taily_count, each cell
     # walking its own sum in k: a route apart from closed_distribution's
     # single walk over every summand of the length
     halves = []
-    for count, support in ((counting.heady_count, counting.heady_support),
-                           (counting.taily_count, counting.taily_support)):
+    for lead, support in enumerate((counting.heady_support, counting.taily_support)):
         lo, hi = support(n)
-        halves.append({s: count(s, n) for s in range(lo, hi + 1)})
+        halves.append({s: reads.cell(lead, s, n) for s in range(lo, hi + 1)})
     return core.ScoreDistribution(n, *halves)
 
 
-def _method_agreement(rec: _Recorder, max_n: int) -> None:
+def _method_agreement(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     # the DP meets the single-cell closed forms and the term vectors meet
     # the walked closed-form table, so a fault in any one route shows
     sweep_dp = recurrence.dp_sweep(max_n)
     sweep_terms = recurrence.table_sweep(max_n)
     for n, dp_dist, term_dist in zip(range(1, max_n + 1), sweep_dp, sweep_terms):
-        rec.expect(dp_dist == _cell_table(n), f"dp table disagrees with closed forms at n={n}")
-        rec.expect(term_dist == counting.closed_distribution(n),
+        rec.expect(dp_dist == _cell_table(reads, n),
+                   f"dp table disagrees with closed forms at n={n}")
+        rec.expect(term_dist == reads.table(n),
                    f"term-update table disagrees with closed forms at n={n}")
 
 
@@ -287,7 +348,7 @@ def _min_length_formula(rec: _Recorder) -> None:
                        f"taily mode accepted a '+'-ending signature: {sig!r}")
 
 
-def _insertion_census(rec: _Recorder, max_n: int) -> None:
+def _insertion_census(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     # summing the generator's closed-form counts over every realizable
     # signature must rebuild the whole distribution, score by score
     for n in range(1, max_n + 1):
@@ -299,7 +360,7 @@ def _insertion_census(rec: _Recorder, max_n: int) -> None:
                 heady[s] = heady.get(s, 0) + signatures.sequence_count(sig, n, "heady")
             if not sig.endswith("+") and signatures.min_length(sig, "taily") <= n:
                 taily[s] = taily.get(s, 0) + signatures.sequence_count(sig, n, "taily")
-        closed = counting.closed_distribution(n)
+        closed = reads.table(n)
         rec.expect(heady == closed.heady,
                    f"signature census misses the heady table at n={n}")
         rec.expect(taily == closed.taily,
@@ -366,11 +427,11 @@ def _generator_coverage(rec: _Recorder, gen_max: int) -> None:
                     f"{sig!r} {mode} n={n}")
 
 
-def _oracle_agreement(rec: _Recorder, oracle_max: int) -> None:
+def _oracle_agreement(rec: _Recorder, reads: _Reads, oracle_max: int) -> None:
     for n in range(1, oracle_max + 1):
         seen = oracle.enumerate_distribution(n)
-        closed = counting.closed_distribution(n)
-        rec.expect(seen == closed == _cell_table(n),
+        closed = reads.table(n)
+        rec.expect(seen == closed == _cell_table(reads, n),
                    f"enumeration disagrees with closed forms at n={n}")
         table = core.close_call_buckets(closed)
         rec.expect(oracle.close_call_table(n) == table,
@@ -384,7 +445,7 @@ def _oracle_agreement(rec: _Recorder, oracle_max: int) -> None:
             rec.expect(table.h4 == counting.win_gap(n),
                        f"the gap should sit in the score minus-one heady bucket, n={n}")
     n = min(oracle_max, 6)
-    dist = counting.closed_distribution(n)
+    dist = reads.table(n)
     for mode, counts in (("heady", dist.heady), ("taily", dist.taily)):
         want_last = 1 if mode == "heady" else 0
         for s, c in counts.items():
@@ -417,22 +478,30 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
             raise ValueError(f"{name} must be at least 1, got {bound}")
         if bound > limit:
             raise ValueError(f"{name}={bound} exceeds {what} of {limit}")
-    suites: list[tuple[str, Callable[[_Recorder], None]]] = [
-        ("base-tables", _base_tables),
-        ("normalization", lambda rec: _normalization(rec, max_n)),
-        ("support-bounds", lambda rec: _support_bounds(rec, max_n)),
-        ("heady-recursion", lambda rec: _appended_toss(rec, max_n, 0)),
-        ("taily-recursion", lambda rec: _appended_toss(rec, max_n, 1)),
-        ("close-call-census", lambda rec: _close_call_census(rec, max_n)),
-        ("gap-definition", lambda rec: _gap_definition(rec, max_n)),
-        ("gap-recursion", lambda rec: _gap_recursion(rec, max_n)),
-        ("gap-growth", lambda rec: _gap_growth(rec, max_n)),
-        ("term-updates", lambda rec: _term_updates(rec, max_n)),
-        ("method-agreement", lambda rec: _method_agreement(rec, max_n)),
+    census_max = min(gen_max + 2, 14)
+    reads = _Reads()
+    arithmetic: list[tuple[str, Callable[[_Recorder], None]]] = [
+        ("base-tables", lambda rec: _base_tables(rec, reads)),
+        ("normalization", lambda rec: _normalization(rec, reads, max_n)),
+        ("support-bounds", lambda rec: _support_bounds(rec, reads, max_n)),
+        ("heady-recursion", lambda rec: _appended_toss(rec, reads, max_n, 0)),
+        ("taily-recursion", lambda rec: _appended_toss(rec, reads, max_n, 1)),
+        ("close-call-census", lambda rec: _close_call_census(rec, reads, max_n)),
+        ("gap-definition", lambda rec: _gap_definition(rec, reads, max_n)),
+        ("gap-recursion", lambda rec: _gap_recursion(rec, reads, max_n)),
+        ("gap-growth", lambda rec: _gap_growth(rec, reads, max_n)),
+        ("term-updates", lambda rec: _term_updates(rec, reads, max_n)),
+        ("method-agreement", lambda rec: _method_agreement(rec, reads, max_n)),
+    ]
+    enumeration: list[tuple[str, Callable[[_Recorder], None]]] = [
         ("min-length-formula", _min_length_formula),
-        ("insertion-census", lambda rec: _insertion_census(rec, min(gen_max + 2, 14))),
+        ("insertion-census", lambda rec: _insertion_census(rec, reads, census_max)),
         ("insertion-bijection", lambda rec: _insertion_bijection(rec, 7)),
         ("generator-coverage", lambda rec: _generator_coverage(rec, gen_max)),
-        ("oracle-agreement", lambda rec: _oracle_agreement(rec, oracle_max)),
+        ("oracle-agreement", lambda rec: _oracle_agreement(rec, reads, oracle_max)),
     ]
-    return [_run(name, body) for name, body in suites]
+    results = [_run(name, body) for name, body in arithmetic]
+    # the generator sweep sets the run's peak memory, so drop every read
+    # the enumeration suites cannot reach before it
+    reads.keep_to(max(census_max, oracle_max))
+    return results + [_run(name, body) for name, body in enumeration]

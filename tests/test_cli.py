@@ -419,12 +419,14 @@ def test_verify_refuses_a_generator_sweep_past_its_limit_at_once():
 @pytest.mark.parametrize("argv, line", [
     (["wins", "10", "--digits", str(10**20)],
      f"error: digits={10**20} exceeds the limit of 10000000 decimal places\n"),
+    (["wins", "5000", "--digits", "0"], "error: digits must be at least 1\n"),
     (["verify", "--max-n", "400"],
      "error: max_n=400 exceeds the arithmetic sweep limit of 200\n"),
-], ids=["wins-digits", "verify-max-n"])
+], ids=["wins-digits", "wins-digits-zero", "verify-max-n"])
 def test_digits_and_sweep_bounds_past_their_limits_are_refused_at_once(argv, line):
-    # unbounded, the zero padding of 10**20 digits raised OverflowError and
-    # the arithmetic sweeps to 400 ran for more than a minute
+    # unbounded, the zero padding of 10**20 digits raised OverflowError, the
+    # arithmetic sweeps to 400 ran for more than a minute, and zero digits
+    # were refused only after the whole length-5000 table was walked
     result = subprocess.run([sys.executable, "-m", "streakcount", *argv],
                             capture_output=True, text=True, timeout=10, env=child_env())
     assert (result.returncode, result.stdout, result.stderr) == (1, "", line)

@@ -45,7 +45,7 @@ def test_bound_validation():
 
 
 def test_enumeration_bounds_past_the_cap_are_refused_before_any_suite(monkeypatch):
-    def ran(rec):
+    def ran(rec, reads):
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
@@ -57,7 +57,7 @@ def test_enumeration_bounds_past_the_cap_are_refused_before_any_suite(monkeypatc
 
 
 def test_generator_bounds_past_the_sweep_limit_are_refused_before_any_suite(monkeypatch):
-    def ran(rec):
+    def ran(rec, reads):
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
@@ -70,7 +70,7 @@ def test_generator_bounds_past_the_sweep_limit_are_refused_before_any_suite(monk
 
 
 def test_sweep_bounds_past_the_limit_are_refused_before_any_suite(monkeypatch):
-    def ran(rec):
+    def ran(rec, reads):
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
@@ -85,7 +85,7 @@ def test_sweep_bounds_past_the_limit_are_refused_before_any_suite(monkeypatch):
 def test_an_oracle_bound_past_the_hard_limit_is_refused_before_any_suite(monkeypatch):
     # a bound far past the limit gets the same one refusal, before the
     # oracle suite would enumerate a single length
-    def ran(rec):
+    def ran(rec, reads):
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
@@ -110,6 +110,49 @@ def test_a_lying_closed_form_is_caught_and_localized(monkeypatch):
     assert "oracle-agreement" in failed
     # suites that never consult the corrupted cell stay green
     assert "min-length-formula" not in failed
+
+
+def test_no_closed_form_read_outlives_its_call(monkeypatch):
+    # an honest run first, so any read kept past its call would hide the lie
+    bounds = dict(max_n=8, oracle_max=8, gen_max=5)
+    assert failed_names(verify.run_suites(**bounds)) == set()
+    honest = counting.taily_count
+
+    def dishonest(s, n):
+        value = honest(s, n)
+        return value + 1 if (s, n) == (-1, 7) else value
+
+    monkeypatch.setattr(counting, "taily_count", dishonest)
+    failed = failed_names(verify.run_suites(**bounds))
+    assert {"heady-recursion", "taily-recursion", "method-agreement"} <= failed
+    monkeypatch.undo()
+    results = verify.run_suites(**bounds)
+    assert [r.name for r in results] == SUITE_NAMES
+    assert failed_names(results) == set()
+
+
+def test_check_counts_away_from_the_default_bounds():
+    # every suite's check count at one non-default setting, as the suites
+    # counted them before their closed-form reads were shared
+    results = verify.run_suites(max_n=40, oracle_max=10, gen_max=8)
+    assert [(r.name, r.ok, r.checks) for r in results] == [
+        ("base-tables", True, 12),
+        ("normalization", True, 80),
+        ("support-bounds", True, 480),
+        ("heady-recursion", True, 1297),
+        ("taily-recursion", True, 1297),
+        ("close-call-census", True, 77),
+        ("gap-definition", True, 78),
+        ("gap-recursion", True, 114),
+        ("gap-growth", True, 116),
+        ("term-updates", True, 3915),
+        ("method-agreement", True, 80),
+        ("min-length-formula", True, 4080),
+        ("insertion-census", True, 20),
+        ("insertion-bijection", True, 441),
+        ("generator-coverage", True, 1015),
+        ("oracle-agreement", True, 78),
+    ]
 
 
 def test_a_lying_generator_census_is_caught(monkeypatch):
