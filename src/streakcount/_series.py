@@ -52,8 +52,9 @@ wherever it starts: a loop from a large length (the table command reads
 n + 1, then n) pays one walk and the five-walk seed on its first two
 calls, then steps.  A far cell asked for again and again walks each time.
 
-Threads.  read takes the cursor tuple once at the start and stores a new
-one once at the end.  Concurrent callers can only overwrite each other's
+Threads.  read takes the cursor tuple and the latest miss once at the
+start, and stores a new cursor once at the end or a new miss just before
+it returns None.  Concurrent callers can only overwrite each other's
 progress, or the latest miss, and lose a resume; none can see a torn
 state.
 """
@@ -106,14 +107,14 @@ def seeded(m: int) -> Cursor:
 def read(i: int) -> tuple[int, int] | None:
     """(y[i], S(i)) from the cursor, or None where a closed form is cheaper."""
     global _cursor, _last_miss
-    cursor = _cursor
+    cursor, last = _cursor, _last_miss
     if i < cursor[0] - 3:
         cursor = SEEDS
     if i > cursor[0]:
         if i - cursor[0] <= i // RESUME_SHARE:
             cursor = advance(cursor, i)
-        elif 0 < abs(i - _last_miss) <= 3:
-            cursor = seeded(max(i, _last_miss))
+        elif 0 < abs(i - last) <= 3:
+            cursor = seeded(max(i, last))
         else:
             _last_miss = i
             return None

@@ -91,7 +91,10 @@ _TOSS_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    seqs = signatures.generate_sequences(args.signature, args.length, args.mode,
+    # argparse before Python 3.13 strips a lone "--" out of an option's
+    # value, so --signature=-- arrives as an empty list; 3.13 passes "--"
+    signature = "--" if args.signature == [] else args.signature
+    seqs = signatures.generate_sequences(signature, args.length, args.mode,
                                          args.fixed_leading_one)
     count = 0
     # one write per batch of lines; a batch stays small enough to keep

@@ -22,8 +22,9 @@ from . import _summands, core, counting, oracle, recurrence, signatures
 GEN_MAX_LIMIT = 16
 
 # largest max_n run_suites accepts: the arithmetic sweeps at 200 take about
-# 2.5 s and hold about 9 MB of shared closed-form reads, and their time
-# grows as about max_n**3 (about 7 s at 283)
+# 2.5 s and share about 8 MB of closed-form reads, dropped before the
+# enumeration suites start, and their time grows as about max_n**3 (about
+# 7 s at 283)
 MAX_N_LIMIT = 200
 
 
@@ -49,36 +50,33 @@ class _Recorder:
 
 
 class _Reads:
-    """The closed forms that one run_suites call checks, each read at most once.
+    """The closed forms that one group of suites checks, each read at most once.
 
     Several suites check the same cells and tables, so each value is read
-    off its own route once and then shared: heady_count and taily_count
-    cells as dense lists per length, indexed from score -(n // 2) - 3 up
-    to n + 2 (a score outside that falls through to a fresh call),
-    closed_distribution tables, and per heady score sigma the binomials
-    C(2j + sigma, j) from j = max(0, -sigma) on.  No route's value stands
-    in for another's.  Misses look the counting functions up at call time,
-    so a patched closed form is what every suite reads, and the object
-    lives only as long as the call that made it.
+    off its own route once and then shared: on first use of a length, its
+    heady_count and taily_count cells as two dense lists over scores
+    -(n // 2) - 3 .. n + 2 (a score outside that falls through to a fresh
+    call), and closed_distribution tables.  No route's value stands in for
+    another's.  Reads look the counting functions up at read time, so a
+    patched closed form is what every suite reads, and the object lives
+    only as long as the group of suites that shares it.
     """
 
     def __init__(self) -> None:
-        self._cells: tuple[dict[int, list[int | None]], ...] = ({}, {})
+        self._rows: dict[int, tuple[list[int], list[int]]] = {}
         self._tables: dict[int, core.ScoreDistribution] = {}
-        self._binoms: dict[int, list[int]] = {}
 
     def cell(self, lead: int, s: int, n: int) -> int:
         """heady_count(s, n) for lead 0, taily_count(s, n) for lead 1."""
-        count = counting.taily_count if lead else counting.heady_count
-        cells = self._cells[lead].get(n)
-        if cells is None:
-            cells = self._cells[lead][n] = [None] * (n + n // 2 + 6)
+        rows = self._rows.get(n)
+        if rows is None:
+            scores = range(-(n // 2) - 3, n + 3)
+            rows = self._rows[n] = ([counting.heady_count(t, n) for t in scores],
+                                    [counting.taily_count(t, n) for t in scores])
         i = s + n // 2 + 3
-        if not 0 <= i < len(cells):
-            return count(s, n)
-        if cells[i] is None:
-            cells[i] = count(s, n)
-        return cells[i]
+        if 0 <= i < len(rows[lead]):
+            return rows[lead][i]
+        return (counting.taily_count if lead else counting.heady_count)(s, n)
 
     def heady(self, s: int, n: int) -> int:
         return self.cell(0, s, n)
@@ -92,27 +90,11 @@ class _Reads:
             table = self._tables[n] = counting.closed_distribution(n)
         return table
 
-    def keep_to(self, n_max: int) -> None:
-        """Drop the binomials and every cell and table past length n_max."""
-        for held in (*self._cells, self._tables):
-            for n in [n for n in held if n > n_max]:
-                del held[n]
-        self._binoms.clear()
 
-    def binoms(self, sigma: int, count: int) -> list[int]:
-        """At least the first count binomials C(2j + sigma, j), j from max(0, -sigma)."""
-        got = self._binoms.setdefault(sigma, [])
-        j = max(0, -sigma) + len(got)
-        while len(got) < count:
-            got.append(_summands.binom(2 * j + sigma, j))
-            j += 1
-        return got
-
-
-def _run(name: str, body: Callable[[_Recorder], None]) -> SuiteResult:
+def _run(name: str, body: Callable[..., None], *args: object) -> SuiteResult:
     rec = _Recorder()
     try:
-        body(rec)
+        body(rec, *args)
     except _CheckFailed as stop:
         return SuiteResult(name, False, rec.checks, str(stop))
     return SuiteResult(name, True, rec.checks)
@@ -251,20 +233,12 @@ def _rows_ok(rows: list[list[int]]) -> list[bool]:
             for m, row in enumerate(rows)]
 
 
-def _term_shape_ok(reads: _Reads, lead: int, s: int, n: int, coefs: list[int],
-                   rows_ok: list[bool]) -> bool:
-    # the cell's budget row must have passed _rows_ok, and its list must hold
-    # heady score s + lead's binomials, as many as the heady bound holds
-    sigma, j0 = s + lead, max(0, -s - lead)
-    count = max(0, (n - sigma - 1) // 3 - j0 + 1)
-    if not rows_ok[n - s - 1 + lead] or len(coefs) != count:
-        return False
-    return coefs == reads.binoms(sigma, count)[:count]
-
-
 def _term_updates(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     # walk single cells from birth, one length at a time, against the
-    # closed form; exercises deep positive and negative scores alike
+    # closed form; exercises deep positive and negative scores alike.
+    # A walked cell keeps its shape while its budget row passed _rows_ok
+    # and its list equals the reference grown beside it, heady score
+    # s + lead's binomials C(2j + s + lead, j) up to the heady bound
     lo = -min(20, max_n // 2)
     hi = min(20, max_n - 1)
     rows = recurrence._grow_rows([[1]], max_n - lo)
@@ -274,16 +248,20 @@ def _term_updates(rec: _Recorder, reads: _Reads, max_n: int) -> None:
             n = recurrence._birth(lead, s)
             if n > max_n:
                 continue
+            sigma, j0 = s + lead, max(0, -s - lead)
             coefs: list[int] = []
-            recurrence._fill(s + lead, n, coefs)
+            want: list[int] = []
+            recurrence._fill(sigma, n, coefs)
             rec.expect(recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
                        f"{kind} cell wrong at birth: s={s} n={n}")
             while n < max_n:
                 n += 1
-                recurrence._fill(s + lead, n, coefs)
+                recurrence._fill(sigma, n, coefs)
+                for j in range(j0 + len(want), (n - sigma - 1) // 3 + 1):
+                    want.append(_summands.binom(2 * j + sigma, j))
                 rec.expect(recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
                            f"{kind} term update drifted: s={s} n={n}")
-                rec.expect(_term_shape_ok(reads, lead, s, n, coefs, rows_ok),
+                rec.expect(rows_ok[n - s - 1 + lead] and coefs == want,
                            f"{kind} terms lost their binomial shape: s={s} n={n}")
 
 
@@ -350,20 +328,22 @@ def _min_length_formula(rec: _Recorder) -> None:
 
 def _insertion_census(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     # summing the generator's closed-form counts over every realizable
-    # signature must rebuild the whole distribution, score by score
+    # signature must rebuild the whole distribution, score by score; a
+    # signature's score and shortest lengths do not depend on n, so each
+    # signature is visited once and counted into every length it fits.
+    # Every length starts from its one mark-free sequence per final toss
+    census = {mode: [{0: 1} for _ in range(max_n + 1)] for mode in ("heady", "taily")}
+    for sig in _all_signatures(max_n - 1):
+        s = signatures.signature_score(sig)
+        for mode in ["heady"] if sig.endswith("+") else ["heady", "taily"]:
+            tables = census[mode]
+            for n in range(signatures.min_length(sig, mode), max_n + 1):
+                tables[n][s] = tables[n].get(s, 0) + signatures.sequence_count(sig, n, mode)
     for n in range(1, max_n + 1):
-        heady: dict[int, int] = {0: 1}     # the lone mark-free heady sequence
-        taily: dict[int, int] = {0: 1}     # the all-tails sequence
-        for sig in _all_signatures(max(0, n - 1)):
-            s = signatures.signature_score(sig)
-            if signatures.min_length(sig, "heady") <= n:
-                heady[s] = heady.get(s, 0) + signatures.sequence_count(sig, n, "heady")
-            if not sig.endswith("+") and signatures.min_length(sig, "taily") <= n:
-                taily[s] = taily.get(s, 0) + signatures.sequence_count(sig, n, "taily")
         closed = reads.table(n)
-        rec.expect(heady == closed.heady,
+        rec.expect(census["heady"][n] == closed.heady,
                    f"signature census misses the heady table at n={n}")
-        rec.expect(taily == closed.taily,
+        rec.expect(census["taily"][n] == closed.taily,
                    f"signature census misses the taily table at n={n}")
 
 
@@ -479,29 +459,31 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
         if bound > limit:
             raise ValueError(f"{name}={bound} exceeds {what} of {limit}")
     census_max = min(gen_max + 2, 14)
-    reads = _Reads()
-    arithmetic: list[tuple[str, Callable[[_Recorder], None]]] = [
-        ("base-tables", lambda rec: _base_tables(rec, reads)),
-        ("normalization", lambda rec: _normalization(rec, reads, max_n)),
-        ("support-bounds", lambda rec: _support_bounds(rec, reads, max_n)),
-        ("heady-recursion", lambda rec: _appended_toss(rec, reads, max_n, 0)),
-        ("taily-recursion", lambda rec: _appended_toss(rec, reads, max_n, 1)),
-        ("close-call-census", lambda rec: _close_call_census(rec, reads, max_n)),
-        ("gap-definition", lambda rec: _gap_definition(rec, reads, max_n)),
-        ("gap-recursion", lambda rec: _gap_recursion(rec, reads, max_n)),
-        ("gap-growth", lambda rec: _gap_growth(rec, reads, max_n)),
-        ("term-updates", lambda rec: _term_updates(rec, reads, max_n)),
-        ("method-agreement", lambda rec: _method_agreement(rec, reads, max_n)),
+    arithmetic: list[tuple[str, Callable[[_Recorder, _Reads], None]]] = [
+        ("base-tables", _base_tables),
+        ("normalization", lambda rec, reads: _normalization(rec, reads, max_n)),
+        ("support-bounds", lambda rec, reads: _support_bounds(rec, reads, max_n)),
+        ("heady-recursion", lambda rec, reads: _appended_toss(rec, reads, max_n, 0)),
+        ("taily-recursion", lambda rec, reads: _appended_toss(rec, reads, max_n, 1)),
+        ("close-call-census", lambda rec, reads: _close_call_census(rec, reads, max_n)),
+        ("gap-definition", lambda rec, reads: _gap_definition(rec, reads, max_n)),
+        ("gap-recursion", lambda rec, reads: _gap_recursion(rec, reads, max_n)),
+        ("gap-growth", lambda rec, reads: _gap_growth(rec, reads, max_n)),
+        ("term-updates", lambda rec, reads: _term_updates(rec, reads, max_n)),
+        ("method-agreement", lambda rec, reads: _method_agreement(rec, reads, max_n)),
     ]
-    enumeration: list[tuple[str, Callable[[_Recorder], None]]] = [
-        ("min-length-formula", _min_length_formula),
-        ("insertion-census", lambda rec: _insertion_census(rec, reads, census_max)),
-        ("insertion-bijection", lambda rec: _insertion_bijection(rec, 7)),
-        ("generator-coverage", lambda rec: _generator_coverage(rec, gen_max)),
-        ("oracle-agreement", lambda rec: _oracle_agreement(rec, reads, oracle_max)),
+    enumeration: list[tuple[str, Callable[[_Recorder, _Reads], None]]] = [
+        ("min-length-formula", lambda rec, _: _min_length_formula(rec)),
+        ("insertion-census", lambda rec, reads: _insertion_census(rec, reads, census_max)),
+        ("insertion-bijection", lambda rec, _: _insertion_bijection(rec, 7)),
+        ("generator-coverage", lambda rec, _: _generator_coverage(rec, gen_max)),
+        ("oracle-agreement", lambda rec, reads: _oracle_agreement(rec, reads, oracle_max)),
     ]
-    results = [_run(name, body) for name, body in arithmetic]
-    # the generator sweep sets the run's peak memory, so drop every read
-    # the enumeration suites cannot reach before it
-    reads.keep_to(max(census_max, oracle_max))
-    return results + [_run(name, body) for name, body in enumeration]
+    results: list[SuiteResult] = []
+    for suites in (arithmetic, enumeration):
+        # each group shares its own reads, dropped before the next group
+        # starts: the generator sweep sets the run's peak memory, and the
+        # enumeration suites' lengths are short enough to read again
+        reads = _Reads()
+        results += [_run(name, body, reads) for name, body in suites]
+    return results

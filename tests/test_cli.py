@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streakcount
-from streakcount import _summands, cli, counting
+from streakcount import _summands, cli, counting, signatures
 
 from reference_values import CLOSE_CALL_ROWS
 
@@ -226,6 +226,16 @@ def test_gen_equals_form_and_pinned_head(capsys):
     assert all(line.startswith("1") for line in lines[:-1])
 
 
+def test_gen_double_minus_signature_is_not_lost(capsys):
+    # argparse before 3.13 turns the value of --signature=-- into []
+    rc, out, err = run(capsys, "gen", "--signature=--", "--length", "8", "--mode", "taily")
+    want = ["".join(map(str, bits))
+            for bits in signatures.generate_sequences("--", 8, "taily")]
+    assert (rc, err) == (0, "")
+    assert len(want) == 15
+    assert out == "\n".join(want) + "\ncount 15\n"
+
+
 def test_gen_minimal_case(capsys):
     rc, out, _ = run(capsys, "gen", "--signature", "+", "--length", "2")
     assert (rc, out) == (0, "11\ncount 1\n")
@@ -435,13 +445,13 @@ def test_digits_and_sweep_bounds_past_their_limits_are_refused_at_once(argv, lin
 def test_closed_output_pipe_exits_quietly():
     # far more output than a pipe buffer holds, so the writer meets the
     # closed pipe while it still has lines to print
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "streakcount", "gen", "--signature=+-", "--length", "1000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen(
+            [sys.executable, "-m", "streakcount", "gen", "--signature=+-", "--length", "1000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert first.rstrip().endswith(b"1101") and stderr == b""
 
 

@@ -163,6 +163,19 @@ def test_ascending_reach_to_scattered_lengths(cursor):
     assert _series._cursor[0] == 20001
 
 
+def test_a_miss_stored_mid_read_does_not_move_the_seed(cursor, monkeypatch):
+    # another thread's miss at 5000 lands between read's check that 401
+    # follows the miss at 400 and the seed: the seed must stay at 401
+    def abs_then_far_miss(x):
+        monkeypatch.setattr(_series, "_last_miss", 5000)
+        return abs(x)
+
+    assert win_gap(400) == heady_count(-1, 400)     # a lone miss
+    monkeypatch.setattr(_series, "abs", abs_then_far_miss, raising=False)
+    assert win_gap(401) == heady_count(-1, 401)
+    assert _series._cursor == at(401)
+
+
 def test_inexact_step_raises(cursor, monkeypatch):
     m, (a, b, c, d), total = at(40)
     monkeypatch.setattr(_series, "_cursor", (m, (a, b, c, d + 1), total + 1))

@@ -1,6 +1,8 @@
+import weakref
+
 import pytest
 
-from streakcount import _series, counting, signatures, verify
+from streakcount import _series, counting, recurrence, signatures, verify
 
 SUITE_NAMES = [
     "base-tables",
@@ -185,3 +187,62 @@ def test_a_stream_with_doubled_seeds_fails_the_gap_suites(monkeypatch):
     assert {"gap-recursion", "gap-growth"} <= failed
     detail = next(r.detail for r in results if r.name == "gap-growth")
     assert "telescope" in detail and "n=3" in detail
+
+
+def test_insertion_census_reads_each_signature_once(monkeypatch):
+    # a signature's shortest lengths do not depend on n: one min_length
+    # call per signature of up to 11 marks and mode, 4,094 heady and
+    # 2,047 taily (signatures ending in '-')
+    honest = signatures.min_length
+    calls = []
+
+    def counted(sig, mode="heady"):
+        calls.append((sig, mode))
+        return honest(sig, mode)
+
+    monkeypatch.setattr(signatures, "min_length", counted)
+    rec = verify._Recorder()
+    verify._insertion_census(rec, verify._Reads(), 12)
+    assert rec.checks == 24
+    assert len(calls) <= 4094 + 2047
+
+
+def test_a_corrupted_coefficient_fails_the_term_shape_check(monkeypatch):
+    # sigma = 3's third coefficient C(7, 2) = 21 one too big: taily score 2
+    # reads sigma 3's list but not its last entry at n = 10, so only the
+    # shape check sees it there
+    honest = recurrence._fill
+
+    def corrupted(sigma, n, coefs):
+        honest(sigma, n, coefs)
+        if sigma == 3 and len(coefs) >= 3 and coefs[2] == 21:
+            coefs[2] += 1
+        return coefs
+
+    monkeypatch.setattr(recurrence, "_fill", corrupted)
+    results = {r.name: r for r in verify.run_suites(max_n=30, oracle_max=6, gen_max=5)}
+    term = results["term-updates"]
+    assert (term.ok, term.checks, term.detail) == (
+        False, 1131, "taily terms lost their binomial shape: s=2 n=10")
+    assert not results["method-agreement"].ok
+
+
+def test_arithmetic_reads_are_gone_before_the_enumeration_suites(monkeypatch):
+    # the generator sweep sets the run's peak memory, so the reads the
+    # arithmetic suites shared must not live on beneath it
+    honest_base, honest_min = verify._base_tables, verify._min_length_formula
+    held, alive = [], []
+
+    def base_tables(rec, reads):
+        held.append(weakref.ref(reads))
+        honest_base(rec, reads)
+
+    def min_length_formula(rec):
+        alive.append(held[0]() is not None)
+        honest_min(rec)
+
+    monkeypatch.setattr(verify, "_base_tables", base_tables)
+    monkeypatch.setattr(verify, "_min_length_formula", min_length_formula)
+    results = verify.run_suites(max_n=8, oracle_max=6, gen_max=5)
+    assert failed_names(results) == set()
+    assert alive == [False]
