@@ -68,10 +68,13 @@ Cursor = tuple[int, tuple[int, int, int, int], int]
 SEEDS: Cursor = (3, (1, 0, 0, 2), 2)
 
 # A step costs one pass over an n-bit number, a closed-form walk n / 3 terms
-# of multi-digit ratios.  Measured on a 2-core Xeon (Python 3.11.7, best of
-# three), stepping the last quarter of the way to n costs 0.5-0.8 times the
-# walk at n for n from 1000 to 20000 (1.1 times at n = 200, where both take
-# tens of microseconds); stepping a third of the way costs 0.7-1.6 times it.
+# summed in blocks of ratio steps (see _summands.block_sum).  Measured on a
+# 2-core Xeon (Python 3.11.7, median of five bests of three), stepping the
+# last quarter of the way to n costs 0.7-0.8 times the walk at n for n from
+# 1000 to 3000, 1.0 times at 5000 and 1.4-1.7 times from 10000 to 30000; a
+# fifth costs 0.5-0.8 and 1.2-1.4 times it.  A quarter stays: a step also
+# leaves the cursor at n, so an ascending loop that jumps goes on stepping,
+# where a walk leaves its next length a miss that seeds in five more walks.
 RESUME_SHARE = 4
 
 _cursor: Cursor = SEEDS
@@ -100,8 +103,8 @@ def seeded(m: int) -> Cursor:
     summed as counting.heady_count sums it (the terms at spare budget
     n - s - 1).
     """
-    window = tuple(2 * sum(_summands.terms(1, t - 3, 0)) for t in range(m - 3, m + 1))
-    return m, window, 2 * sum(_summands.terms(-1, m, 0))
+    window = tuple(2 * _summands.term_sum(1, t - 3, 0) for t in range(m - 3, m + 1))
+    return m, window, 2 * _summands.term_sum(-1, m, 0)
 
 
 def read(i: int) -> tuple[int, int] | None:

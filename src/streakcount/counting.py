@@ -4,13 +4,13 @@ All arithmetic is integer and exact.  Each closed form is a sum of
 products of two binomials; the sums are evaluated by exact term ratios
 (see _summands): one starting term, then one multiply-then-divide per
 step instead of two fresh binomials, with values identical to summing
-the products directly.  A single cell walks its own sum in k.  A whole
-table walks every summand of its length once, along the diagonals of
-fixed N = 2k + s where the ratio is shortest, into two dense lists that
-also give the win tallies.  The binomial convention C(a, b) = 0 for
-a < 0, b < 0 or b > a makes every summation bound self-truncating, so the
-formulas return 0 outside their supported score ranges without any
-separate casing.
+the products directly.  A single cell walks its own sum in k, in blocks
+of steps when the walk is long.  A whole table walks every summand of its
+length once, along the diagonals of fixed N = 2k + s where the ratio is
+shortest, into two dense lists that also give the win tallies.  The
+binomial convention C(a, b) = 0 for a < 0, b < 0 or b > a makes every
+summation bound self-truncating, so the formulas return 0 outside their
+supported score ranges without any separate casing.
 
 The three series functions, heady_close_calls, win_gap and win_gap_step,
 also read from one P-recursive stream (see _series): a loop over
@@ -44,7 +44,7 @@ def heady_count(s: int, n: int) -> int:
     tails.
     """
     _require_length(n)
-    return sum(_summands.terms(s, n - s - 1, 0))
+    return _summands.term_sum(s, n - s - 1, 0)
 
 
 def taily_count(s: int, n: int) -> int:
@@ -56,7 +56,7 @@ def taily_count(s: int, n: int) -> int:
     the sequence, leaving C(2k + s - 1, k - 1) orderings.
     """
     _require_length(n)
-    return (1 if s == 0 else 0) + sum(_summands.terms(s, n - s, 1))
+    return (1 if s == 0 else 0) + _summands.term_sum(s, n - s, 1)
 
 
 def heady_support(n: int) -> tuple[int, int]:
@@ -116,7 +116,7 @@ def heady_close_calls(n: int) -> int:
     """
     _require_length(n, 2)
     got = _series.read(n + 1)
-    return sum(_summands.close_call_terms(n)) if got is None else got[0] // 2
+    return _summands.close_call_sum(n) if got is None else got[0] // 2
 
 
 def win_gap(n: int) -> int:

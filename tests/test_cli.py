@@ -432,11 +432,14 @@ def test_verify_refuses_a_generator_sweep_past_its_limit_at_once():
     (["wins", "5000", "--digits", "0"], "error: digits must be at least 1\n"),
     (["verify", "--max-n", "400"],
      "error: max_n=400 exceeds the arithmetic sweep limit of 200\n"),
-], ids=["wins-digits", "wins-digits-zero", "verify-max-n"])
+    (["table", "--from", "1000000000", "--to", "1000000001"],
+     "error: --from 1000000000 exceeds the table's start limit of 50000\n"),
+], ids=["wins-digits", "wins-digits-zero", "verify-max-n", "table-from"])
 def test_digits_and_sweep_bounds_past_their_limits_are_refused_at_once(argv, line):
     # unbounded, the zero padding of 10**20 digits raised OverflowError, the
-    # arithmetic sweeps to 400 ran for more than a minute, and zero digits
-    # were refused only after the whole length-5000 table was walked
+    # arithmetic sweeps to 400 ran for more than a minute, zero digits were
+    # refused only after the whole length-5000 table was walked, and a table
+    # from 10**9 printed nothing for minutes
     result = subprocess.run([sys.executable, "-m", "streakcount", *argv],
                             capture_output=True, text=True, timeout=10, env=child_env())
     assert (result.returncode, result.stdout, result.stderr) == (1, "", line)
@@ -548,10 +551,11 @@ _FUZZ_INT = st.integers(-3, 24)
 # verify bounds stay small, so one drawn run takes about 50 ms
 _FUZZ_VERIFY_INT = st.integers(-3, 8)
 _FUZZ_SIGNATURE = st.text(alphabet="+-x ", max_size=8)
-# bounds past counting.MAX_DIGITS and verify.MAX_N_LIMIT, which must be
-# refused before any work
+# bounds past counting.MAX_DIGITS, verify.MAX_N_LIMIT and the table's first
+# length limit, which must be refused before any work
 _FUZZ_PAST_DIGITS = st.integers(10**7 + 1, 10**30)
 _FUZZ_PAST_MAX_N = st.integers(201, 10**30)
+_FUZZ_PAST_FROM = st.integers(cli._FROM_LIMIT + 1, 10**30)
 
 
 def _opt(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
@@ -571,7 +575,8 @@ def _fuzz_argv(draw) -> list[str]:
     if command == "wins":
         return ["wins", n] + draw(_opt("--digits", _FUZZ_PAST_DIGITS | _FUZZ_INT))
     if command == "table":
-        return ["table"] + draw(_opt("--from", _FUZZ_INT)) + draw(_opt("--to", _FUZZ_INT))
+        return (["table"] + draw(_opt("--from", _FUZZ_PAST_FROM | _FUZZ_INT))
+                + draw(_opt("--to", _FUZZ_INT)))
     if command == "bfile":
         return (["bfile"] + draw(_opt("--series", st.sampled_from(("h2", "h4", "D", "delta", "x"))))
                 + draw(_opt("--max-n", _FUZZ_INT)) + draw(_opt("--offset", _FUZZ_INT)))

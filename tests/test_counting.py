@@ -308,3 +308,86 @@ def test_term_ratios_reproduce_every_defining_product(s, n):
     if n >= 2:
         ks = range(1, (n + 1) // 3 + 1)
         assert list(_summands.close_call_terms(n)) == [close_call_product(n, k) for k in ks]
+    # the ratios that the blocked sums are fed step between the same products
+    for walk, ratios in ((_summands.terms(s, m, 0), _summands.ratios(s, m, 0)),
+                         (_summands.terms(s, m + 1, 1), _summands.ratios(s, m + 1, 1)),
+                         (_summands.close_call_terms(max(n, 2)),
+                          _summands.close_call_ratios(max(n, 2)))):
+        got = list(walk)
+        pairs = list(ratios)
+        assert len(pairs) == max(0, len(got) - 1)
+        assert all(b * q == a * p for a, b, (p, q) in zip(got, got[1:], pairs))
+
+
+def _walk_lengths(steps):
+    """(s, m, lead) of heady and taily walks of exactly `steps` ratio steps,
+    at scores -1, 0, 1 and n // 4 of their length n."""
+    out = []
+    for lead in (0, 1):
+        for s in (-1, 0, 1):
+            out.append((s, 3 * (max(lead, -s) + steps), lead))
+        n = 1
+        while (n - n // 4 - 1 + lead) // 3 - lead < steps:
+            n += 1
+        out.append((n // 4, n - n // 4 - 1 + lead, lead))
+    return out
+
+
+_BOUNDARY = -(-_summands.BLOCKED_FROM // _summands.BLOCK) * _summands.BLOCK
+
+
+@pytest.mark.parametrize("steps", sorted({
+    _summands.BLOCKED_FROM - 1, _summands.BLOCKED_FROM, _summands.BLOCKED_FROM + 1,
+    _BOUNDARY, _BOUNDARY + 1}))
+def test_blocked_sums_equal_the_term_walk_around_the_crossover(monkeypatch, steps):
+    # the crossover, and a walk whose last block is full or one step long
+    block_sum = _summands.block_sum
+    calls = []
+    monkeypatch.setattr(_summands, "block_sum",
+                        lambda *args: calls.append(args[1:3]) or block_sum(*args))
+    blocked = steps >= _summands.BLOCKED_FROM
+    for s, m, lead in _walk_lengths(steps):
+        k, k_hi = max(lead, -s), m // 3
+        assert k_hi - k == steps
+        want = sum(_summands.terms(s, m, lead))
+        assert _summands.term_sum(s, m, lead) == want
+        assert calls == [(k, k_hi)] * blocked
+        calls.clear()
+        # the block loop agrees below the crossover too
+        assert block_sum(_summands.term(s, m, k, lead), k, k_hi,
+                         _summands.ratios(s, m, lead)) == want
+    n = 3 * (steps + 1) - 1                 # close-call terms k = 1 .. steps + 1
+    want = sum(_summands.close_call_terms(n))
+    assert _summands.close_call_sum(n) == want
+    assert calls == [(1, steps + 1)] * blocked
+    assert block_sum(1, 1, steps + 1, _summands.close_call_ratios(n)) == want
+
+
+def test_block_loop_equals_the_term_walk_on_short_walks():
+    # partial and single blocks, and walks with no step at all
+    for n in range(1, 70):
+        for s in range(-(n // 2) - 1, n + 1):
+            for lead in (0, 1):
+                m = n - s - 1 + lead
+                k, k_hi = max(lead, -s), m // 3
+                if k <= k_hi:
+                    assert _summands.block_sum(
+                        _summands.term(s, m, k, lead), k, k_hi,
+                        _summands.ratios(s, m, lead)) == sum(_summands.terms(s, m, lead))
+        if n >= 2:
+            assert _summands.block_sum(1, 1, (n + 1) // 3, _summands.close_call_ratios(n)) \
+                == sum(_summands.close_call_terms(n))
+
+
+def test_a_corrupted_block_walk_raises():
+    s, m, lead = -1, 1500, 0
+    k, k_hi = 1, m // 3
+    first = _summands.term(s, m, k, lead)
+    with pytest.raises(AssertionError, match="inexact block sum after term 1:"):
+        _summands.block_sum(first + 1, k, k_hi, _summands.ratios(s, m, lead))
+
+    def bent():
+        for j, (p, q) in enumerate(_summands.ratios(s, m, lead)):
+            yield (p, q + 1) if j == 40 else (p, q)
+    with pytest.raises(AssertionError, match="inexact block (sum after|step from) term 33"):
+        _summands.block_sum(first, k, k_hi, bent())

@@ -88,9 +88,9 @@ def test_lengths_below_the_window_start_again_from_the_seeds(cursor, monkeypatch
 
 
 def test_a_loop_from_a_large_length_resumes(cursor, monkeypatch, capsys):
-    # every closed-form walk goes through one of these two generators
+    # every closed-form walk goes through one of these two sums
     walks = []
-    for name in ("terms", "close_call_terms"):
+    for name in ("term_sum", "close_call_sum"):
         walk = getattr(_summands, name)
         monkeypatch.setattr(_summands, name,
                             lambda *args, walk=walk: walks.append(args) or walk(*args))
@@ -105,7 +105,7 @@ def test_a_loop_from_a_large_length_resumes(cursor, monkeypatch, capsys):
 
 
 def test_a_cold_gap_step_walks_the_close_call_census_once(cursor, monkeypatch):
-    walks = {"terms": 0, "close_call_terms": 0}
+    walks = {"term_sum": 0, "close_call_sum": 0}
     for name in walks:
         walk = getattr(_summands, name)
 
@@ -116,7 +116,7 @@ def test_a_cold_gap_step_walks_the_close_call_census_once(cursor, monkeypatch):
     got = win_gap_step(7001)
     # 7001 is far past the seeds, so the step is a lone miss and walks the
     # one fallback it shares with heady_close_calls
-    assert walks == {"terms": 0, "close_call_terms": 1}
+    assert walks == {"term_sum": 0, "close_call_sum": 1}
     assert _series._cursor == _series.SEEDS
     assert got == heady_close_calls(7000) == heady_count(1, 7000)
 
@@ -153,6 +153,9 @@ def test_any_call_order_gives_the_closed_forms(calls):
 
 
 def test_ascending_reach_to_scattered_lengths(cursor):
+    # cold, 20000 is a lone miss, so its gap is walked in blocks
+    walked = win_gap(20000)
+    assert _series._cursor == _series.SEEDS
     checks = {97, 1000, 4999, 12345, 20000}
     for n in range(2, 20001):
         gap = win_gap(n)
@@ -160,6 +163,7 @@ def test_ascending_reach_to_scattered_lengths(cursor):
             assert gap == heady_count(-1, n)
             assert win_gap_step(n) == heady_count(1, n - 1)
             assert heady_close_calls(n) == heady_count(1, n)
+    assert gap == walked
     assert _series._cursor[0] == 20001
 
 
