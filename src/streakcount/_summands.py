@@ -41,10 +41,9 @@ list of these factors from one budget to the next; the term-vector path
 uses it to step the shared budget rows [C(m - 2k, k) for k = 0 .. m // 3],
 which is its step in the length n.
 
-A whole table at length n is walked along a third direction instead:
-length_lists follows the diagonals of fixed N = 2k + s, on which both
-summands are products C(N, .) * C(M, k) with M = n - 1 - N, and a step in
-k costs one short ratio.
+A whole table at one length is not summed here cell by cell: only its
+five lowest cells per final toss are summed, with cell, and the rest
+follow by the recurrence in the score (see _score_recurrence).
 """
 
 from __future__ import annotations
@@ -112,6 +111,14 @@ def term_sum(s: int, m: int, lead: int) -> int:
     return block_sum(term(s, m, k, lead), k, k_hi, ratios(s, m, lead))
 
 
+def cell(s: int, n: int, lead: int) -> int:
+    """heady_count(s, n) for lead 0, taily_count(s, n) for lead 1, by one walk.
+
+    The taily count adds the all-tails indicator at s == 0 to its sum.
+    """
+    return (1 if lead and s == 0 else 0) + term_sum(s, n - s - 1 + lead, lead)
+
+
 def block_sum(first: int, k: int, k_hi: int, steps: Iterator[tuple[int, int]]) -> int:
     """first, the term at k, plus the terms k + 1 .. k_hi, BLOCK steps at a time.
 
@@ -158,54 +165,6 @@ def step_budget(terms: Sequence[int], m: int) -> list[int]:
                 f"inexact term update: {term} * {k} / {m - 3 * k} at budget {m}")
         out.append(term + gain)
     return out
-
-
-def length_lists(n: int) -> tuple[list[int], list[int]]:
-    """Every heady and taily count at length n, as two dense lists.
-
-    Both lists are indexed from the lowest score -(n // 2) up to n - 1.
-    Write N = 2k + s and M = n - 1 - N.  Heady term k at score s is then
-    h(k) = C(N, k) * C(M, k), and taily term k + 1 at score s - 1 (whose
-    N = 2(k + 1) + (s - 1) - 1 is the same) is C(N, k) * C(M, k + 1).
-    Along a diagonal of fixed N the score falls by two per step in k, and
-
-        h(k + 1) = h(k) * (N - k)(M - k) / (k + 1)**2,
-        taily term k + 1 = h(k) * (M - k) / (k + 1),
-
-    so each term costs one multiply and one exact division by a small
-    number, a single machine digit while (k + 1)**2 < 2**30.  h(k) is
-    symmetric in N and M, so the diagonals N and n - 1 - N share one walk
-    and their heady terms; only the taily factor differs.  The all-tails
-    indicator at taily score 0 lies outside every sum.  n >= 1.
-    """
-    lo = -(n // 2)
-    heady = [0] * (n - lo)
-    taily = [0] * (n - lo)
-    for N in range((n + 1) // 2):
-        M = n - 1 - N                  # N <= M; the twin diagonal swaps them
-        twin = N < M
-        i, j = N - lo, M - lo          # heady scores N - 2k and M - 2k
-        term = 1                       # h(0)
-        a, b = M, N                    # M - k and N - k
-        for d in range(1, N + 1):      # d = k + 1
-            heady[i] += term
-            taily[i - 1] += term * a // d
-            if twin:
-                heady[j] += term
-                taily[j - 1] += term * b // d
-            term = term * (a * b) // (d * d)
-            a -= 1
-            b -= 1
-            i -= 2
-            j -= 2
-        # k = N: the twin's taily factor N - k is 0, and so is M - k on the
-        # middle diagonal N == M
-        heady[i] += term
-        if twin:
-            heady[j] += term
-            taily[i - 1] += term * a // (N + 1)
-    taily[-lo] += 1
-    return heady, taily
 
 
 def close_call_terms(n: int) -> Iterator[int]:

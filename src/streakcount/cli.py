@@ -21,7 +21,22 @@ from time import perf_counter
 from . import __version__, core, counting, oracle, recurrence, signatures, verify
 
 
+# longest length each dist method accepts, and wins; past it a command is
+# refused before any work.  Cold commands on a 2-core Xeon (Python 3.11.7),
+# output to /dev/null: `dist 10000` 3.2 s with a 110 MB process and 90 MB
+# of output, most of the time spent converting counts to decimal, and
+# `dist 20000` 24 s and 382 MB; `dist 3000 --method dp` 2.3 s, 5000 9.9 s;
+# `dist 1000 --method incremental` 2.5 s, 1500 10.9 s; `wins 20000` 1.25 s,
+# 50000 10.9 s.  Each grows at least as fast as n**2, and the oracle keeps
+# its own limit of oracle.MAX_N
+_DIST_LIMITS = {"closed": 10_000, "dp": 3_000, "incremental": 1_000}
+_WINS_LIMIT = 20_000
+
+
 def _dist_for(method: str, n: int) -> core.ScoreDistribution:
+    limit = _DIST_LIMITS.get(method)
+    if limit is not None and n > limit:
+        raise ValueError(f"n={n} exceeds the {method} method's length limit of {limit}")
     if method == "closed":
         return counting.closed_distribution(n)
     if method == "dp":
@@ -60,6 +75,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_wins(args: argparse.Namespace) -> int:
+    if args.n > _WINS_LIMIT:
+        raise ValueError(f"n={args.n} exceeds the wins length limit of {_WINS_LIMIT}")
     odds = counting.win_odds(args.n, digits=args.digits)
     den = odds.total
     print(f"n {odds.n}")
@@ -184,14 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", help="score table for one length")
-    p.add_argument("n", type=int, help="sequence length")
+    p.add_argument("n", type=int,
+                   help="sequence length, at most " + ", ".join(
+                       f"{limit} by {method}" for method, limit in _DIST_LIMITS.items())
+                   + f" and {oracle.MAX_N} by oracle")
     p.add_argument("--method", choices=("closed", "dp", "incremental", "oracle"),
                    default="closed", help="computation path (default closed)")
     p.add_argument("--format", choices=("table", "tsv", "json"), default="table")
     p.set_defaults(run=_cmd_dist)
 
     p = sub.add_parser("wins", help="aggregate win, loss and tie counts")
-    p.add_argument("n", type=int, help="sequence length")
+    p.add_argument("n", type=int, help=f"sequence length, at most {_WINS_LIMIT}")
     p.add_argument("--digits", type=int, default=6,
                    help="decimal places in the share columns, at most "
                         f"{counting.MAX_DIGITS} (default 6)")

@@ -5,12 +5,14 @@ products of two binomials; the sums are evaluated by exact term ratios
 (see _summands): one starting term, then one multiply-then-divide per
 step instead of two fresh binomials, with values identical to summing
 the products directly.  A single cell walks its own sum in k, in blocks
-of steps when the walk is long.  A whole table walks every summand of its
-length once, along the diagonals of fixed N = 2k + s where the ratio is
-shortest, into two dense lists that also give the win tallies.  The
-binomial convention C(a, b) = 0 for a < 0, b < 0 or b > a makes every
-summation bound self-truncating, so the formulas return 0 outside their
-supported score ranges without any separate casing.
+of steps when the walk is long.  A whole table at one length is not
+summed cell by cell: only the five lowest cells per final toss are
+summed, and the rest follow by an order-5 recurrence in the score s, one
+exact division per cell (see _score_recurrence).  The win tallies
+sum the same cells.  The binomial convention C(a, b) = 0 for a < 0,
+b < 0 or b > a makes every summation bound self-truncating, so the
+formulas return 0 outside their supported score ranges without any
+separate casing.
 
 The three series functions, heady_close_calls, win_gap and win_gap_step,
 also read from one P-recursive stream (see _series): a loop over
@@ -23,9 +25,10 @@ value.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
-from . import _series, _summands
+from . import _score_recurrence, _series, _summands
 from ._summands import binom
 from .core import ScoreDistribution
 
@@ -44,7 +47,7 @@ def heady_count(s: int, n: int) -> int:
     tails.
     """
     _require_length(n)
-    return _summands.term_sum(s, n - s - 1, 0)
+    return _summands.cell(s, n, 0)
 
 
 def taily_count(s: int, n: int) -> int:
@@ -56,7 +59,7 @@ def taily_count(s: int, n: int) -> int:
     the sequence, leaving C(2k + s - 1, k - 1) orderings.
     """
     _require_length(n)
-    return (1 if s == 0 else 0) + _summands.term_sum(s, n - s, 1)
+    return _summands.cell(s, n, 1)
 
 
 def heady_support(n: int) -> tuple[int, int]:
@@ -93,15 +96,27 @@ def _lists_table(n: int, heady: list[int], taily: list[int]) -> ScoreDistributio
         dict(zip(range(t_lo, t_hi + 1), taily[t_lo - lo:t_hi - lo + 1])))
 
 
-def closed_distribution(n: int) -> ScoreDistribution:
-    """Full score distribution from one walk over the closed forms' summands.
+def _halves(n: int) -> tuple[tuple[tuple[int, int], Iterator[int]], ...]:
+    """((lo, hi), cells) for the heady and then the taily half at length n.
 
-    Every heady and taily summand at length n is visited once, along the
-    diagonals of fixed N = 2k + s (see _summands.length_lists), and added
-    into its score's cell; the cells equal heady_count and taily_count.
+    cells iterates the half's counts over its support lo .. hi in
+    ascending score: the five lowest summed, the rest stepped upward by
+    the frozen order-5 recurrence in s, one exact division per cell (see
+    _score_recurrence).
+    """
+    return tuple(((lo, hi), _score_recurrence.fill(n, lead, lo, hi))
+                 for lead, (lo, hi) in enumerate((heady_support(n), taily_support(n))))
+
+
+def closed_distribution(n: int) -> ScoreDistribution:
+    """Full score distribution at length n from the closed forms.
+
+    Each half is filled by the recurrence in the score (see _halves);
+    the cells equal heady_count and taily_count.
     """
     _require_length(n)
-    return _lists_table(n, *_summands.length_lists(n))
+    return ScoreDistribution(
+        n, *(dict(zip(range(lo, hi + 1), cells)) for (lo, hi), cells in _halves(n)))
 
 
 def heady_close_calls(n: int) -> int:
@@ -193,22 +208,22 @@ MAX_DIGITS = 10 ** 7
 def win_odds(n: int, digits: int = 6) -> WinOdds:
     """Aggregate wins, losses and ties at length n by direct summation.
 
-    Sums the closed-form counts of every score, as walked for
-    closed_distribution, over the positive, negative and zero bands,
-    deliberately not presupposing the single-cell identity that win_gap
-    uses.  digits below 1 or past MAX_DIGITS is refused before any count
-    is walked.
+    Sums every cell of both halves, as read for closed_distribution,
+    over the negative, zero and positive score bands straight off the
+    fill, without storing the table, and deliberately
+    without the single-cell identity that win_gap uses.  digits below 1
+    or past MAX_DIGITS is refused before any cell is read.
     """
     _require_length(n)
     if digits < 1:
         raise ValueError("digits must be at least 1")
     if digits > MAX_DIGITS:
         raise ValueError(f"digits={digits} exceeds the limit of {MAX_DIGITS} decimal places")
-    heady, taily = _summands.length_lists(n)
-    zero = n // 2                      # index of score 0
-    alice = sum(heady[zero + 1:]) + sum(taily[zero + 1:])
-    bob = sum(heady[:zero]) + sum(taily[:zero])
-    ties = heady[zero] + taily[zero]
+    alice = bob = ties = 0
+    for (lo, hi), cells in _halves(n):      # lo <= 0 <= hi in both halves
+        bob += sum(islice(cells, -lo))
+        ties += next(cells)
+        alice += sum(cells)
     gap = bob - alice
     den = 1 << n
     # a count over 2**n ends within n decimals, so any digit past the n-th

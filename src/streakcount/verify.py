@@ -267,8 +267,9 @@ def _term_updates(rec: _Recorder, reads: _Reads, max_n: int) -> None:
 
 def _cell_table(reads: _Reads, n: int) -> core.ScoreDistribution:
     # the table read cell by cell off heady_count and taily_count, each cell
-    # walking its own sum in k: a route apart from closed_distribution's
-    # single walk over every summand of the length
+    # walking its own sum in k: a route apart from closed_distribution,
+    # which sums five cells a half and fills the rest by the recurrence in
+    # the score
     halves = []
     for lead, support in enumerate((counting.heady_support, counting.taily_support)):
         lo, hi = support(n)
@@ -278,7 +279,7 @@ def _cell_table(reads: _Reads, n: int) -> core.ScoreDistribution:
 
 def _method_agreement(rec: _Recorder, reads: _Reads, max_n: int) -> None:
     # the DP meets the single-cell closed forms and the term vectors meet
-    # the walked closed-form table, so a fault in any one route shows
+    # the closed-form table, so a fault in any one route shows
     sweep_dp = recurrence.dp_sweep(max_n)
     sweep_terms = recurrence.table_sweep(max_n)
     for n, dp_dist, term_dist in zip(range(1, max_n + 1), sweep_dp, sweep_terms):

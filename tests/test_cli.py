@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streakcount
-from streakcount import _summands, cli, counting, signatures
+from streakcount import _score_recurrence, cli, counting, oracle, signatures
 
 from reference_values import CLOSE_CALL_ROWS
 
@@ -137,14 +137,14 @@ def test_dist_oracle_respects_the_cap(capsys):
 
 
 def test_running_out_of_memory_ends_in_one_error_line(capsys, monkeypatch):
-    # the lists for 3e10 tosses cannot be allocated; raise as that would,
-    # without allocating
-    def exhausted(n):
+    # a fill whose cells cannot be allocated, at a length inside both
+    # commands' budgets; raise as that would, without allocating
+    def exhausted(n, lead, lo, hi):
         raise MemoryError
 
-    monkeypatch.setattr(_summands, "length_lists", exhausted)
+    monkeypatch.setattr(_score_recurrence, "fill", exhausted)
     for command in ("dist", "wins"):
-        assert run(capsys, command, "30000000000") == (1, "", "error: out of memory\n")
+        assert run(capsys, command, "1000") == (1, "", "error: out of memory\n")
 
 
 def test_dist_rejects_nonpositive_length(capsys):
@@ -434,12 +434,23 @@ def test_verify_refuses_a_generator_sweep_past_its_limit_at_once():
      "error: max_n=400 exceeds the arithmetic sweep limit of 200\n"),
     (["table", "--from", "1000000000", "--to", "1000000001"],
      "error: --from 1000000000 exceeds the table's start limit of 50000\n"),
-], ids=["wins-digits", "wins-digits-zero", "verify-max-n", "table-from"])
+    (["dist", "30000000000"],
+     "error: n=30000000000 exceeds the closed method's length limit of 10000\n"),
+    (["dist", "10001", "--format", "json"],
+     "error: n=10001 exceeds the closed method's length limit of 10000\n"),
+    (["dist", "3001", "--method", "dp"],
+     "error: n=3001 exceeds the dp method's length limit of 3000\n"),
+    (["dist", "1001", "--method", "incremental"],
+     "error: n=1001 exceeds the incremental method's length limit of 1000\n"),
+    (["wins", "30000000000"], "error: n=30000000000 exceeds the wins length limit of 20000\n"),
+], ids=["wins-digits", "wins-digits-zero", "verify-max-n", "table-from", "dist-closed",
+        "dist-closed-json", "dist-dp", "dist-incremental", "wins-n"])
 def test_digits_and_sweep_bounds_past_their_limits_are_refused_at_once(argv, line):
     # unbounded, the zero padding of 10**20 digits raised OverflowError, the
     # arithmetic sweeps to 400 ran for more than a minute, zero digits were
-    # refused only after the whole length-5000 table was walked, and a table
-    # from 10**9 printed nothing for minutes
+    # refused only after the whole length-5000 table was walked, a table
+    # from 10**9 printed nothing for minutes, `dist 20000` took 24 s, and
+    # `dist 30000000000` and `wins 30000000000` filled cells without end
     result = subprocess.run([sys.executable, "-m", "streakcount", *argv],
                             capture_output=True, text=True, timeout=10, env=child_env())
     assert (result.returncode, result.stdout, result.stderr) == (1, "", line)
@@ -551,11 +562,18 @@ _FUZZ_INT = st.integers(-3, 24)
 # verify bounds stay small, so one drawn run takes about 50 ms
 _FUZZ_VERIFY_INT = st.integers(-3, 8)
 _FUZZ_SIGNATURE = st.text(alphabet="+-x ", max_size=8)
-# bounds past counting.MAX_DIGITS, verify.MAX_N_LIMIT and the table's first
-# length limit, which must be refused before any work
+# bounds past counting.MAX_DIGITS, verify.MAX_N_LIMIT, the table's first
+# length limit and the dist and wins length limits, which must be refused
+# before any work
 _FUZZ_PAST_DIGITS = st.integers(10**7 + 1, 10**30)
 _FUZZ_PAST_MAX_N = st.integers(201, 10**30)
 _FUZZ_PAST_FROM = st.integers(cli._FROM_LIMIT + 1, 10**30)
+_FUZZ_PAST_WINS = st.integers(cli._WINS_LIMIT + 1, 10**30)
+
+
+def _past_dist_limit(method: list[str]) -> st.SearchStrategy:
+    limit = cli._DIST_LIMITS.get(method[-1] if method else "closed", oracle.MAX_N)
+    return st.integers(limit + 1, 10**30)
 
 
 def _opt(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
@@ -568,11 +586,13 @@ def _fuzz_argv(draw) -> list[str]:
     command = draw(st.sampled_from(("dist", "wins", "table", "bfile", "gen", "bench",
                                     "verify")))
     if command == "dist":
-        return (["dist", n]
-                + draw(_opt("--method", st.sampled_from(
-                    ("closed", "dp", "incremental", "oracle", "bogus"))))
+        method = draw(_opt("--method", st.sampled_from(
+            ("closed", "dp", "incremental", "oracle", "bogus"))))
+        n = str(draw(_FUZZ_INT | _past_dist_limit(method)))
+        return (["dist", n] + method
                 + draw(_opt("--format", st.sampled_from(("table", "tsv", "json")))))
     if command == "wins":
+        n = str(draw(_FUZZ_INT | _FUZZ_PAST_WINS))
         return ["wins", n] + draw(_opt("--digits", _FUZZ_PAST_DIGITS | _FUZZ_INT))
     if command == "table":
         return (["table"] + draw(_opt("--from", _FUZZ_PAST_FROM | _FUZZ_INT))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streakcount import _summands, counting
+from streakcount import _score_recurrence, _summands, counting
 from streakcount.counting import (
     binom,
     closed_distribution,
@@ -125,9 +125,9 @@ def test_closed_distribution_matches_enumeration():
         assert closed_distribution(n) == enumerate_distribution(n)
 
 
-# closed_distribution and win_odds walk every summand of a length once,
-# along diagonals of fixed N = 2k + s; heady_count and taily_count walk
-# one cell's sum in k, and the DP shares no summand with either
+# closed_distribution and win_odds sum five cells per final toss and fill
+# the rest by the recurrence in the score; heady_count and taily_count walk
+# one cell's sum in k, and the DP shares no summand with any of them
 
 
 @pytest.mark.parametrize("n", [999, 1000, 1001])
@@ -168,10 +168,10 @@ def test_win_odds_pads_the_digits_past_the_nth_with_zeros():
 
 
 def test_win_odds_refuses_digits_past_the_limit_before_any_walk(monkeypatch):
-    def walked(n):
+    def walked(*args):
         raise AssertionError("a table was walked before digits was checked")
 
-    monkeypatch.setattr(_summands, "length_lists", walked)
+    monkeypatch.setattr(_score_recurrence, "fill", walked)
     for digits in (counting.MAX_DIGITS + 1, 10**20):
         with pytest.raises(ValueError, match=f"^digits={digits} exceeds the limit of "
                                              f"10000000 decimal places$"):

@@ -1,0 +1,113 @@
+import random
+
+import pytest
+
+from streakcount import _score_recurrence, _summands, counting
+from streakcount.counting import (
+    closed_distribution,
+    heady_count,
+    heady_support,
+    taily_count,
+    taily_support,
+)
+from streakcount.recurrence import dp_sweep
+
+
+def p(table, i, s, n):
+    """p_i(s, n) read straight off a frozen coefficient table."""
+    return sum(c * s**a * n**b for a, row in enumerate(table[i]) for b, c in enumerate(row))
+
+
+def test_the_tables_have_the_published_shape():
+    for table, n_degree, nonzero, largest in ((_score_recurrence.HEADY, 4, 86, 1060),
+                                              (_score_recurrence.TAILY, 5, 110, 6648)):
+        assert len(table) == 6 and all(len(block) == 5 for block in table)
+        assert {len(row) for block in table for row in block} == {n_degree + 1}
+        coefficients = [c for block in table for row in block for c in row if c]
+        assert (len(coefficients), max(map(abs, coefficients))) == (nonzero, largest)
+
+
+def test_both_recurrences_hold_on_and_off_the_supports():
+    # with exact cells, zeros included, at lengths outside the n = 20 .. 43
+    # the coefficients were guessed from
+    for n in (1, 2, 3, 4, 5, 6, 7, 11, 44, 45, 97):
+        for table, count, support in ((_score_recurrence.HEADY, heady_count, heady_support),
+                                      (_score_recurrence.TAILY, taily_count, taily_support)):
+            lo, hi = support(n)
+            for s in range(lo - 8, hi + 4):
+                assert sum(p(table, i, s, n) * count(s + i, n) for i in range(6)) == 0, (n, s)
+
+
+def test_fill_equals_the_dp_at_every_length_to_700():
+    # one DP pass; 1000 and 1001 are held to the DP in test_counting
+    for want in dp_sweep(700):
+        assert closed_distribution(want.n) == want, want.n
+
+
+@pytest.mark.parametrize("n, s", [(19, 12), (118, 82), (695, 490), (4058, 2868)])
+def test_heady_p5_zeros_fall_back_to_the_closed_form(monkeypatch, n, s):
+    # p5's quadratic factor vanishes on the Pell solutions
+    # (2n + 3)**2 - 2(2s + 5)**2 = -1; the cell the step would divide for is
+    # summed by its own walk instead
+    assert (2 * n + 3) ** 2 - 2 * (2 * s + 5) ** 2 == -1
+    assert p(_score_recurrence.HEADY, 5, s, n) == 0
+    summed, real = [], _summands.cell
+
+    def cell(t, m, lead):
+        summed.append((t, m, lead))
+        return real(t, m, lead)
+
+    monkeypatch.setattr(_summands, "cell", cell)
+    lo, hi = heady_support(n)
+    cells = dict(zip(range(lo, hi + 1), _score_recurrence.fill(n, 0, lo, hi)))
+    assert summed == [(t, n, 0) for t in range(lo, lo + 5)] + [(s + 5, n, 0)]
+    for t in (s + 4, s + 5, s + 6):
+        assert cells[t] == heady_count(t, n), t
+
+
+def test_the_next_pell_zero_lies_inside_the_heady_support():
+    n, s = 23659, 16728
+    assert (2 * n + 3) ** 2 - 2 * (2 * s + 5) ** 2 == -1
+    assert p(_score_recurrence.HEADY, 5, s, n) == 0
+    lo, hi = heady_support(n)
+    assert lo <= s and s + 5 <= hi
+
+
+@pytest.mark.parametrize("n", [3000, 5000, 20000])
+def test_far_fills_equal_sampled_single_cells(n):
+    rng = random.Random(n)
+    for lead, support, count in ((0, heady_support, heady_count),
+                                 (1, taily_support, taily_count)):
+        lo, hi = support(n)
+        picks = {lo, lo + 5, lo + 6, -1, 0, 1, hi - 1, hi, *rng.sample(range(lo, hi + 1), 3)}
+        got = {s: c for s, c in zip(range(lo, hi + 1), _score_recurrence.fill(n, lead, lo, hi))
+               if s in picks}
+        assert got == {s: count(s, n) for s in picks}, (n, lead)
+
+
+def test_a_coefficient_changed_by_one_raises(monkeypatch):
+    # every one of the 660 changes by ±1, zeros included, leaves a remainder
+    # within n = 12
+    for name in ("HEADY", "TAILY"):
+        table = getattr(_score_recurrence, name)
+        for i, block in enumerate(table):
+            for a, row in enumerate(block):
+                for b in range(len(row)):
+                    for delta in (1, -1):
+                        bad = [list(map(list, blk)) for blk in table]
+                        bad[i][a][b] += delta
+                        monkeypatch.setattr(_score_recurrence, name, bad)
+                        with pytest.raises(AssertionError, match="inexact score step"):
+                            closed_distribution(12)
+        monkeypatch.setattr(_score_recurrence, name, table)
+
+
+def test_a_patched_single_cell_leaves_the_table_untouched(monkeypatch):
+    # the fill seeds and falls back through _summands, never through the
+    # counting functions that verify holds it against
+    want = {n: (closed_distribution(n), counting.win_odds(n))
+            for n in (5, 40, 75, 118, 695)}
+    monkeypatch.setattr(counting, "heady_count", lambda s, n: 7)
+    monkeypatch.setattr(counting, "taily_count", lambda s, n: 7)
+    for n, (table, odds) in want.items():
+        assert (closed_distribution(n), counting.win_odds(n)) == (table, odds), n
