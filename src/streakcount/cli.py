@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library layers: dist prints a full
-score table by any of the four computation paths, wins aggregates it into
-game odds, table and bfile print the close-call and gap series, gen streams
-constructed sequences, verify runs the cross-checking suites and bench
-times the paths against each other.  All output is plain text on stdout;
-anything a flag rejects comes back as "error: ..." on stderr and exit
-status 1.  A closed output pipe ends the command quietly with status 141
-and an interrupt with status 130, the shell's codes for SIGPIPE and SIGINT.
+score table by any of the four computation paths, wins prints the game
+odds, table and bfile print the close-call and gap series, gen streams
+constructed sequences and verify runs the cross-checking suites.  All
+output is plain text on stdout; anything a flag rejects comes back as
+"error: ..." on stderr and exit status 1.  A closed output pipe ends the
+command quietly with status 141 and an interrupt with status 130, the
+shell's codes for SIGPIPE and SIGINT.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 from itertools import islice
-from time import perf_counter
 
 from . import __version__, core, counting, oracle, recurrence, signatures, verify
 
@@ -26,11 +25,12 @@ from . import __version__, core, counting, oracle, recurrence, signatures, verif
 # output to /dev/null: `dist 10000` 3.2 s with a 110 MB process and 90 MB
 # of output, most of the time spent converting counts to decimal, and
 # `dist 20000` 24 s and 382 MB; `dist 3000 --method dp` 2.3 s, 5000 9.9 s;
-# `dist 1000 --method incremental` 2.5 s, 1500 10.9 s; `wins 20000` 1.25 s,
-# 50000 10.9 s.  Each grows at least as fast as n**2, and the oracle keeps
-# its own limit of oracle.MAX_N
+# `dist 1000 --method incremental` 2.5 s, 1500 10.9 s.  wins walks two
+# cells of about n bits: `wins 20000` 0.18 s, 50000 0.55 s, 100000 1.7 s.
+# Each grows at least as fast as n**2, and the oracle keeps its own limit
+# of oracle.MAX_N
 _DIST_LIMITS = {"closed": 10_000, "dp": 3_000, "incremental": 1_000}
-_WINS_LIMIT = 20_000
+_WINS_LIMIT = 50_000
 
 
 def _dist_for(method: str, n: int) -> core.ScoreDistribution:
@@ -168,29 +168,6 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
-    t0 = perf_counter()
-    closed = [counting.closed_distribution(n) for n in range(1, args.max_n + 1)]
-    t_closed = perf_counter() - t0
-    t0 = perf_counter()
-    dp = list(recurrence.dp_sweep(args.max_n))
-    t_dp = perf_counter() - t0
-    t0 = perf_counter()
-    inc = list(recurrence.table_sweep(args.max_n))
-    t_inc = perf_counter() - t0
-    print(f"# closed forms  {t_closed:.3f}s for n = 1..{args.max_n}")
-    print(f"# dp sweep      {t_dp:.3f}s")
-    print(f"# term updates  {t_inc:.3f}s")
-    for n, (a, b, c) in enumerate(zip(closed, dp, inc), start=1):
-        if not (a == b == c):
-            print(f"methods disagree at n = {n}")
-            return 1
-    print(f"methods agree for n = 1..{args.max_n}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streakcount",
@@ -254,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=int, default=None,
                    help="relabel the first index (default: the first length)")
     p.set_defaults(run=_cmd_bfile)
-
-    p = sub.add_parser("bench", help="time the computation paths against each other")
-    p.add_argument("--max-n", type=int, default=100,
-                   help="sweep all lengths up to this bound (default 100)")
-    p.set_defaults(run=_cmd_bench)
 
     return parser
 

@@ -8,8 +8,9 @@ the products directly.  A single cell walks its own sum in k, in blocks
 of steps when the walk is long.  A whole table at one length is not
 summed cell by cell: only the five lowest cells per final toss are
 summed, and the rest follow by an order-5 recurrence in the score s, one
-exact division per cell (see _score_recurrence).  The win tallies
-sum the same cells.  The binomial convention C(a, b) = 0 for a < 0,
+exact division per cell (see _score_recurrence).  The win tallies need
+no table: all four follow from the win gap at n and at n - 1, two single
+cells (see win_odds).  The binomial convention C(a, b) = 0 for a < 0,
 b < 0 or b > a makes every summation bound self-truncating, so the
 formulas return 0 outside their supported score ranges without any
 separate casing.
@@ -25,8 +26,7 @@ value.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import _score_recurrence, _series, _summands
 from ._summands import binom
@@ -96,27 +96,18 @@ def _lists_table(n: int, heady: list[int], taily: list[int]) -> ScoreDistributio
         dict(zip(range(t_lo, t_hi + 1), taily[t_lo - lo:t_hi - lo + 1])))
 
 
-def _halves(n: int) -> tuple[tuple[tuple[int, int], Iterator[int]], ...]:
-    """((lo, hi), cells) for the heady and then the taily half at length n.
-
-    cells iterates the half's counts over its support lo .. hi in
-    ascending score: the five lowest summed, the rest stepped upward by
-    the frozen order-5 recurrence in s, one exact division per cell (see
-    _score_recurrence).
-    """
-    return tuple(((lo, hi), _score_recurrence.fill(n, lead, lo, hi))
-                 for lead, (lo, hi) in enumerate((heady_support(n), taily_support(n))))
-
-
 def closed_distribution(n: int) -> ScoreDistribution:
     """Full score distribution at length n from the closed forms.
 
-    Each half is filled by the recurrence in the score (see _halves);
-    the cells equal heady_count and taily_count.
+    Each half is seeded with its five lowest cells and stepped upward
+    over its support by the frozen order-5 recurrence in s, one exact
+    division per cell (see _score_recurrence); the cells equal
+    heady_count and taily_count.
     """
     _require_length(n)
     return ScoreDistribution(
-        n, *(dict(zip(range(lo, hi + 1), cells)) for (lo, hi), cells in _halves(n)))
+        n, *(dict(zip(range(lo, hi + 1), _score_recurrence.fill(n, lead, lo, hi)))
+             for lead, (lo, hi) in enumerate((heady_support(n), taily_support(n)))))
 
 
 def heady_close_calls(n: int) -> int:
@@ -139,9 +130,9 @@ def win_gap(n: int) -> int:
 
     Computed through the single cell the whole gap collapses onto, the
     score minus-one heady count, or near the series cursor read from the
-    stream as (y[1] + ... + y[n]) / 2 (see _series).  win_odds recomputes
-    the same number by brute summation over every score.  Defined for
-    n >= 2.
+    stream as (y[1] + ... + y[n]) / 2 (see _series).  win_odds walks the
+    same cell and never reads the stream, and verify holds both to the
+    band sums of the full table.  Defined for n >= 2.
     """
     _require_length(n, 2)
     got = _series.read(n)
@@ -206,25 +197,32 @@ MAX_DIGITS = 10 ** 7
 
 
 def win_odds(n: int, digits: int = 6) -> WinOdds:
-    """Aggregate wins, losses and ties at length n by direct summation.
+    """Aggregate wins, losses and ties at length n from two gap cells.
 
-    Sums every cell of both halves, as read for closed_distribution,
-    over the negative, zero and positive score bands straight off the
-    fill, without storing the table, and deliberately
-    without the single-cell identity that win_gap uses.  digits below 1
-    or past MAX_DIGITS is refused before any cell is read.
+    With D(n) = heady_count(-1, n) the win gap, and D(0) = 0,
+
+        gap = D(n),  bob = 2**(n - 1) - 1 - D(n - 1),
+        alice = bob - gap,  ties = 2 + 2·D(n - 1) + D(n).
+
+    The ties are heady_count(0, n) = 1 + 2·D(n - 1) plus taily_count(0, n)
+    = 1 + D(n): with y the algebraic series of _series, the score-zero
+    cells have the generating functions z·y / (1 - z) and
+    z / (1 - z) + (y - 1) / (2(1 - z)), and 2·D(n) = y[1] + ... + y[n].
+    Bob and Alice follow from alice + bob + ties = 2**n and bob - alice
+    = gap.  Both cells are walked by _summands.cell, never read from the
+    stream, so win_odds stays an independent path to win_gap; verify
+    holds all four counts to the band sums of the full table.  digits
+    below 1 or past MAX_DIGITS is refused before any cell is walked.
     """
     _require_length(n)
     if digits < 1:
         raise ValueError("digits must be at least 1")
     if digits > MAX_DIGITS:
         raise ValueError(f"digits={digits} exceeds the limit of {MAX_DIGITS} decimal places")
-    alice = bob = ties = 0
-    for (lo, hi), cells in _halves(n):      # lo <= 0 <= hi in both halves
-        bob += sum(islice(cells, -lo))
-        ties += next(cells)
-        alice += sum(cells)
-    gap = bob - alice
+    gap, before = _summands.cell(-1, n, 0), _summands.cell(-1, n - 1, 0)
+    bob = (1 << (n - 1)) - 1 - before
+    alice = bob - gap
+    ties = 2 + 2 * before + gap
     den = 1 << n
     # a count over 2**n ends within n decimals, so any digit past the n-th
     # is exactly 0 and no rounding reaches it: pad instead of dividing

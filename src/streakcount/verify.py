@@ -184,12 +184,16 @@ def _close_call_census(rec: _Recorder, reads: _Reads, max_n: int) -> None:
 
 
 def _gap_definition(rec: _Recorder, reads: _Reads, max_n: int) -> None:
-    # the one-cell gap formula versus brute summation over every score
+    # the two-cell win tallies and the one-cell gap versus brute summation
+    # of the table over every score
     for n in range(2, max_n + 1):
         gap = counting.win_gap(n)
-        rec.expect(counting.win_odds(n, digits=4).gap == gap,
-                   f"summed gap disagrees with the one-cell gap at n={n}")
-        rec.expect(reads.table(n).win_gap() == gap,
+        dist = reads.table(n)
+        odds = counting.win_odds(n, digits=4)
+        rec.expect((odds.alice, odds.bob, odds.ties, odds.gap)
+                   == (dist.alice_wins(), dist.bob_wins(), dist.ties(), dist.win_gap()),
+                   f"two-cell win tallies disagree with the table's band sums at n={n}")
+        rec.expect(dist.win_gap() == gap,
                    f"distribution gap disagrees with the one-cell gap at n={n}")
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import streakcount
-from streakcount import _score_recurrence, cli, counting, oracle, signatures
+from streakcount import _summands, cli, counting, oracle, signatures
 
 from reference_values import CLOSE_CALL_ROWS
 
@@ -137,12 +137,13 @@ def test_dist_oracle_respects_the_cap(capsys):
 
 
 def test_running_out_of_memory_ends_in_one_error_line(capsys, monkeypatch):
-    # a fill whose cells cannot be allocated, at a length inside both
-    # commands' budgets; raise as that would, without allocating
-    def exhausted(n, lead, lo, hi):
+    # a cell that cannot be allocated, at a length inside both commands'
+    # budgets: dist seeds its fill with walked cells and wins walks two;
+    # raise as that would, without allocating
+    def exhausted(s, n, lead):
         raise MemoryError
 
-    monkeypatch.setattr(_score_recurrence, "fill", exhausted)
+    monkeypatch.setattr(_summands, "cell", exhausted)
     for command in ("dist", "wins"):
         assert run(capsys, command, "1000") == (1, "", "error: out of memory\n")
 
@@ -305,12 +306,13 @@ def test_verify_names_an_injected_fault(capsys, monkeypatch):
     assert failures
 
 
-def test_bench_reports_agreement(capsys):
-    rc, out, _ = run(capsys, "bench", "--max-n", "12")
-    assert rc == 0
-    lines = out.splitlines()
-    assert lines[-1] == "methods agree for n = 1..12"
-    assert sum(line.startswith("#") for line in lines) == 3
+def test_retired_bench_is_an_unknown_subcommand(capsys):
+    # perfbench times the paths and verify's method-agreement checks them
+    with pytest.raises(SystemExit) as info:
+        cli.main(["bench", "--max-n", "12"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "invalid choice: 'bench'" in err
 
 
 def test_version_and_unknown_subcommand(capsys):
@@ -442,7 +444,7 @@ def test_verify_refuses_a_generator_sweep_past_its_limit_at_once():
      "error: n=3001 exceeds the dp method's length limit of 3000\n"),
     (["dist", "1001", "--method", "incremental"],
      "error: n=1001 exceeds the incremental method's length limit of 1000\n"),
-    (["wins", "30000000000"], "error: n=30000000000 exceeds the wins length limit of 20000\n"),
+    (["wins", "30000000000"], "error: n=30000000000 exceeds the wins length limit of 50000\n"),
 ], ids=["wins-digits", "wins-digits-zero", "verify-max-n", "table-from", "dist-closed",
         "dist-closed-json", "dist-dp", "dist-incremental", "wins-n"])
 def test_digits_and_sweep_bounds_past_their_limits_are_refused_at_once(argv, line):
@@ -583,8 +585,7 @@ def _opt(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
 @st.composite
 def _fuzz_argv(draw) -> list[str]:
     n = str(draw(_FUZZ_INT))
-    command = draw(st.sampled_from(("dist", "wins", "table", "bfile", "gen", "bench",
-                                    "verify")))
+    command = draw(st.sampled_from(("dist", "wins", "table", "bfile", "gen", "verify")))
     if command == "dist":
         method = draw(_opt("--method", st.sampled_from(
             ("closed", "dp", "incremental", "oracle", "bogus"))))
@@ -600,8 +601,6 @@ def _fuzz_argv(draw) -> list[str]:
     if command == "bfile":
         return (["bfile"] + draw(_opt("--series", st.sampled_from(("h2", "h4", "D", "delta", "x"))))
                 + draw(_opt("--max-n", _FUZZ_INT)) + draw(_opt("--offset", _FUZZ_INT)))
-    if command == "bench":
-        return ["bench"] + draw(_opt("--max-n", _FUZZ_INT))
     if command == "verify":
         # --max-n is always drawn: its default of 64 takes ten times as long
         return (["verify", "--max-n", str(draw(_FUZZ_PAST_MAX_N | _FUZZ_VERIFY_INT))]

@@ -125,9 +125,10 @@ def test_closed_distribution_matches_enumeration():
         assert closed_distribution(n) == enumerate_distribution(n)
 
 
-# closed_distribution and win_odds sum five cells per final toss and fill
-# the rest by the recurrence in the score; heady_count and taily_count walk
-# one cell's sum in k, and the DP shares no summand with any of them
+# closed_distribution sums five cells per final toss and fills the rest by
+# the recurrence in the score; win_odds walks two gap cells; heady_count and
+# taily_count walk one cell's sum in k, and the DP shares no summand with
+# any of them
 
 
 @pytest.mark.parametrize("n", [999, 1000, 1001])
@@ -145,7 +146,7 @@ def test_walked_table_equals_the_single_cells_on_exactly_its_supports():
             assert half == {s: count(s, n) for s in range(lo, hi + 1)}, n
 
 
-@pytest.mark.parametrize("n", [2, 3, 250, 301])
+@pytest.mark.parametrize("n", [1, 2, 3, 250, 301, 1000])
 def test_win_odds_bands_equal_sums_over_the_dp_table(n):
     dist = dp_distribution(n)
     cells = list(dist.heady.items()) + list(dist.taily.items())
@@ -153,6 +154,17 @@ def test_win_odds_bands_equal_sums_over_the_dp_table(n):
     assert odds.alice == sum(c for s, c in cells if s > 0)
     assert odds.bob == sum(c for s, c in cells if s < 0)
     assert odds.ties == sum(c for s, c in cells if s == 0)
+
+
+def test_win_odds_fills_no_table(monkeypatch):
+    # the four counts come from two gap cells, not from the recurrence fill
+    def filled(*args):
+        raise AssertionError("win_odds filled a table")
+
+    monkeypatch.setattr(_score_recurrence, "fill", filled)
+    odds = win_odds(1000)
+    assert odds.gap == win_gap(1000)
+    assert odds.ties == heady_count(0, 1000) + taily_count(0, 1000)
 
 
 def test_win_odds_pads_the_digits_past_the_nth_with_zeros():
@@ -169,9 +181,9 @@ def test_win_odds_pads_the_digits_past_the_nth_with_zeros():
 
 def test_win_odds_refuses_digits_past_the_limit_before_any_walk(monkeypatch):
     def walked(*args):
-        raise AssertionError("a table was walked before digits was checked")
+        raise AssertionError("a cell was walked before digits was checked")
 
-    monkeypatch.setattr(_score_recurrence, "fill", walked)
+    monkeypatch.setattr(_summands, "cell", walked)
     for digits in (counting.MAX_DIGITS + 1, 10**20):
         with pytest.raises(ValueError, match=f"^digits={digits} exceeds the limit of "
                                              f"10000000 decimal places$"):
