@@ -6,97 +6,58 @@ sequences by score and final toss along four independent routes (closed
 forms, an appended-toss dynamic program, in-place term updates and raw
 enumeration), builds the sequences behind any count constructively, and
 cross-checks every route against the others.
+
+Each layer loads on first use: `import streakcount` executes none of the
+submodules, and reading a public name such as `streakcount.win_gap`
+imports only the submodule that defines it and the ones that submodule
+needs.  Every name in `__all__` is the same object as in its home module.
 """
 
-from __future__ import annotations
+import sys
 
 __version__ = "0.1.0"
 
-from .core import (
-    CloseCallTable,
-    Outcome,
-    ScoreDistribution,
-    TossSequence,
-    classify,
-    close_call_buckets,
-    parse_sequence,
-    score,
-    sequence_to_text,
-)
-from .counting import (
-    WinOdds,
-    closed_distribution,
-    decimal_ratio,
-    heady_close_calls,
-    heady_count,
-    heady_support,
-    score_support,
-    taily_count,
-    taily_support,
-    win_gap,
-    win_gap_step,
-    win_odds,
-)
-from .oracle import (
-    OracleCapExceeded,
-    enumerate_distribution,
-    sequences_with,
-)
-from .recurrence import (
-    dp_distribution,
-    dp_sweep,
-    incremental_distribution,
-    table_sweep,
-)
-from .signatures import (
-    complement,
-    compositions,
-    generate_sequences,
-    min_length,
-    min_length_sequence,
-    sequence_count,
-    signature_of,
-    signature_score,
-)
-from .verify import SuiteResult, run_suites
+# each submodule and the public names it defines: the table behind
+# __all__ and the lazy lookup below
+_API = {
+    "core": ("CloseCallTable", "Outcome", "ScoreDistribution", "TossSequence",
+             "classify", "close_call_buckets", "parse_sequence", "score",
+             "sequence_to_text"),
+    "counting": ("WinOdds", "closed_distribution", "decimal_ratio",
+                 "heady_close_calls", "heady_count", "heady_support",
+                 "score_support", "taily_count", "taily_support", "win_gap",
+                 "win_gap_step", "win_odds"),
+    "oracle": ("OracleCapExceeded", "enumerate_distribution", "sequences_with"),
+    "recurrence": ("dp_distribution", "dp_sweep", "incremental_distribution",
+                   "table_sweep"),
+    "signatures": ("complement", "compositions", "generate_sequences",
+                   "min_length", "min_length_sequence", "sequence_count",
+                   "signature_of", "signature_score"),
+    "verify": ("SuiteResult", "run_suites"),
+}
+_HOME = {name: module for module, names in _API.items() for name in names}
+_SUBMODULES = frozenset({*_API, "cli", "_summands", "_series", "_score_recurrence"})
 
-__all__ = [
-    "CloseCallTable",
-    "Outcome",
-    "OracleCapExceeded",
-    "ScoreDistribution",
-    "SuiteResult",
-    "TossSequence",
-    "WinOdds",
-    "classify",
-    "close_call_buckets",
-    "closed_distribution",
-    "complement",
-    "compositions",
-    "decimal_ratio",
-    "dp_distribution",
-    "dp_sweep",
-    "enumerate_distribution",
-    "generate_sequences",
-    "heady_close_calls",
-    "heady_count",
-    "heady_support",
-    "incremental_distribution",
-    "min_length",
-    "min_length_sequence",
-    "parse_sequence",
-    "run_suites",
-    "score",
-    "score_support",
-    "sequence_count",
-    "sequence_to_text",
-    "sequences_with",
-    "signature_of",
-    "signature_score",
-    "table_sweep",
-    "taily_count",
-    "taily_support",
-    "win_gap",
-    "win_gap_step",
-    "win_odds",
-]
+__all__ = sorted(_HOME)
+
+
+def _submodule(name: str):
+    # through the import statement's machinery, so -X importtime lists
+    # every layer a lookup loads
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    # called only for a name not yet in the module's globals (PEP 562)
+    if name in _HOME:
+        value = getattr(_submodule(_HOME[name]), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return _submodule(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -115,17 +115,30 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # renders in one translate call instead of one Python step per toss
 _TOSS_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
+# gen writes about this many bytes at a time: few writes for short lines,
+# and a line longer than this goes out before the next one is built
+_GEN_BATCH_BYTES = 1 << 16
+
+# longest sequence gen builds: each output holds about 33 bytes of memory
+# per toss while it is built and rendered.  Cold `gen --signature=-
+# --length N` on a 2-core Xeon (Python 3.11.7) printed its first line after
+# 0.08-0.10 s with a 46-53 MB process at 10**6, and after 0.51 s with
+# 329 MB at 10**7
+_GEN_LIMIT = 1_000_000
+
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.length > _GEN_LIMIT:
+        raise ValueError(f"--length {args.length} exceeds the gen length limit of {_GEN_LIMIT}")
     # argparse before Python 3.13 strips a lone "--" out of an option's
     # value, so --signature=-- arrives as an empty list; 3.13 passes "--"
     signature = "--" if args.signature == [] else args.signature
     seqs = signatures.generate_sequences(signature, args.length, args.mode,
                                          args.fixed_leading_one)
     count = 0
-    # one write per batch of lines; a batch stays small enough to keep
-    # the output streaming
-    while batch := [bytes(bits).translate(_TOSS_TEXT) for bits in islice(seqs, 1024)]:
+    # every line holds length tosses and a newline
+    per_batch = max(1, _GEN_BATCH_BYTES // (args.length + 1))
+    while batch := [bytes(bits).translate(_TOSS_TEXT) for bits in islice(seqs, per_batch)]:
         sys.stdout.write(b"\n".join(batch).decode() + "\n")
         count += len(batch)
     print(f"count {count}")
@@ -205,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", required=True,
                    help="mark string over '+' and '-'; values starting with '-' "
                         "need the --signature=-+- form")
-    p.add_argument("--length", type=int, required=True, help="sequence length")
+    p.add_argument("--length", type=int, required=True,
+                   help=f"sequence length, at most {_GEN_LIMIT}")
     p.add_argument("--mode", choices=("heady", "taily"), default="heady",
                    help="final toss of the generated sequences (default heady)")
     p.add_argument("--fixed-leading-one", action="store_true",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Literal, Sequence
 
 from .core import TossSequence
-from .counting import binom
+from ._summands import binom
 
 Mode = Literal["heady", "taily"]
 

@@ -1,5 +1,6 @@
 import contextlib
 import doctest
+import importlib
 import io
 import json
 import os
@@ -257,6 +258,26 @@ def test_gen_error_paths(capsys):
                    "signature '+' only fits length 2 that way\n")
 
 
+def test_gen_writes_a_long_line_before_building_the_next(monkeypatch):
+    # each output is longer than a batch, so it must be on stdout before the
+    # generator is asked for the next one
+    length = cli._GEN_BATCH_BYTES + 10
+    out = io.StringIO()
+    written = []
+
+    def fake_generate(sig, n, mode, fixed_leading_one):
+        for bits in ((1,) * n, (0,) * (n - 1) + (1,)):
+            written.append(len(out.getvalue()))
+            yield bits
+
+    monkeypatch.setattr(signatures, "generate_sequences", fake_generate)
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["gen", "--signature=+", "--length", str(length)])
+    assert rc == 0
+    assert written == [0, length + 1]
+    assert out.getvalue() == "1" * length + "\n" + "0" * (length - 1) + "1\ncount 2\n"
+
+
 def test_bfile_goldens(capsys):
     rc, out, err = run(capsys, "bfile", "--series", "h2", "--max-n", "6")
     assert (rc, out, err) == (0, "2 1\n3 1\n4 1\n5 4\n6 7\n", "")
@@ -445,14 +466,18 @@ def test_verify_refuses_a_generator_sweep_past_its_limit_at_once():
     (["dist", "1001", "--method", "incremental"],
      "error: n=1001 exceeds the incremental method's length limit of 1000\n"),
     (["wins", "30000000000"], "error: n=30000000000 exceeds the wins length limit of 50000\n"),
+    (["gen", "--signature=-", "--length", "1000001"],
+     "error: --length 1000001 exceeds the gen length limit of 1000000\n"),
 ], ids=["wins-digits", "wins-digits-zero", "verify-max-n", "table-from", "dist-closed",
-        "dist-closed-json", "dist-dp", "dist-incremental", "wins-n"])
+        "dist-closed-json", "dist-dp", "dist-incremental", "wins-n", "gen-length"])
 def test_digits_and_sweep_bounds_past_their_limits_are_refused_at_once(argv, line):
     # unbounded, the zero padding of 10**20 digits raised OverflowError, the
     # arithmetic sweeps to 400 ran for more than a minute, zero digits were
     # refused only after the whole length-5000 table was walked, a table
     # from 10**9 printed nothing for minutes, `dist 20000` took 24 s, and
-    # `dist 30000000000` and `wins 30000000000` filled cells without end
+    # `dist 30000000000` and `wins 30000000000` filled cells without end, and
+    # `gen --length 1000001` built 1024 lines of a million tosses before its
+    # first write
     result = subprocess.run([sys.executable, "-m", "streakcount", *argv],
                             capture_output=True, text=True, timeout=10, env=child_env())
     assert (result.returncode, result.stdout, result.stderr) == (1, "", line)
@@ -483,16 +508,63 @@ def test_interrupt_exits_with_status_130(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+# the public names and their home modules, as the package root imported
+# them eagerly; the lazy root must hand out the same objects
+_PUBLIC_API = {
+    "core": ("CloseCallTable", "Outcome", "ScoreDistribution", "TossSequence", "classify",
+             "close_call_buckets", "parse_sequence", "score", "sequence_to_text"),
+    "counting": ("WinOdds", "closed_distribution", "decimal_ratio", "heady_close_calls",
+                 "heady_count", "heady_support", "score_support", "taily_count",
+                 "taily_support", "win_gap", "win_gap_step", "win_odds"),
+    "oracle": ("OracleCapExceeded", "enumerate_distribution", "sequences_with"),
+    "recurrence": ("dp_distribution", "dp_sweep", "incremental_distribution", "table_sweep"),
+    "signatures": ("complement", "compositions", "generate_sequences", "min_length",
+                   "min_length_sequence", "sequence_count", "signature_of",
+                   "signature_score"),
+    "verify": ("SuiteResult", "run_suites"),
+}
+
+
 def test_package_root_lists_the_user_api():
     names = streakcount.__all__
-    assert len(names) == len(set(names))
-    for name in names:
-        assert getattr(streakcount, name) is not None
+    homes = {name: module for module, members in _PUBLIC_API.items() for name in members}
+    assert len(names) == len(set(names)) == 38 and set(names) == set(homes)
+    for name, module in homes.items():
+        home = importlib.import_module(f"streakcount.{module}")
+        assert getattr(streakcount, name) is getattr(home, name), name
+        assert name in dir(streakcount)
+    star: dict = {}
+    exec("from streakcount import *", star)
+    assert {name for name in star if not name.startswith("__")} == set(names)
+    assert not hasattr(streakcount, "nope")
     imported = [line.split(" import ", 1)[1] for line in README.read_text().splitlines()
                 if line.startswith(">>> from streakcount import ")]
     assert imported
     for line in imported:
         assert {name.strip() for name in line.split(",")} <= set(names)
+
+
+def test_package_root_loads_each_layer_on_first_use():
+    # a bare import runs no submodule; a generator call loads the
+    # constructive layer alone, and a gap cell the closed forms, but never
+    # the oracle, the DP or the verify suites
+    code = ("import sys\n"
+            "import streakcount\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('streakcount.'))\n"
+            "print(loaded(), set(streakcount.__all__) <= set(dir(streakcount)),\n"
+            "      hasattr(streakcount, 'nope'))\n"
+            "streakcount.generate_sequences\n"
+            "print(loaded())\n"
+            "streakcount.win_gap(200)\n"
+            "print([m for m in ('verify', 'oracle', 'recurrence')\n"
+            "       if f'streakcount.{m}' in sys.modules])\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env(), timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (
+        "[] True False\n"
+        "['streakcount._summands', 'streakcount.core', 'streakcount.signatures']\n"
+        "[]\n")
 
 
 def test_readme_python_examples_run():
@@ -565,12 +637,13 @@ _FUZZ_INT = st.integers(-3, 24)
 _FUZZ_VERIFY_INT = st.integers(-3, 8)
 _FUZZ_SIGNATURE = st.text(alphabet="+-x ", max_size=8)
 # bounds past counting.MAX_DIGITS, verify.MAX_N_LIMIT, the table's first
-# length limit and the dist and wins length limits, which must be refused
+# length limit and the dist, wins and gen length limits, which must be refused
 # before any work
 _FUZZ_PAST_DIGITS = st.integers(10**7 + 1, 10**30)
 _FUZZ_PAST_MAX_N = st.integers(201, 10**30)
 _FUZZ_PAST_FROM = st.integers(cli._FROM_LIMIT + 1, 10**30)
 _FUZZ_PAST_WINS = st.integers(cli._WINS_LIMIT + 1, 10**30)
+_FUZZ_PAST_GEN = st.integers(cli._GEN_LIMIT + 1, 10**30)
 
 
 def _past_dist_limit(method: list[str]) -> st.SearchStrategy:
@@ -608,7 +681,7 @@ def _fuzz_argv(draw) -> list[str]:
                 + draw(_opt("--gen-max", _FUZZ_VERIFY_INT)))
     sig = draw(_FUZZ_SIGNATURE)
     signature = draw(st.sampled_from(([f"--signature={sig}"], ["--signature", sig], [])))
-    return (["gen"] + signature + draw(_opt("--length", _FUZZ_INT))
+    return (["gen"] + signature + draw(_opt("--length", _FUZZ_INT | _FUZZ_PAST_GEN))
             + draw(_opt("--mode", st.sampled_from(("heady", "taily", "both"))))
             + draw(st.sampled_from(([], ["--fixed-leading-one"]))))
 
