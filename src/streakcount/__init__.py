@@ -18,21 +18,18 @@ import sys
 __version__ = "0.1.0"
 
 # each submodule and the public names it defines: the table behind
-# __all__ and the lazy lookup below
+# __all__ and the lazy lookup below.  These are the entry points of each
+# route and the types they return or raise; the helpers the layers share
+# (supports, signature algebra, close-call buckets) stay in their modules
 _API = {
-    "core": ("CloseCallTable", "Outcome", "ScoreDistribution", "TossSequence",
-             "classify", "close_call_buckets", "parse_sequence", "score",
-             "sequence_to_text"),
-    "counting": ("WinOdds", "closed_distribution", "decimal_ratio",
-                 "heady_close_calls", "heady_count", "heady_support",
-                 "score_support", "taily_count", "taily_support", "win_gap",
-                 "win_gap_step", "win_odds"),
+    "core": ("ScoreDistribution", "TossSequence", "score"),
+    "counting": ("WinOdds", "closed_distribution", "heady_close_calls",
+                 "heady_count", "taily_count", "win_gap", "win_gap_step",
+                 "win_odds"),
     "oracle": ("OracleCapExceeded", "enumerate_distribution", "sequences_with"),
     "recurrence": ("dp_distribution", "dp_sweep", "incremental_distribution",
                    "table_sweep"),
-    "signatures": ("complement", "compositions", "generate_sequences",
-                   "min_length", "min_length_sequence", "sequence_count",
-                   "signature_of", "signature_score"),
+    "signatures": ("generate_sequences", "sequence_count"),
     "verify": ("SuiteResult", "run_suites"),
 }
 _HOME = {name: module for module, names in _API.items() for name in names}

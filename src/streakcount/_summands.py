@@ -18,9 +18,11 @@ with its first binomial shifted one place, so a lead of 0 (heady) or 1
 
 The heady walk opens with the product, term; the close-call walk opens
 with 1, since its first term, k = 1, is C(1, 1) * C(n - 2, 0) = 1 at
-every length, and its ratio gives the rest.
+every length, and its ratio gives the rest.  The close-call walk serves
+verify's census only: term by term it is the heady walk at s = 1, so
+counting.heady_close_calls sums that one instead.
 
-A cell sums its walk with term_sum or close_call_sum.  A walk term by
+A cell sums its walk with term_sum.  A walk term by
 term makes one multiply and one divide of an n-bit integer per step, so
 a long walk goes BLOCK = 32 steps at a time instead (block_sum): from
 term t, the block's ratio P / Q and the sum N / Q of its terms over t
@@ -182,19 +184,3 @@ def close_call_terms(n: int) -> Iterator[int]:
             (k + 1) * k * (n - 2 * k) * (n - 2 * k - 1))
         yield term
 
-
-def close_call_ratios(n: int) -> Iterator[tuple[int, int]]:
-    """(p, q) with term k + 1 = term k * p / q, for each step of close_call_terms(n)."""
-    a, c = n - 3, n - 2                     # n - 3k and n - 2k at k = 1
-    for k in range(1, (n + 1) // 3):
-        yield 2 * (2 * k + 1) * (a + 1) * a * (a - 1), (k + 1) * k * c * (c - 1)
-        a -= 3
-        c -= 2
-
-
-def close_call_sum(n: int) -> int:
-    """sum(close_call_terms(n)), in blocks when the walk is long."""
-    k_hi = (n + 1) // 3
-    if k_hi - 1 < BLOCKED_FROM:
-        return sum(close_call_terms(n))
-    return block_sum(1, 1, k_hi, close_call_ratios(n))

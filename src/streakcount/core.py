@@ -12,16 +12,9 @@ package close, so the distribution type keeps the two halves separate.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 TossSequence = tuple[int, ...]
-
-
-class Outcome(Enum):
-    ALICE_WIN = "alice"
-    BOB_WIN = "bob"
-    TIE = "tie"
 
 
 def score(bits: Sequence[int]) -> int:
@@ -34,31 +27,6 @@ def score(bits: Sequence[int]) -> int:
         if a == 1:
             total += 1 if b == 1 else -1
     return total
-
-
-def classify(bits: Sequence[int]) -> Outcome:
-    """Game outcome for one sequence: a positive score is an Alice win."""
-    s = score(bits)
-    if s > 0:
-        return Outcome.ALICE_WIN
-    if s < 0:
-        return Outcome.BOB_WIN
-    return Outcome.TIE
-
-
-def parse_sequence(text: str) -> TossSequence:
-    """Parse a string of '0'/'1' characters, leftmost toss first."""
-    if not text:
-        raise ValueError("empty sequence literal")
-    bad = set(text) - {"0", "1"}
-    if bad:
-        raise ValueError(
-            f"sequence literal may contain only '0' and '1', got {sorted(bad)!r}")
-    return tuple(1 if c == "1" else 0 for c in text)
-
-
-def sequence_to_text(bits: Sequence[int]) -> str:
-    return "".join("1" if b else "0" for b in bits)
 
 
 class ScoreDistribution(NamedTuple):

@@ -111,18 +111,16 @@ def closed_distribution(n: int) -> ScoreDistribution:
 
 
 def heady_close_calls(n: int) -> int:
-    """Direct census of score-one heady sequences.  Defined for n >= 2.
+    """Number of length-n sequences with score one that end in heads.
 
-    Grouped by the number k of heads runs: such a sequence has k
-    heads-heads pairs, k - 1 heads-tails pairs, C(2k - 1, k) orderings of
-    those pairs and C(n - 2k, k - 1) placements of the spare tails.  The
-    derivation is separate from heady_count(1, n) and the two are held
-    equal by the verification suites.  Near the series cursor the value is
-    read from the stream instead, as y[n + 1] / 2 (see _series).
+    Defined for n >= 2.  Near the series cursor the value is read from the
+    stream as y[n + 1] / 2 (see _series); elsewhere it is heady_count(1, n),
+    walked as that cell.  verify holds both to the close-call census, which
+    groups the sequences by their number of heads runs.
     """
     _require_length(n, 2)
     got = _series.read(n + 1)
-    return _summands.close_call_sum(n) if got is None else got[0] // 2
+    return _summands.cell(1, n, 0) if got is None else got[0] // 2
 
 
 def win_gap(n: int) -> int:
@@ -144,7 +142,7 @@ def win_gap_step(n: int) -> int:
 
     The recursive identity: the gap grows by the close-call count one
     length back, so win_gap_step(n) is heady_close_calls(n - 1), read from
-    the stream as y[n] / 2 or walked by its census.
+    the stream as y[n] / 2 or walked as heady_count(1, n - 1).
     """
     _require_length(n, 3)
     return heady_close_calls(n - 1)

@@ -508,27 +508,32 @@ def test_interrupt_exits_with_status_130(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-# the public names and their home modules, as the package root imported
-# them eagerly; the lazy root must hand out the same objects
+# the public names and their home modules: each route's entry points and
+# the types they return or raise; the lazy root must hand out the same objects
 _PUBLIC_API = {
-    "core": ("CloseCallTable", "Outcome", "ScoreDistribution", "TossSequence", "classify",
-             "close_call_buckets", "parse_sequence", "score", "sequence_to_text"),
-    "counting": ("WinOdds", "closed_distribution", "decimal_ratio", "heady_close_calls",
-                 "heady_count", "heady_support", "score_support", "taily_count",
-                 "taily_support", "win_gap", "win_gap_step", "win_odds"),
+    "core": ("ScoreDistribution", "TossSequence", "score"),
+    "counting": ("WinOdds", "closed_distribution", "heady_close_calls", "heady_count",
+                 "taily_count", "win_gap", "win_gap_step", "win_odds"),
     "oracle": ("OracleCapExceeded", "enumerate_distribution", "sequences_with"),
     "recurrence": ("dp_distribution", "dp_sweep", "incremental_distribution", "table_sweep"),
-    "signatures": ("complement", "compositions", "generate_sequences", "min_length",
-                   "min_length_sequence", "sequence_count", "signature_of",
-                   "signature_score"),
+    "signatures": ("generate_sequences", "sequence_count"),
     "verify": ("SuiteResult", "run_suites"),
 }
+# helpers a layer calls, kept in their home modules but not at the root
+_LAYER_HELPERS = {
+    "core": ("CloseCallTable", "close_call_buckets"),
+    "counting": ("decimal_ratio", "heady_support", "score_support", "taily_support"),
+    "signatures": ("complement", "compositions", "min_length", "min_length_sequence",
+                   "signature_of", "signature_score"),
+}
+_DELETED = ("Outcome", "classify", "parse_sequence", "sequence_to_text",
+            "close_call_ratios", "close_call_sum")
 
 
 def test_package_root_lists_the_user_api():
     names = streakcount.__all__
     homes = {name: module for module, members in _PUBLIC_API.items() for name in members}
-    assert len(names) == len(set(names)) == 38 and set(names) == set(homes)
+    assert len(names) == len(set(names)) == 22 and set(names) == set(homes)
     for name, module in homes.items():
         home = importlib.import_module(f"streakcount.{module}")
         assert getattr(streakcount, name) is getattr(home, name), name
@@ -537,6 +542,16 @@ def test_package_root_lists_the_user_api():
     exec("from streakcount import *", star)
     assert {name for name in star if not name.startswith("__")} == set(names)
     assert not hasattr(streakcount, "nope")
+    for module, members in _LAYER_HELPERS.items():
+        home = importlib.import_module(f"streakcount.{module}")
+        for name in members:
+            assert getattr(getattr(streakcount, module), name) is getattr(home, name), name
+            assert not hasattr(streakcount, name), name
+            assert name not in dir(streakcount), name
+    sources = [path.read_text() for path in Path(streakcount.__file__).parent.glob("*.py")]
+    for name in _DELETED:
+        assert not hasattr(streakcount, name), name
+        assert not any(re.search(rf"\b{name}\b", text) for text in sources), name
     imported = [line.split(" import ", 1)[1] for line in README.read_text().splitlines()
                 if line.startswith(">>> from streakcount import ")]
     assert imported

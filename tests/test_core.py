@@ -1,17 +1,7 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streakcount.core import (
-    CloseCallTable,
-    Outcome,
-    ScoreDistribution,
-    classify,
-    close_call_buckets,
-    parse_sequence,
-    score,
-    sequence_to_text,
-)
+from streakcount.core import CloseCallTable, ScoreDistribution, close_call_buckets, score
 from streakcount.counting import closed_distribution, win_odds
 from streakcount.oracle import close_call_table, enumerate_distribution
 from streakcount.recurrence import dp_distribution
@@ -59,29 +49,6 @@ def test_appending_one_toss_shifts_score_by_final_state(bits):
     else:
         assert score(seq + (1,)) == base
         assert score(seq + (0,)) == base
-
-
-def test_classify_by_sign():
-    assert classify((1, 1)) is Outcome.ALICE_WIN
-    assert classify((1, 0)) is Outcome.BOB_WIN
-    assert classify((0, 0)) is Outcome.TIE
-    assert classify((1, 1, 0)) is Outcome.TIE
-
-
-def test_parse_and_render_round_trip():
-    assert parse_sequence("0110") == (0, 1, 1, 0)
-    assert sequence_to_text((0, 1, 1, 0)) == "0110"
-    for text in ("0", "1", "10", "0011101"):
-        assert sequence_to_text(parse_sequence(text)) == text
-
-
-def test_parse_rejects_bad_literals():
-    with pytest.raises(ValueError, match="empty"):
-        parse_sequence("")
-    with pytest.raises(ValueError, match="only '0' and '1'"):
-        parse_sequence("012")
-    with pytest.raises(ValueError, match="only '0' and '1'"):
-        parse_sequence("heads")
 
 
 def test_distribution_accounting():

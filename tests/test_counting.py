@@ -320,11 +320,11 @@ def test_term_ratios_reproduce_every_defining_product(s, n):
     if n >= 2:
         ks = range(1, (n + 1) // 3 + 1)
         assert list(_summands.close_call_terms(n)) == [close_call_product(n, k) for k in ks]
+        # the census is, term by term, the heady walk at score one
+        assert list(_summands.close_call_terms(n)) == list(_summands.terms(1, n - 2, 0))
     # the ratios that the blocked sums are fed step between the same products
     for walk, ratios in ((_summands.terms(s, m, 0), _summands.ratios(s, m, 0)),
-                         (_summands.terms(s, m + 1, 1), _summands.ratios(s, m + 1, 1)),
-                         (_summands.close_call_terms(max(n, 2)),
-                          _summands.close_call_ratios(max(n, 2)))):
+                         (_summands.terms(s, m + 1, 1), _summands.ratios(s, m + 1, 1))):
         got = list(walk)
         pairs = list(ratios)
         assert len(pairs) == max(0, len(got) - 1)
@@ -368,11 +368,6 @@ def test_blocked_sums_equal_the_term_walk_around_the_crossover(monkeypatch, step
         # the block loop agrees below the crossover too
         assert block_sum(_summands.term(s, m, k, lead), k, k_hi,
                          _summands.ratios(s, m, lead)) == want
-    n = 3 * (steps + 1) - 1                 # close-call terms k = 1 .. steps + 1
-    want = sum(_summands.close_call_terms(n))
-    assert _summands.close_call_sum(n) == want
-    assert calls == [(1, steps + 1)] * blocked
-    assert block_sum(1, 1, steps + 1, _summands.close_call_ratios(n)) == want
 
 
 def test_block_loop_equals_the_term_walk_on_short_walks():
@@ -386,9 +381,6 @@ def test_block_loop_equals_the_term_walk_on_short_walks():
                     assert _summands.block_sum(
                         _summands.term(s, m, k, lead), k, k_hi,
                         _summands.ratios(s, m, lead)) == sum(_summands.terms(s, m, lead))
-        if n >= 2:
-            assert _summands.block_sum(1, 1, (n + 1) // 3, _summands.close_call_ratios(n)) \
-                == sum(_summands.close_call_terms(n))
 
 
 def test_a_corrupted_block_walk_raises():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streakcount import oracle
-from streakcount.core import ScoreDistribution, close_call_buckets, parse_sequence, score
+from streakcount.core import ScoreDistribution, close_call_buckets, score
 from streakcount.counting import closed_distribution
 from streakcount.oracle import (
     OracleCapExceeded,
@@ -125,11 +125,7 @@ def test_win_gap_small_lengths():
 
 def test_sequences_with_orders_by_packed_word():
     found = sequences_with(4, -1, "taily")
-    assert found == [
-        parse_sequence("1000"),
-        parse_sequence("0100"),
-        parse_sequence("0010"),
-    ]
+    assert found == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
     assert sequences_with(2, 1, "heady") == [(1, 1)]
     assert sequences_with(2, 1, "taily") == []
 

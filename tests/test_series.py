@@ -88,12 +88,11 @@ def test_lengths_below_the_window_start_again_from_the_seeds(cursor, monkeypatch
 
 
 def test_a_loop_from_a_large_length_resumes(cursor, monkeypatch, capsys):
-    # every closed-form walk goes through one of these two sums
+    # every closed-form walk goes through this sum
     walks = []
-    for name in ("term_sum", "close_call_sum"):
-        walk = getattr(_summands, name)
-        monkeypatch.setattr(_summands, name,
-                            lambda *args, walk=walk: walks.append(args) or walk(*args))
+    term_sum = _summands.term_sum
+    monkeypatch.setattr(_summands, "term_sum",
+                        lambda *args: walks.append(args) or term_sum(*args))
     assert cli.main(["table", "--from", "2000", "--to", "2100"]) == 0
     lines = capsys.readouterr().out.splitlines()
     # heady_close_calls(2000) walks; win_gap(2000) seeds the cursor at 2001
@@ -104,19 +103,15 @@ def test_a_loop_from_a_large_length_resumes(cursor, monkeypatch, capsys):
         assert lines[n - 2000] == f"{n} {heady_count(1, n)} {heady_count(-1, n)}"
 
 
-def test_a_cold_gap_step_walks_the_close_call_census_once(cursor, monkeypatch):
-    walks = {"term_sum": 0, "close_call_sum": 0}
-    for name in walks:
-        walk = getattr(_summands, name)
-
-        def counted(*args, name=name, walk=walk):
-            walks[name] += 1
-            return walk(*args)
-        monkeypatch.setattr(_summands, name, counted)
+def test_a_cold_gap_step_walks_the_heady_cell_once(cursor, monkeypatch):
+    walks = []
+    term_sum = _summands.term_sum
+    monkeypatch.setattr(_summands, "term_sum",
+                        lambda *args: walks.append(args) or term_sum(*args))
     got = win_gap_step(7001)
     # 7001 is far past the seeds, so the step is a lone miss and walks the
-    # one fallback it shares with heady_close_calls
-    assert walks == {"term_sum": 0, "close_call_sum": 1}
+    # one fallback it shares with heady_close_calls: heady_count(1, 7000)
+    assert walks == [(1, 6998, 0)]
     assert _series._cursor == _series.SEEDS
     assert got == heady_close_calls(7000) == heady_count(1, 7000)
 
