@@ -100,11 +100,10 @@ def seeded(m: int) -> Cursor:
     """The cursor at m >= 5 from the closed forms alone: five walks.
 
     y[t] = 2·heady_count(1, t - 1) and S(m) = 2·heady_count(-1, m), each
-    summed as counting.heady_count sums it (the terms at spare budget
-    n - s - 1).
+    walked by _summands.cell, as counting.heady_count walks it.
     """
-    window = tuple(2 * _summands.term_sum(1, t - 3, 0) for t in range(m - 3, m + 1))
-    return m, window, 2 * _summands.term_sum(-1, m, 0)
+    window = tuple(2 * _summands.cell(1, t - 1, 0) for t in range(m - 3, m + 1))
+    return m, window, 2 * _summands.cell(-1, m, 0)
 
 
 def read(i: int) -> tuple[int, int] | None:

@@ -43,9 +43,10 @@ list of these factors from one budget to the next; the term-vector path
 uses it to step the shared budget rows [C(m - 2k, k) for k = 0 .. m // 3],
 which is its step in the length n.
 
-A whole table at one length is not summed here cell by cell: only its
-five lowest cells per final toss are summed, with cell, and the rest
-follow by the recurrence in the score (see _score_recurrence).
+A whole table at one length is not summed here cell by cell: only the
+five lowest heady cells at n and at n + 1 are summed, with cell, the rest
+of each follow by the recurrence in the score (see _score_recurrence),
+and the taily half is their difference (see counting.closed_distribution).
 """
 
 from __future__ import annotations

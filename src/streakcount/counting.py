@@ -6,9 +6,10 @@ products of two binomials; the sums are evaluated by exact term ratios
 step instead of two fresh binomials, with values identical to summing
 the products directly.  A single cell walks its own sum in k, in blocks
 of steps when the walk is long.  A whole table at one length is not
-summed cell by cell: only the five lowest cells per final toss are
-summed, and the rest follow by an order-5 recurrence in the score s, one
-exact division per cell (see _score_recurrence).  The win tallies need
+summed cell by cell: its heady half is filled at n and at n + 1, each
+from its five lowest cells by an order-5 recurrence in the score s, one
+exact division per cell (see _score_recurrence), and the taily half is
+their difference by the appended-head identity.  The win tallies need
 no table: all four follow from the win gap at n and at n - 1, two single
 cells (see win_odds).  The binomial convention C(a, b) = 0 for a < 0,
 b < 0 or b > a makes every summation bound self-truncating, so the
@@ -26,6 +27,7 @@ value.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import NamedTuple
 
 from . import _score_recurrence, _series, _summands
@@ -99,15 +101,18 @@ def _lists_table(n: int, heady: list[int], taily: list[int]) -> ScoreDistributio
 def closed_distribution(n: int) -> ScoreDistribution:
     """Full score distribution at length n from the closed forms.
 
-    Each half is seeded with its five lowest cells and stepped upward
-    over its support by the frozen order-5 recurrence in s, one exact
-    division per cell (see _score_recurrence); the cells equal
-    heady_count and taily_count.
+    The heady half is filled at n and at n + 1, each seeded with its
+    five lowest cells and stepped upward over its support by the frozen
+    order-5 recurrence in s, one exact division per cell (see
+    _score_recurrence).  The taily half follows by the appended-head
+    identity taily_count(s, n) = heady_count(s, n + 1) - heady_count(s - 1, n),
+    all-tails cell included; the cells equal heady_count and taily_count.
     """
-    _require_length(n)
-    return ScoreDistribution(
-        n, *(dict(zip(range(lo, hi + 1), _score_recurrence.fill(n, lead, lo, hi)))
-             for lead, (lo, hi) in enumerate((heady_support(n), taily_support(n)))))
+    h_lo, h_hi = heady_support(n)
+    lo = -(n // 2)
+    heady = [0] * (h_lo - lo) + list(_score_recurrence.fill(n, h_lo, h_hi))
+    after = _score_recurrence.fill(n + 1, lo, n)
+    return _lists_table(n, heady, list(map(sub, after, [0, *heady])))
 
 
 def heady_close_calls(n: int) -> int:

@@ -272,8 +272,8 @@ def _term_updates(rec: _Recorder, reads: _Reads, max_n: int) -> None:
 def _cell_table(reads: _Reads, n: int) -> core.ScoreDistribution:
     # the table read cell by cell off heady_count and taily_count, each cell
     # walking its own sum in k: a route apart from closed_distribution,
-    # which sums five cells a half and fills the rest by the recurrence in
-    # the score
+    # which fills the heady half at n and at n + 1 by the recurrence in the
+    # score and takes the taily half as their difference
     halves = []
     for lead, support in enumerate((counting.heady_support, counting.taily_support)):
         lo, hi = support(n)

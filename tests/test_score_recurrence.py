@@ -19,23 +19,21 @@ def p(table, i, s, n):
 
 
 def test_the_tables_have_the_published_shape():
-    for table, n_degree, nonzero, largest in ((_score_recurrence.HEADY, 4, 86, 1060),
-                                              (_score_recurrence.TAILY, 5, 110, 6648)):
-        assert len(table) == 6 and all(len(block) == 5 for block in table)
-        assert {len(row) for block in table for row in block} == {n_degree + 1}
-        coefficients = [c for block in table for row in block for c in row if c]
-        assert (len(coefficients), max(map(abs, coefficients))) == (nonzero, largest)
+    table = _score_recurrence.HEADY
+    assert len(table) == 6 and all(len(block) == 5 for block in table)
+    assert {len(row) for block in table for row in block} == {5}     # degree 4 in n
+    coefficients = [c for block in table for row in block for c in row if c]
+    assert (len(coefficients), max(map(abs, coefficients))) == (86, 1060)
 
 
-def test_both_recurrences_hold_on_and_off_the_supports():
+def test_the_recurrence_holds_on_and_off_the_support():
     # with exact cells, zeros included, at lengths outside the n = 20 .. 43
     # the coefficients were guessed from
     for n in (1, 2, 3, 4, 5, 6, 7, 11, 44, 45, 97):
-        for table, count, support in ((_score_recurrence.HEADY, heady_count, heady_support),
-                                      (_score_recurrence.TAILY, taily_count, taily_support)):
-            lo, hi = support(n)
-            for s in range(lo - 8, hi + 4):
-                assert sum(p(table, i, s, n) * count(s + i, n) for i in range(6)) == 0, (n, s)
+        lo, hi = heady_support(n)
+        for s in range(lo - 8, hi + 4):
+            assert sum(p(_score_recurrence.HEADY, i, s, n) * heady_count(s + i, n)
+                       for i in range(6)) == 0, (n, s)
 
 
 def test_fill_equals_the_dp_at_every_length_to_700():
@@ -59,7 +57,7 @@ def test_heady_p5_zeros_fall_back_to_the_closed_form(monkeypatch, n, s):
 
     monkeypatch.setattr(_summands, "cell", cell)
     lo, hi = heady_support(n)
-    cells = dict(zip(range(lo, hi + 1), _score_recurrence.fill(n, 0, lo, hi)))
+    cells = dict(zip(range(lo, hi + 1), _score_recurrence.fill(n, lo, hi)))
     assert summed == [(t, n, 0) for t in range(lo, lo + 5)] + [(s + 5, n, 0)]
     for t in (s + 4, s + 5, s + 6):
         assert cells[t] == heady_count(t, n), t
@@ -73,33 +71,48 @@ def test_the_next_pell_zero_lies_inside_the_heady_support():
     assert lo <= s and s + 5 <= hi
 
 
-@pytest.mark.parametrize("n", [3000, 5000, 20000])
+@pytest.mark.parametrize("n", [3000, 4057, 5000, 20000])
 def test_far_fills_equal_sampled_single_cells(n):
+    # at n = 4057 the fill at n + 1 sums its Pell cell, s = 2873, and the
+    # taily cells around it are differences across that fallback
     rng = random.Random(n)
-    for lead, support, count in ((0, heady_support, heady_count),
-                                 (1, taily_support, taily_count)):
+    dist = closed_distribution(n)
+    for half, support, count in ((dist.heady, heady_support, heady_count),
+                                 (dist.taily, taily_support, taily_count)):
         lo, hi = support(n)
-        picks = {lo, lo + 5, lo + 6, -1, 0, 1, hi - 1, hi, *rng.sample(range(lo, hi + 1), 3)}
-        got = {s: c for s, c in zip(range(lo, hi + 1), _score_recurrence.fill(n, lead, lo, hi))
-               if s in picks}
-        assert got == {s: count(s, n) for s in picks}, (n, lead)
+        picks = {lo, lo + 5, lo + 6, -1, 0, 1, 2872, 2873, 2874, hi - 1, hi,
+                 *rng.sample(range(lo, hi + 1), 3)}
+        assert {s: half[s] for s in picks} == {s: count(s, n) for s in picks}, n
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 18, 117, 118])
+def test_a_table_fills_the_heady_half_at_n_and_at_n_plus_one(monkeypatch, n):
+    # the taily half is the fill at n + 1 minus the fill at n, one score
+    # apart, so the table walks no taily cell and fills nothing else
+    calls, real = [], _score_recurrence.fill
+
+    def fill(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_score_recurrence, "fill", fill)
+    closed_distribution(n)
+    assert calls == [(n, *heady_support(n)), (n + 1, -(n // 2), n)]
 
 
 def test_a_coefficient_changed_by_one_raises(monkeypatch):
-    # every one of the 660 changes by ±1, zeros included, leaves a remainder
-    # within n = 12
-    for name in ("HEADY", "TAILY"):
-        table = getattr(_score_recurrence, name)
-        for i, block in enumerate(table):
-            for a, row in enumerate(block):
-                for b in range(len(row)):
-                    for delta in (1, -1):
-                        bad = [list(map(list, blk)) for blk in table]
-                        bad[i][a][b] += delta
-                        monkeypatch.setattr(_score_recurrence, name, bad)
-                        with pytest.raises(AssertionError, match="inexact score step"):
-                            closed_distribution(12)
-        monkeypatch.setattr(_score_recurrence, name, table)
+    # every one of the 300 changes by ±1, zeros included, leaves a remainder
+    # within the fills at n = 12 and 13
+    table = _score_recurrence.HEADY
+    for i, block in enumerate(table):
+        for a, row in enumerate(block):
+            for b in range(len(row)):
+                for delta in (1, -1):
+                    bad = [list(map(list, blk)) for blk in table]
+                    bad[i][a][b] += delta
+                    monkeypatch.setattr(_score_recurrence, "HEADY", bad)
+                    with pytest.raises(AssertionError, match="inexact score step"):
+                        closed_distribution(12)
 
 
 def test_a_patched_single_cell_leaves_the_table_untouched(monkeypatch):
