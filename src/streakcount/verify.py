@@ -29,24 +29,21 @@ MAX_N_LIMIT = 200
 
 
 class SuiteResult(NamedTuple):
+    """One suite's outcome, as run_suites returns it.
+
+    checks counts every check the suite ran, the failing one included; a
+    suite stops at its first failing check, whose message is detail, and
+    detail is "" when every check passed.
+    """
+
     name: str
     ok: bool
     checks: int
     detail: str = ""
 
 
-class _CheckFailed(Exception):
-    pass
-
-
-class _Recorder:
-    def __init__(self) -> None:
-        self.checks = 0
-
-    def expect(self, cond: bool, detail: str) -> None:
-        self.checks += 1
-        if not cond:
-            raise _CheckFailed(detail)
+# a suite is a generator of its checks, each an (ok, detail) pair, in order
+_Checks = Iterator[tuple[bool, str]]
 
 
 class _Reads:
@@ -91,13 +88,15 @@ class _Reads:
         return table
 
 
-def _run(name: str, body: Callable[..., None], *args: object) -> SuiteResult:
-    rec = _Recorder()
-    try:
-        body(rec, *args)
-    except _CheckFailed as stop:
-        return SuiteResult(name, False, rec.checks, str(stop))
-    return SuiteResult(name, True, rec.checks)
+def _run(name: str, checks: _Checks) -> SuiteResult:
+    # a suite's body runs only as its checks are drawn, and none is drawn
+    # past the first that fails
+    count = 0
+    for ok, detail in checks:
+        count += 1
+        if not ok:
+            return SuiteResult(name, False, count, detail)
+    return SuiteResult(name, True, count)
 
 
 # hand-tallied tables for the three shortest lengths, keyed by n
@@ -108,7 +107,7 @@ _BASE = {
 }
 
 
-def _base_tables(rec: _Recorder, reads: _Reads) -> None:
+def _base_tables(reads: _Reads) -> _Checks:
     for n, (heady, taily) in _BASE.items():
         want = core.ScoreDistribution(n, dict(heady), dict(taily))
         for label, build in (
@@ -116,49 +115,49 @@ def _base_tables(rec: _Recorder, reads: _Reads) -> None:
             ("dp", recurrence.dp_distribution),
             ("incremental", recurrence.incremental_distribution),
         ):
-            rec.expect(build(n) == want, f"{label} table wrong at n={n}")
+            yield (build(n) == want, f"{label} table wrong at n={n}")
     odds = counting.win_odds(2)
-    rec.expect((odds.alice, odds.bob, odds.ties, odds.gap) == (1, 1, 2, 0),
-               f"win tallies wrong at n=2: {odds}")
+    yield ((odds.alice, odds.bob, odds.ties, odds.gap) == (1, 1, 2, 0),
+           f"win tallies wrong at n=2: {odds}")
     odds = counting.win_odds(3)
-    rec.expect((odds.alice, odds.bob, odds.ties, odds.gap) == (2, 3, 3, 1),
-               f"win tallies wrong at n=3: {odds}")
-    rec.expect(reads.taily(-1, 4) == 3,
-               "score -1 taily count at n=4 should be 3")
+    yield ((odds.alice, odds.bob, odds.ties, odds.gap) == (2, 3, 3, 1),
+           f"win tallies wrong at n=3: {odds}")
+    yield (reads.taily(-1, 4) == 3,
+           "score -1 taily count at n=4 should be 3")
 
 
-def _normalization(rec: _Recorder, reads: _Reads, max_n: int) -> None:
+def _normalization(reads: _Reads, max_n: int) -> _Checks:
     # each final-toss family covers exactly half the 2**n sequences
     for n in range(1, max_n + 1):
         dist = reads.table(n)
         half = 1 << (n - 1)
-        rec.expect(sum(dist.heady.values()) == half,
-                   f"heady counts at n={n} do not sum to 2**{n - 1}")
-        rec.expect(sum(dist.taily.values()) == half,
-                   f"taily counts at n={n} do not sum to 2**{n - 1}")
+        yield (sum(dist.heady.values()) == half,
+               f"heady counts at n={n} do not sum to 2**{n - 1}")
+        yield (sum(dist.taily.values()) == half,
+               f"taily counts at n={n} do not sum to 2**{n - 1}")
 
 
-def _support_bounds(rec: _Recorder, reads: _Reads, max_n: int) -> None:
+def _support_bounds(reads: _Reads, max_n: int) -> _Checks:
     for n in range(1, max_n + 1):
         lo, hi = counting.heady_support(n)
-        rec.expect(reads.heady(lo, n) > 0,
-                   f"heady support low edge empty: s={lo} n={n}")
-        rec.expect(reads.heady(hi, n) == 1,
-                   f"all-heads cell should be 1: n={n}")
+        yield (reads.heady(lo, n) > 0,
+               f"heady support low edge empty: s={lo} n={n}")
+        yield (reads.heady(hi, n) == 1,
+               f"all-heads cell should be 1: n={n}")
         for s in (lo - 2, lo - 1, hi + 1, hi + 2):
-            rec.expect(reads.heady(s, n) == 0,
-                       f"heady count leaked outside support: s={s} n={n}")
+            yield (reads.heady(s, n) == 0,
+                   f"heady count leaked outside support: s={s} n={n}")
         lo, hi = counting.taily_support(n)
-        rec.expect(reads.taily(lo, n) > 0,
-                   f"taily support low edge empty: s={lo} n={n}")
-        rec.expect(reads.taily(hi, n) > 0,
-                   f"taily support high edge empty: s={hi} n={n}")
+        yield (reads.taily(lo, n) > 0,
+               f"taily support low edge empty: s={lo} n={n}")
+        yield (reads.taily(hi, n) > 0,
+               f"taily support high edge empty: s={hi} n={n}")
         for s in (lo - 2, lo - 1, hi + 1, hi + 2):
-            rec.expect(reads.taily(s, n) == 0,
-                       f"taily count leaked outside support: s={s} n={n}")
+            yield (reads.taily(s, n) == 0,
+                   f"taily count leaked outside support: s={s} n={n}")
 
 
-def _appended_toss(rec: _Recorder, reads: _Reads, max_n: int, lead: int) -> None:
+def _appended_toss(reads: _Reads, max_n: int, lead: int) -> _Checks:
     # an appended head (lead 0) extends a taily sequence or raises a heady one
     # by one; an appended tail (lead 1) extends a taily one or drops a heady one
     kind = ("heady", "taily")[lead]
@@ -166,66 +165,66 @@ def _appended_toss(rec: _Recorder, reads: _Reads, max_n: int, lead: int) -> None
         lo, hi = counting.score_support(n + 1)
         for s in range(lo - 1, hi + 2):
             want = reads.taily(s, n) + reads.heady(s - 1 + 2 * lead, n)
-            rec.expect(reads.cell(lead, s, n + 1) == want,
-                       f"{kind} recursion broken at s={s} n={n + 1}")
+            yield (reads.cell(lead, s, n + 1) == want,
+                   f"{kind} recursion broken at s={s} n={n + 1}")
 
 
-def _close_call_census(rec: _Recorder, reads: _Reads, max_n: int) -> None:
+def _close_call_census(reads: _Reads, max_n: int) -> _Checks:
     # two unrelated derivations of the score-one heady count must agree;
     # heady_close_calls and win_gap_step read the series stream on these
     # ascending runs, so the census sum and the cell are named directly
     for n in range(2, max_n + 1):
-        rec.expect(counting.heady_close_calls(n) == reads.heady(1, n)
-                   == sum(_summands.close_call_terms(n)),
-                   f"close-call census disagrees with the closed form at n={n}")
+        yield (counting.heady_close_calls(n) == reads.heady(1, n)
+               == sum(_summands.close_call_terms(n)),
+               f"close-call census disagrees with the closed form at n={n}")
     for n in range(3, max_n + 1):
-        rec.expect(counting.win_gap_step(n) == reads.heady(1, n - 1),
-                   f"gap step is not the previous close-call count at n={n}")
+        yield (counting.win_gap_step(n) == reads.heady(1, n - 1),
+               f"gap step is not the previous close-call count at n={n}")
 
 
-def _gap_definition(rec: _Recorder, reads: _Reads, max_n: int) -> None:
+def _gap_definition(reads: _Reads, max_n: int) -> _Checks:
     # the two-cell win tallies and the one-cell gap versus brute summation
     # of the table over every score
     for n in range(2, max_n + 1):
         gap = counting.win_gap(n)
         dist = reads.table(n)
         odds = counting.win_odds(n, digits=4)
-        rec.expect((odds.alice, odds.bob, odds.ties, odds.gap)
-                   == (dist.alice_wins(), dist.bob_wins(), dist.ties(), dist.win_gap()),
-                   f"two-cell win tallies disagree with the table's band sums at n={n}")
-        rec.expect(dist.win_gap() == gap,
-                   f"distribution gap disagrees with the one-cell gap at n={n}")
+        yield ((odds.alice, odds.bob, odds.ties, odds.gap)
+               == (dist.alice_wins(), dist.bob_wins(), dist.ties(), dist.win_gap()),
+               f"two-cell win tallies disagree with the table's band sums at n={n}")
+        yield (dist.win_gap() == gap,
+               f"distribution gap disagrees with the one-cell gap at n={n}")
 
 
-def _gap_recursion(rec: _Recorder, reads: _Reads, max_n: int) -> None:
+def _gap_recursion(reads: _Reads, max_n: int) -> _Checks:
     for n in range(2, max_n):
         # both sides read the series stream here, so the closed cell checks them
         want = counting.win_gap(n) + counting.win_gap_step(n + 1)
-        rec.expect(counting.win_gap(n + 1) == want == reads.heady(-1, n + 1),
-                   f"gap recursion broken at n={n + 1}")
-        rec.expect(reads.heady(-1, n + 1)
-                   == reads.heady(1, n) + reads.heady(-1, n),
-                   f"close-call cell recursion broken at n={n + 1}")
+        yield (counting.win_gap(n + 1) == want == reads.heady(-1, n + 1),
+               f"gap recursion broken at n={n + 1}")
+        yield (reads.heady(-1, n + 1)
+               == reads.heady(1, n) + reads.heady(-1, n),
+               f"close-call cell recursion broken at n={n + 1}")
         # the step also equals the whole gap minus the close-call imbalance
         dist = reads.table(n)
         table = core.close_call_buckets(dist)
-        rec.expect(
+        yield (
             counting.win_gap_step(n + 1) == dist.win_gap() - (table.h4 - table.h2),
             f"step-from-imbalance identity broken at n={n + 1}")
 
 
-def _gap_growth(rec: _Recorder, reads: _Reads, max_n: int) -> None:
-    rec.expect(counting.win_gap(2) == 0, "the gap at n=2 should be 0")
+def _gap_growth(reads: _Reads, max_n: int) -> _Checks:
+    yield (counting.win_gap(2) == 0, "the gap at n=2 should be 0")
     running = 0
     for n in range(3, max_n + 1):
         running += counting.win_gap_step(n)
-        rec.expect(counting.win_gap(n) == running == reads.heady(-1, n),
-                   f"gap does not telescope over its steps to the closed cell at n={n}")
-        rec.expect(counting.win_gap(n) > counting.win_gap(n - 1),
-                   f"gap should grow strictly from n=3 on, flat at n={n}")
+        yield (counting.win_gap(n) == running == reads.heady(-1, n),
+               f"gap does not telescope over its steps to the closed cell at n={n}")
+        yield (counting.win_gap(n) > counting.win_gap(n - 1),
+               f"gap should grow strictly from n=3 on, flat at n={n}")
     for n in range(2, max_n + 1):
-        rec.expect(counting.heady_close_calls(n) >= 1,
-                   f"there is always a score-one heady sequence, none at n={n}")
+        yield (counting.heady_close_calls(n) >= 1,
+               f"there is always a score-one heady sequence, none at n={n}")
 
 
 def _rows_ok(rows: list[list[int]]) -> list[bool]:
@@ -237,7 +236,7 @@ def _rows_ok(rows: list[list[int]]) -> list[bool]:
             for m, row in enumerate(rows)]
 
 
-def _term_updates(rec: _Recorder, reads: _Reads, max_n: int) -> None:
+def _term_updates(reads: _Reads, max_n: int) -> _Checks:
     # walk single cells from birth, one length at a time, against the
     # closed form; exercises deep positive and negative scores alike.
     # A walked cell keeps its shape while its budget row passed _rows_ok
@@ -256,17 +255,17 @@ def _term_updates(rec: _Recorder, reads: _Reads, max_n: int) -> None:
             coefs: list[int] = []
             want: list[int] = []
             recurrence._fill(sigma, n, coefs)
-            rec.expect(recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
-                       f"{kind} cell wrong at birth: s={s} n={n}")
+            yield (recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
+                   f"{kind} cell wrong at birth: s={s} n={n}")
             while n < max_n:
                 n += 1
                 recurrence._fill(sigma, n, coefs)
                 for j in range(j0 + len(want), (n - sigma - 1) // 3 + 1):
                     want.append(_summands.binom(2 * j + sigma, j))
-                rec.expect(recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
-                           f"{kind} term update drifted: s={s} n={n}")
-                rec.expect(rows_ok[n - s - 1 + lead] and coefs == want,
-                           f"{kind} terms lost their binomial shape: s={s} n={n}")
+                yield (recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
+                       f"{kind} term update drifted: s={s} n={n}")
+                yield (rows_ok[n - s - 1 + lead] and coefs == want,
+                       f"{kind} terms lost their binomial shape: s={s} n={n}")
 
 
 def _cell_table(reads: _Reads, n: int) -> core.ScoreDistribution:
@@ -281,16 +280,16 @@ def _cell_table(reads: _Reads, n: int) -> core.ScoreDistribution:
     return core.ScoreDistribution(n, *halves)
 
 
-def _method_agreement(rec: _Recorder, reads: _Reads, max_n: int) -> None:
+def _method_agreement(reads: _Reads, max_n: int) -> _Checks:
     # the DP meets the single-cell closed forms and the term vectors meet
     # the closed-form table, so a fault in any one route shows
     sweep_dp = recurrence.dp_sweep(max_n)
     sweep_terms = recurrence.table_sweep(max_n)
     for n, dp_dist, term_dist in zip(range(1, max_n + 1), sweep_dp, sweep_terms):
-        rec.expect(dp_dist == _cell_table(reads, n),
-                   f"dp table disagrees with closed forms at n={n}")
-        rec.expect(term_dist == reads.table(n),
-                   f"term-update table disagrees with closed forms at n={n}")
+        yield (dp_dist == _cell_table(reads, n),
+               f"dp table disagrees with closed forms at n={n}")
+        yield (term_dist == reads.table(n),
+               f"term-update table disagrees with closed forms at n={n}")
 
 
 def _all_signatures(max_marks: int) -> Iterator[str]:
@@ -307,31 +306,31 @@ def _rejected(call: Callable[[], object]) -> bool:
     return False
 
 
-def _min_length_formula(rec: _Recorder) -> None:
+def _min_length_formula() -> _Checks:
     for sig in _all_signatures(8):
         modes = ["heady"] if sig.endswith("+") else ["heady", "taily"]
         for mode in modes:
             mu = signatures.min_length_sequence(sig, mode)
-            rec.expect(len(mu) == signatures.min_length(sig, mode),
-                       f"built length disagrees with the formula: {sig!r} {mode}")
-            rec.expect(signatures.signature_of(mu) == sig,
-                       f"shortest sequence carries the wrong marks: {sig!r} {mode}")
-            rec.expect(mu[-1] == (1 if mode == "heady" else 0),
-                       f"shortest sequence ends on the wrong toss: {sig!r} {mode}")
+            yield (len(mu) == signatures.min_length(sig, mode),
+                   f"built length disagrees with the formula: {sig!r} {mode}")
+            yield (signatures.signature_of(mu) == sig,
+                   f"shortest sequence carries the wrong marks: {sig!r} {mode}")
+            yield (mu[-1] == (1 if mode == "heady" else 0),
+                   f"shortest sequence ends on the wrong toss: {sig!r} {mode}")
             built = list(signatures.generate_sequences(sig, len(mu), mode))
-            rec.expect(built == [mu],
-                       f"generation at the minimum length is not unique: {sig!r} {mode}")
+            yield (built == [mu],
+                   f"generation at the minimum length is not unique: {sig!r} {mode}")
             if len(mu) > 1:
-                rec.expect(
+                yield (
                     _rejected(lambda: list(
                         signatures.generate_sequences(sig, len(mu) - 1, mode))),
                     f"generation below the minimum length succeeded: {sig!r} {mode}")
         if sig.endswith("+"):
-            rec.expect(_rejected(lambda: signatures.min_length(sig, "taily")),
-                       f"taily mode accepted a '+'-ending signature: {sig!r}")
+            yield (_rejected(lambda: signatures.min_length(sig, "taily")),
+                   f"taily mode accepted a '+'-ending signature: {sig!r}")
 
 
-def _insertion_census(rec: _Recorder, reads: _Reads, max_n: int) -> None:
+def _insertion_census(reads: _Reads, max_n: int) -> _Checks:
     # summing the generator's closed-form counts over every realizable
     # signature must rebuild the whole distribution, score by score; a
     # signature's score and shortest lengths do not depend on n, so each
@@ -346,13 +345,13 @@ def _insertion_census(rec: _Recorder, reads: _Reads, max_n: int) -> None:
                 tables[n][s] = tables[n].get(s, 0) + signatures.sequence_count(sig, n, mode)
     for n in range(1, max_n + 1):
         closed = reads.table(n)
-        rec.expect(census["heady"][n] == closed.heady,
-                   f"signature census misses the heady table at n={n}")
-        rec.expect(census["taily"][n] == closed.taily,
-                   f"signature census misses the taily table at n={n}")
+        yield (census["heady"][n] == closed.heady,
+               f"signature census misses the heady table at n={n}")
+        yield (census["taily"][n] == closed.taily,
+               f"signature census misses the taily table at n={n}")
 
 
-def _insertion_bijection(rec: _Recorder, max_marks: int) -> None:
+def _insertion_bijection(max_marks: int) -> _Checks:
     # a score-one signature at length n and its complement, pinned to a
     # leading head, at length n + 1 generate equally many sequences, for
     # the signature's shortest length and the six above it
@@ -365,16 +364,16 @@ def _insertion_bijection(rec: _Recorder, max_marks: int) -> None:
             ours = signatures.sequence_count(sig, n, "heady")
             theirs = signatures.sequence_count(twin, n + 1, "heady",
                                                fixed_leading_one=True)
-            rec.expect(ours == theirs,
-                       f"complement pairing miscounts: {sig!r} n={n}")
+            yield (ours == theirs,
+                   f"complement pairing miscounts: {sig!r} n={n}")
             if len(sig) <= 5:
                 built = list(signatures.generate_sequences(
                     twin, n + 1, "heady", fixed_leading_one=True))
-                rec.expect(len(built) == ours and len(set(built)) == ours,
-                           f"complement generation miscounts: {sig!r} n={n}")
+                yield (len(built) == ours and len(set(built)) == ours,
+                       f"complement generation miscounts: {sig!r} n={n}")
 
 
-def _generator_coverage(rec: _Recorder, gen_max: int) -> None:
+def _generator_coverage(gen_max: int) -> _Checks:
     # every sequence of every length must be produced exactly once, under
     # exactly the signature and final toss it actually carries
     for n in range(1, gen_max + 1):
@@ -383,62 +382,62 @@ def _generator_coverage(rec: _Recorder, gen_max: int) -> None:
             bits = oracle.word_to_bits(word, n)
             mode = "heady" if bits[-1] == 1 else "taily"
             groups.setdefault((signatures.signature_of(bits), mode), set()).add(bits)
-        rec.expect(groups.pop(("", "taily")) == {(0,) * n},
-                   f"mark-free taily sequences at n={n} should be the all-tails one")
-        rec.expect(groups.pop(("", "heady")) == {(0,) * (n - 1) + (1,)},
-                   f"mark-free heady sequences at n={n} should be tails-then-head")
+        yield (groups.pop(("", "taily")) == {(0,) * n},
+               f"mark-free taily sequences at n={n} should be the all-tails one")
+        yield (groups.pop(("", "heady")) == {(0,) * (n - 1) + (1,)},
+               f"mark-free heady sequences at n={n} should be tails-then-head")
         for (sig, mode), want in groups.items():
             got = list(signatures.generate_sequences(sig, n, mode))
-            rec.expect(len(got) == len(set(got)),
-                       f"duplicate outputs: {sig!r} {mode} n={n}")
-            rec.expect(set(got) == want, f"coverage gap: {sig!r} {mode} n={n}")
-            rec.expect(signatures.sequence_count(sig, n, mode) == len(want),
-                       f"closed-form count wrong: {sig!r} {mode} n={n}")
+            yield (len(got) == len(set(got)),
+                   f"duplicate outputs: {sig!r} {mode} n={n}")
+            yield (set(got) == want, f"coverage gap: {sig!r} {mode} n={n}")
+            yield (signatures.sequence_count(sig, n, mode) == len(want),
+                   f"closed-form count wrong: {sig!r} {mode} n={n}")
             pinned = {bits for bits in want if bits[0] == 1}
             if pinned:
                 got_pinned = set(signatures.generate_sequences(
                     sig, n, mode, fixed_leading_one=True))
-                rec.expect(got_pinned == pinned,
-                           f"pinned-head coverage gap: {sig!r} {mode} n={n}")
-                rec.expect(
+                yield (got_pinned == pinned,
+                       f"pinned-head coverage gap: {sig!r} {mode} n={n}")
+                yield (
                     signatures.sequence_count(sig, n, mode, fixed_leading_one=True)
                     == len(pinned),
                     f"pinned-head count wrong: {sig!r} {mode} n={n}")
             else:
-                rec.expect(
+                yield (
                     _rejected(lambda: signatures.sequence_count(
                         sig, n, mode, fixed_leading_one=True)),
                     f"pinned head accepted with nowhere to put tails: "
                     f"{sig!r} {mode} n={n}")
 
 
-def _oracle_agreement(rec: _Recorder, reads: _Reads, oracle_max: int) -> None:
+def _oracle_agreement(reads: _Reads, oracle_max: int) -> _Checks:
     for n in range(1, oracle_max + 1):
         seen = oracle.enumerate_distribution(n)
         closed = reads.table(n)
-        rec.expect(seen == closed == _cell_table(reads, n),
-                   f"enumeration disagrees with closed forms at n={n}")
+        yield (seen == closed == _cell_table(reads, n),
+               f"enumeration disagrees with closed forms at n={n}")
         table = core.close_call_buckets(closed)
-        rec.expect(oracle.close_call_table(n) == table,
-                   f"enumerated close-call buckets disagree at n={n}")
+        yield (oracle.close_call_table(n) == table,
+               f"enumerated close-call buckets disagree at n={n}")
         half = 1 << (n - 1)
-        rec.expect(sum(table.heady_row()) == half and sum(table.taily_row()) == half,
-                   f"close-call rows do not each cover half the sequences at n={n}")
+        yield (sum(table.heady_row()) == half and sum(table.taily_row()) == half,
+               f"close-call rows do not each cover half the sequences at n={n}")
         if n >= 2:
-            rec.expect(oracle.win_gap(n) == counting.win_gap(n),
-                       f"enumerated gap disagrees at n={n}")
-            rec.expect(table.h4 == counting.win_gap(n),
-                       f"the gap should sit in the score minus-one heady bucket, n={n}")
+            yield (oracle.win_gap(n) == counting.win_gap(n),
+                   f"enumerated gap disagrees at n={n}")
+            yield (table.h4 == counting.win_gap(n),
+                   f"the gap should sit in the score minus-one heady bucket, n={n}")
     n = min(oracle_max, 6)
     dist = reads.table(n)
     for mode, counts in (("heady", dist.heady), ("taily", dist.taily)):
         want_last = 1 if mode == "heady" else 0
         for s, c in counts.items():
             found = oracle.sequences_with(n, s, mode)
-            rec.expect(len(found) == c,
-                       f"sequence listing count wrong: s={s} {mode} n={n}")
-            rec.expect(all(core.score(b) == s and b[-1] == want_last for b in found),
-                       f"sequence listing contents wrong: s={s} {mode} n={n}")
+            yield (len(found) == c,
+                   f"sequence listing count wrong: s={s} {mode} n={n}")
+            yield (all(core.score(b) == s and b[-1] == want_last for b in found),
+                   f"sequence listing contents wrong: s={s} {mode} n={n}")
 
 
 def run_suites(max_n: int = 64, oracle_max: int = 12,
@@ -463,32 +462,30 @@ def run_suites(max_n: int = 64, oracle_max: int = 12,
             raise ValueError(f"{name} must be at least 1, got {bound}")
         if bound > limit:
             raise ValueError(f"{name}={bound} exceeds {what} of {limit}")
-    census_max = min(gen_max + 2, 14)
-    arithmetic: list[tuple[str, Callable[[_Recorder, _Reads], None]]] = [
-        ("base-tables", _base_tables),
-        ("normalization", lambda rec, reads: _normalization(rec, reads, max_n)),
-        ("support-bounds", lambda rec, reads: _support_bounds(rec, reads, max_n)),
-        ("heady-recursion", lambda rec, reads: _appended_toss(rec, reads, max_n, 0)),
-        ("taily-recursion", lambda rec, reads: _appended_toss(rec, reads, max_n, 1)),
-        ("close-call-census", lambda rec, reads: _close_call_census(rec, reads, max_n)),
-        ("gap-definition", lambda rec, reads: _gap_definition(rec, reads, max_n)),
-        ("gap-recursion", lambda rec, reads: _gap_recursion(rec, reads, max_n)),
-        ("gap-growth", lambda rec, reads: _gap_growth(rec, reads, max_n)),
-        ("term-updates", lambda rec, reads: _term_updates(rec, reads, max_n)),
-        ("method-agreement", lambda rec, reads: _method_agreement(rec, reads, max_n)),
-    ]
-    enumeration: list[tuple[str, Callable[[_Recorder, _Reads], None]]] = [
-        ("min-length-formula", lambda rec, _: _min_length_formula(rec)),
-        ("insertion-census", lambda rec, reads: _insertion_census(rec, reads, census_max)),
-        ("insertion-bijection", lambda rec, _: _insertion_bijection(rec, 7)),
-        ("generator-coverage", lambda rec, _: _generator_coverage(rec, gen_max)),
-        ("oracle-agreement", lambda rec, reads: _oracle_agreement(rec, reads, oracle_max)),
-    ]
-    results: list[SuiteResult] = []
-    for suites in (arithmetic, enumeration):
-        # each group shares its own reads, dropped before the next group
-        # starts: the generator sweep sets the run's peak memory, and the
-        # enumeration suites' lengths are short enough to read again
-        reads = _Reads()
-        results += [_run(name, body, reads) for name, body in suites]
+    # each group of suites shares its own reads, held only by the group's
+    # generators and dropped with them before the next group starts: the
+    # generator sweep sets the run's peak memory, and the enumeration
+    # suites' lengths are short enough to read again
+    reads = _Reads()
+    results = [_run(name, checks) for name, checks in (
+        ("base-tables", _base_tables(reads)),
+        ("normalization", _normalization(reads, max_n)),
+        ("support-bounds", _support_bounds(reads, max_n)),
+        ("heady-recursion", _appended_toss(reads, max_n, 0)),
+        ("taily-recursion", _appended_toss(reads, max_n, 1)),
+        ("close-call-census", _close_call_census(reads, max_n)),
+        ("gap-definition", _gap_definition(reads, max_n)),
+        ("gap-recursion", _gap_recursion(reads, max_n)),
+        ("gap-growth", _gap_growth(reads, max_n)),
+        ("term-updates", _term_updates(reads, max_n)),
+        ("method-agreement", _method_agreement(reads, max_n)),
+    )]
+    reads = _Reads()
+    results += [_run(name, checks) for name, checks in (
+        ("min-length-formula", _min_length_formula()),
+        ("insertion-census", _insertion_census(reads, min(gen_max + 2, 14))),
+        ("insertion-bijection", _insertion_bijection(7)),
+        ("generator-coverage", _generator_coverage(gen_max)),
+        ("oracle-agreement", _oracle_agreement(reads, oracle_max)),
+    )]
     return results

@@ -142,14 +142,9 @@ def test_criterion_5_min_length_depends_only_on_mark_counts():
 
 def test_criterion_6_generator_soundness_and_bijection():
     with criterion(6, "generator complete to n = 14, close-call bijection", budget=60.0):
-        coverage = verify._run(
-            "coverage-to-14", lambda rec: verify._generator_coverage(rec, 14)
-        )
+        coverage = verify._run("coverage-to-14", verify._generator_coverage(14))
         assert coverage.ok, coverage.detail
-        bijection = verify._run(
-            "bijection-to-9-marks",
-            lambda rec: verify._insertion_bijection(rec, 9),
-        )
+        bijection = verify._run("bijection-to-9-marks", verify._insertion_bijection(9))
         assert bijection.ok, bijection.detail
 
 

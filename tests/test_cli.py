@@ -321,10 +321,26 @@ def test_verify_names_an_injected_fault(capsys, monkeypatch):
         return value + 1 if (s, n) == (1, 7) else value
 
     monkeypatch.setattr(counting, "heady_count", dishonest)
-    rc, out, _ = run(capsys, "verify", "--max-n", "8", "--oracle-max", "8", "--gen-max", "6")
-    assert rc == 1
-    failures = [line for line in out.splitlines() if line.startswith("FAIL ")]
-    assert failures
+    rc, out, err = run(capsys, "verify", "--max-n", "8", "--oracle-max", "8", "--gen-max", "6")
+    assert (rc, err) == (1, "")
+    assert out == (
+        "PASS base-tables (12 checks)\n"
+        "PASS normalization (16 checks)\n"
+        "PASS support-bounds (96 checks)\n"
+        "FAIL heady-recursion: heady recursion broken at s=1 n=7\n"
+        "FAIL taily-recursion: taily recursion broken at s=0 n=8\n"
+        "FAIL close-call-census: close-call census disagrees with the closed form at n=7\n"
+        "PASS gap-definition (14 checks)\n"
+        "FAIL gap-recursion: close-call cell recursion broken at n=8\n"
+        "PASS gap-growth (20 checks)\n"
+        "FAIL term-updates: heady term update drifted: s=1 n=7\n"
+        "FAIL method-agreement: dp table disagrees with closed forms at n=7\n"
+        "PASS min-length-formula (4080 checks)\n"
+        "PASS insertion-census (16 checks)\n"
+        "PASS insertion-bijection (441 checks)\n"
+        "PASS generator-coverage (332 checks)\n"
+        "FAIL oracle-agreement: enumeration disagrees with closed forms at n=7\n"
+    )
 
 
 def test_retired_bench_is_an_unknown_subcommand(capsys):

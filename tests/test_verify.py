@@ -47,7 +47,7 @@ def test_bound_validation():
 
 
 def test_enumeration_bounds_past_the_cap_are_refused_before_any_suite(monkeypatch):
-    def ran(rec, reads):
+    def ran(reads):
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
@@ -59,7 +59,7 @@ def test_enumeration_bounds_past_the_cap_are_refused_before_any_suite(monkeypatc
 
 
 def test_generator_bounds_past_the_sweep_limit_are_refused_before_any_suite(monkeypatch):
-    def ran(rec, reads):
+    def ran(reads):
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
@@ -72,7 +72,7 @@ def test_generator_bounds_past_the_sweep_limit_are_refused_before_any_suite(monk
 
 
 def test_sweep_bounds_past_the_limit_are_refused_before_any_suite(monkeypatch):
-    def ran(rec, reads):
+    def ran(reads):
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
@@ -87,7 +87,7 @@ def test_sweep_bounds_past_the_limit_are_refused_before_any_suite(monkeypatch):
 def test_an_oracle_bound_past_the_hard_limit_is_refused_before_any_suite(monkeypatch):
     # a bound far past the limit gets the same one refusal, before the
     # oracle suite would enumerate a single length
-    def ran(rec, reads):
+    def ran(reads):
         raise AssertionError("a suite ran before the bounds were checked")
 
     monkeypatch.setattr(verify, "_base_tables", ran)
@@ -201,9 +201,8 @@ def test_insertion_census_reads_each_signature_once(monkeypatch):
         return honest(sig, mode)
 
     monkeypatch.setattr(signatures, "min_length", counted)
-    rec = verify._Recorder()
-    verify._insertion_census(rec, verify._Reads(), 12)
-    assert rec.checks == 24
+    result = verify._run("insertion-census", verify._insertion_census(verify._Reads(), 12))
+    assert result.checks == 24
     assert len(calls) <= 4094 + 2047
 
 
@@ -233,16 +232,84 @@ def test_arithmetic_reads_are_gone_before_the_enumeration_suites(monkeypatch):
     honest_base, honest_min = verify._base_tables, verify._min_length_formula
     held, alive = [], []
 
-    def base_tables(rec, reads):
+    def base_tables(reads):
         held.append(weakref.ref(reads))
-        honest_base(rec, reads)
+        yield from honest_base(reads)
 
-    def min_length_formula(rec):
+    def min_length_formula():
         alive.append(held[0]() is not None)
-        honest_min(rec)
+        yield from honest_min()
 
     monkeypatch.setattr(verify, "_base_tables", base_tables)
     monkeypatch.setattr(verify, "_min_length_formula", min_length_formula)
     results = verify.run_suites(max_n=8, oracle_max=6, gen_max=5)
     assert failed_names(results) == set()
     assert alive == [False]
+
+
+# every suite's result at max_n=12, oracle_max=8, gen_max=6 on an honest run
+CLEAN_AT_12 = [
+    ("base-tables", True, 12, ""),
+    ("normalization", True, 24, ""),
+    ("support-bounds", True, 144, ""),
+    ("heady-recursion", True, 135, ""),
+    ("taily-recursion", True, 135, ""),
+    ("close-call-census", True, 21, ""),
+    ("gap-definition", True, 22, ""),
+    ("gap-recursion", True, 30, ""),
+    ("gap-growth", True, 32, ""),
+    ("term-updates", True, 365, ""),
+    ("method-agreement", True, 24, ""),
+    ("min-length-formula", True, 4080, ""),
+    ("insertion-census", True, 16, ""),
+    ("insertion-bijection", True, 441, ""),
+    ("generator-coverage", True, 332, ""),
+    ("oracle-agreement", True, 68, ""),
+]
+
+
+@pytest.mark.parametrize("module, name, hit, failures", [
+    pytest.param(counting, "heady_count", lambda s, n: (s, n) == (1, 7), {
+        "heady-recursion": (45, "heady recursion broken at s=1 n=7"),
+        "taily-recursion": (57, "taily recursion broken at s=0 n=8"),
+        "close-call-census": (6, "close-call census disagrees with the closed form at n=7"),
+        "gap-recursion": (17, "close-call cell recursion broken at n=8"),
+        "term-updates": (173, "heady term update drifted: s=1 n=7"),
+        "method-agreement": (13, "dp table disagrees with closed forms at n=7"),
+        "oracle-agreement": (29, "enumeration disagrees with closed forms at n=7"),
+    }, id="heady-1-7"),
+    pytest.param(counting, "taily_count", lambda s, n: (s, n) == (-2, 9), {
+        "heady-recursion": (85, "heady recursion broken at s=-2 n=10"),
+        "taily-recursion": (69, "taily recursion broken at s=-2 n=9"),
+        "term-updates": (74, "taily term update drifted: s=-2 n=9"),
+        "method-agreement": (17, "dp table disagrees with closed forms at n=9"),
+    }, id="taily-minus-2-9"),
+    pytest.param(signatures, "sequence_count", lambda sig, n, *_: (sig, n) == ("+-", 6), {
+        "insertion-census": (11, "signature census misses the heady table at n=6"),
+        "generator-coverage": (189, "closed-form count wrong: '+-' taily n=6"),
+    }, id="sequence-count-plus-minus-6"),
+])
+def test_every_suite_result_under_an_injected_fault(monkeypatch, module, name, hit, failures):
+    # one count one too big: each suite that reads it fails at the same
+    # check with the same message, and every other suite counts as before
+    bounds = dict(max_n=12, oracle_max=8, gen_max=6)
+    assert [tuple(r) for r in verify.run_suites(**bounds)] == CLEAN_AT_12
+    honest = getattr(module, name)
+
+    def dishonest(*args, **kwargs):
+        value = honest(*args, **kwargs)
+        return value + 1 if hit(*args) else value
+
+    monkeypatch.setattr(module, name, dishonest)
+    want = [(suite, False, *failures[suite]) if suite in failures else (suite, ok, checks, "")
+            for suite, ok, checks, _ in CLEAN_AT_12]
+    assert [tuple(r) for r in verify.run_suites(**bounds)] == want
+
+
+def test_run_stops_drawing_at_the_first_failed_check():
+    def checks():
+        yield True, ""
+        yield False, "x"
+        raise AssertionError("a check was drawn past the first failure")
+
+    assert verify._run("stops", checks()) == verify.SuiteResult("stops", False, 2, "x")
