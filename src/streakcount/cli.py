@@ -8,6 +8,11 @@ output is plain text on stdout; anything a flag rejects comes back as
 "error: ..." on stderr and exit status 1.  A closed output pipe ends the
 command quietly with status 141 and an interrupt with status 130, the
 shell's codes for SIGPIPE and SIGINT.
+
+A cold command loads only its own layer: each handler imports the modules
+its route runs, and the parser adds the arguments of the invoked
+subcommand alone, so `wins` never loads the oracle, the DP or the verify
+suites.
 """
 
 from __future__ import annotations
@@ -16,8 +21,12 @@ import argparse
 import os
 import sys
 from itertools import islice
+from typing import TYPE_CHECKING
 
-from . import __version__, core, counting, oracle, recurrence, signatures, verify
+from . import __version__
+
+if TYPE_CHECKING:
+    from .core import ScoreDistribution
 
 
 # longest length each dist method accepts, and wins; past it a command is
@@ -33,20 +42,24 @@ _DIST_LIMITS = {"closed": 10_000, "dp": 3_000, "incremental": 1_000}
 _WINS_LIMIT = 50_000
 
 
-def _dist_for(method: str, n: int) -> core.ScoreDistribution:
+def _dist_for(method: str, n: int) -> ScoreDistribution:
     limit = _DIST_LIMITS.get(method)
     if limit is not None and n > limit:
         raise ValueError(f"n={n} exceeds the {method} method's length limit of {limit}")
     if method == "closed":
+        from . import counting
         return counting.closed_distribution(n)
+    if method == "oracle":
+        from . import oracle
+        return oracle.enumerate_distribution(n)
+    from . import recurrence
     if method == "dp":
         return recurrence.dp_distribution(n)
-    if method == "incremental":
-        return recurrence.incremental_distribution(n)
-    return oracle.enumerate_distribution(n)
+    return recurrence.incremental_distribution(n)
 
 
-def _dist_rows(dist: core.ScoreDistribution) -> list[tuple[int, int, int]]:
+def _dist_rows(dist: ScoreDistribution) -> list[tuple[int, int, int]]:
+    from . import counting
     lo, hi = counting.score_support(dist.n)
     return [(s, dist.heady.get(s, 0), dist.taily.get(s, 0))
             for s in range(hi, lo - 1, -1)]
@@ -77,6 +90,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 def _cmd_wins(args: argparse.Namespace) -> int:
     if args.n > _WINS_LIMIT:
         raise ValueError(f"n={args.n} exceeds the wins length limit of {_WINS_LIMIT}")
+    from . import counting
     odds = counting.win_odds(args.n, digits=args.digits)
     den = odds.total
     print(f"n {odds.n}")
@@ -106,6 +120,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--from {args.from_n} exceeds the table's start limit of {_FROM_LIMIT}")
     if args.to < args.from_n:
         raise ValueError(f"--to must be at least --from, got {args.to}")
+    from . import counting
     for n in range(args.from_n, args.to + 1):
         print(f"{n} {counting.heady_close_calls(n)} {counting.win_gap(n)}")
     return 0
@@ -133,6 +148,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     # argparse before Python 3.13 strips a lone "--" out of an option's
     # value, so --signature=-- arrives as an empty list; 3.13 passes "--"
     signature = "--" if args.signature == [] else args.signature
+    from . import signatures
     seqs = signatures.generate_sequences(signature, args.length, args.mode,
                                          args.fixed_leading_one)
     count = 0
@@ -146,6 +162,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
     results = verify.run_suites(max_n=args.max_n, oracle_max=args.oracle_max,
                                 gen_max=args.gen_max)
     failed = False
@@ -159,17 +176,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 _SERIES = {
-    # series name -> (first defined length, term function); h4 and D are
-    # two names for the same series
-    "h2": (2, counting.heady_close_calls),
-    "h4": (2, counting.win_gap),
-    "D": (2, counting.win_gap),
-    "delta": (3, counting.win_gap_step),
+    # series name -> (first defined length, term function in counting); h4
+    # and D are two names for the same series
+    "h2": (2, "heady_close_calls"),
+    "h4": (2, "win_gap"),
+    "D": (2, "win_gap"),
+    "delta": (3, "win_gap_step"),
 }
 
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
-    start, term = _SERIES[args.series]
+    from . import counting
+    start, name = _SERIES[args.series]
+    term = getattr(counting, name)
     if args.max_n < start:
         raise ValueError(
             f"series {args.series} is undefined below n={start}, "
@@ -181,16 +200,8 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="streakcount",
-        description="Exact score tables for the heads-heads versus heads-tails "
-                    "coin tossing game.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dist", help="score table for one length")
+def _dist_arguments(p: argparse.ArgumentParser) -> None:
+    from . import oracle     # its help prints the oracle's length limit
     p.add_argument("n", type=int,
                    help="sequence length, at most " + ", ".join(
                        f"{limit} by {method}" for method, limit in _DIST_LIMITS.items())
@@ -200,21 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "tsv", "json"), default="table")
     p.set_defaults(run=_cmd_dist)
 
-    p = sub.add_parser("wins", help="aggregate win, loss and tie counts")
+
+def _wins_arguments(p: argparse.ArgumentParser) -> None:
+    from . import counting
     p.add_argument("n", type=int, help=f"sequence length, at most {_WINS_LIMIT}")
     p.add_argument("--digits", type=int, default=6,
                    help="decimal places in the share columns, at most "
                         f"{counting.MAX_DIGITS} (default 6)")
     p.set_defaults(run=_cmd_wins)
 
-    p = sub.add_parser("table", help="close-call and gap columns over a length range")
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--from", dest="from_n", type=int, default=2, metavar="N",
                    help=f"first length, at most {_FROM_LIMIT} (default 2)")
     p.add_argument("--to", type=int, default=25, metavar="N",
                    help="last length (default 25)")
     p.set_defaults(run=_cmd_table)
 
-    p = sub.add_parser("gen", help="stream every sequence with a given signature")
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--signature", required=True,
                    help="mark string over '+' and '-'; values starting with '-' "
                         "need the --signature=-+- form")
@@ -226,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin the leading head; every output starts with 1")
     p.set_defaults(run=_cmd_gen)
 
-    p = sub.add_parser("verify", help="run the cross-checking invariant suites")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from . import verify
     p.add_argument("--max-n", type=int, default=64,
                    help="bound for the pure-arithmetic sweeps, at most "
                         f"{verify.MAX_N_LIMIT} (default 64)")
@@ -237,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{verify.GEN_MAX_LIMIT} (default: min(10, max-n))")
     p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("bfile", help="one series as 'index value' lines")
+
+def _bfile_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--series", choices=tuple(_SERIES), required=True,
                    help="h2: score-one heady counts; h4 or D: the win gap; "
                         "delta: gap increments")
@@ -246,11 +264,47 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relabel the first index (default: the first length)")
     p.set_defaults(run=_cmd_bfile)
 
+
+_COMMANDS = {
+    # subcommand -> (help line, function adding its arguments), in the
+    # order the top-level help lists them
+    "dist": ("score table for one length", _dist_arguments),
+    "wins": ("aggregate win, loss and tie counts", _wins_arguments),
+    "table": ("close-call and gap columns over a length range", _table_arguments),
+    "gen": ("stream every sequence with a given signature", _gen_arguments),
+    "verify": ("run the cross-checking invariant suites", _verify_arguments),
+    "bfile": ("one series as 'index value' lines", _bfile_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, and the arguments of `command` alone.
+
+    Adding a subcommand's arguments imports the layer whose limit its help
+    prints, so a parser for one command loads no other command's layer;
+    with no `command` (or a name that is none) only the top level can parse.
+    """
+    parser = argparse.ArgumentParser(
+        prog="streakcount",
+        description="Exact score tables for the heads-heads versus heads-tails "
+                    "coin tossing game.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no option values, so its first bare token
+    # names the subcommand argparse will hand the rest to
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     # exact counts outgrow the interpreter's limit on int-to-str conversion
     # (4300 digits by default); argv above is still parsed under it
     lift = hasattr(sys, "set_int_max_str_digits")

@@ -66,6 +66,102 @@ VERIFY_DEFAULT = (
 )
 
 
+# every --help page at 80 columns, byte for byte: argparse wraps help text
+# to the terminal width, so the tests set COLUMNS
+HELP_PAGES = {
+    '': (
+        'usage: streakcount [-h] [--version] {dist,wins,table,gen,verify,bfile} ...\n'
+        '\n'
+        'Exact score tables for the heads-heads versus heads-tails coin tossing game.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {dist,wins,table,gen,verify,bfile}\n'
+        '    dist                score table for one length\n'
+        '    wins                aggregate win, loss and tie counts\n'
+        '    table               close-call and gap columns over a length range\n'
+        '    gen                 stream every sequence with a given signature\n'
+        '    verify              run the cross-checking invariant suites\n'
+        "    bfile               one series as 'index value' lines\n"
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        "  --version             show program's version number and exit\n"
+    ),
+    'dist': (
+        'usage: streakcount dist [-h] [--method {closed,dp,incremental,oracle}]\n'
+        '                        [--format {table,tsv,json}]\n'
+        '                        n\n'
+        '\n'
+        'positional arguments:\n'
+        '  n                     sequence length, at most 10000 by closed, 3000 by dp,\n'
+        '                        1000 by incremental and 24 by oracle\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --method {closed,dp,incremental,oracle}\n'
+        '                        computation path (default closed)\n'
+        '  --format {table,tsv,json}\n'
+    ),
+    'wins': (
+        'usage: streakcount wins [-h] [--digits DIGITS] n\n'
+        '\n'
+        'positional arguments:\n'
+        '  n                sequence length, at most 50000\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --digits DIGITS  decimal places in the share columns, at most 10000000\n'
+        '                   (default 6)\n'
+    ),
+    'table': (
+        'usage: streakcount table [-h] [--from N] [--to N]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '  --from N    first length, at most 50000 (default 2)\n'
+        '  --to N      last length (default 25)\n'
+    ),
+    'gen': (
+        'usage: streakcount gen [-h] --signature SIGNATURE --length LENGTH\n'
+        '                       [--mode {heady,taily}] [--fixed-leading-one]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --signature SIGNATURE\n'
+        "                        mark string over '+' and '-'; values starting with '-'\n"
+        '                        need the --signature=-+- form\n'
+        '  --length LENGTH       sequence length, at most 1000000\n'
+        '  --mode {heady,taily}  final toss of the generated sequences (default heady)\n'
+        '  --fixed-leading-one   pin the leading head; every output starts with 1\n'
+    ),
+    'verify': (
+        'usage: streakcount verify [-h] [--max-n MAX_N] [--oracle-max ORACLE_MAX]\n'
+        '                          [--gen-max GEN_MAX]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --max-n MAX_N         bound for the pure-arithmetic sweeps, at most 200\n'
+        '                        (default 64)\n'
+        '  --oracle-max ORACLE_MAX\n'
+        '                        bound for the full-enumeration sweeps (default 12)\n'
+        '  --gen-max GEN_MAX     bound for the exhaustive generator sweeps, at most 16\n'
+        '                        (default: min(10, max-n))\n'
+    ),
+    'bfile': (
+        'usage: streakcount bfile [-h] --series {h2,h4,D,delta} [--max-n MAX_N]\n'
+        '                         [--offset OFFSET]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --series {h2,h4,D,delta}\n'
+        '                        h2: score-one heady counts; h4 or D: the win gap;\n'
+        '                        delta: gap increments\n'
+        '  --max-n MAX_N         last length (default 25)\n'
+        '  --offset OFFSET       relabel the first index (default: the first length)\n'
+    ),
+}
+
+
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -76,6 +172,15 @@ def test_dist_table_golden(capsys):
     rc, out, err = run(capsys, "dist", "4")
     assert (rc, err) == (0, "")
     assert out == DIST_4_TABLE
+
+
+def test_every_help_page_is_byte_identical(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, page in HELP_PAGES.items():
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--help"] if command else ["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr() == (page, ""), command
 
 
 def test_dist_single_length(capsys):
@@ -394,24 +499,44 @@ def test_analytic_commands_do_not_import_numpy():
     assert (result.returncode, result.stdout, result.stderr) == (0, "[0, 0, 0] False\n", "")
 
 
+# what a cold command loads besides streakcount and streakcount.cli: the
+# closed forms, the modules each route adds, and json for --format json
+_CLOSED = "_score_recurrence _series _summands core counting"
+_COLD_LOADS = {
+    "wins 10": _CLOSED,
+    "table --from 2 --to 5": _CLOSED,
+    "bfile --series D --max-n 10": _CLOSED,
+    # dist's help prints oracle.MAX_N, so its parser loads the oracle
+    "dist 12": _CLOSED + " oracle",
+    "dist 12 --method oracle": _CLOSED + " oracle",
+    "dist 12 --method dp": _CLOSED + " oracle recurrence",
+    "dist 12 --method incremental": _CLOSED + " oracle recurrence",
+    "dist 3 --format json": _CLOSED + " json oracle",
+    "gen --signature=+-+ --length 12": "_summands core signatures",
+    "verify --max-n 8": _CLOSED + " oracle recurrence signatures verify",
+}
+
+
 def test_cold_import_leaves_dataclasses_inspect_and_json_unloaded():
-    # a cold start pays only for what its command uses: json loads for
+    # a cold start pays only for what its command uses: each command in a
+    # fresh child loads its own layer and no other command's, json loads for
     # --format json alone, and nothing loads dataclasses or its inspect chain
     code = ("import contextlib, io, sys\n"
             "import streakcount.cli\n"
-            "loaded = lambda: [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
-            "print(loaded())\n"
+            "def loaded():\n"
+            "    return sorted(m.removeprefix('streakcount.') for m in sys.modules\n"
+            "                  if m.startswith('streakcount.')\n"
+            "                  or m in ('dataclasses', 'inspect', 'json'))\n"
+            "print(*loaded())\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rcs = [streakcount.cli.main(argv) for argv in (\n"
-            "        ['wins', '10'], ['dist', '12'], ['verify', '--max-n', '8'])]\n"
-            "print(rcs, loaded())\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    streakcount.cli.main(['dist', '3', '--format', 'json'])\n"
-            "print(loaded())\n")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=child_env(), timeout=60)
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == "[]\n[0, 0, 0] []\n['json']\n"
+            "    rc = streakcount.cli.main(sys.argv[1:])\n"
+            "print(rc, *loaded())\n")
+    for argv, loads in _COLD_LOADS.items():
+        result = subprocess.run([sys.executable, "-c", code, *argv.split()], capture_output=True,
+                                text=True, env=child_env(), timeout=60)
+        assert (result.returncode, result.stderr) == (0, ""), argv
+        want = " ".join(sorted(["cli", *loads.split()]))
+        assert result.stdout == f"cli\n0 {want}\n", argv
 
 
 def test_oracle_commands_run_where_numpy_cannot_be_imported(capsys):
