@@ -38,19 +38,21 @@ from it:
 
 - m - 3 <= i <= m: read from the window, without stepping;
 - i < m - 3: start again from the seeds, then as below;
-- i > m: step forward to i if i - m <= i // 4; else a miss.
+- i > m: step forward to i if i - m <= i // 4, or if i follows a miss
+  next to it; else a miss.
 
 A miss is a read that the cursor cannot reach cheaply.  A lone miss
 returns None, and the caller walks its closed form while the cursor stays
 where it is, so a cell far from the cursor costs what its closed-form walk
 costs.  A second miss within the window of the one before, 0 < |i - j| <= 3
-for the earlier miss j, moves the cursor there instead: it is seeded at
-m = max(i, j) from the closed forms, y[t] = 2·heady_count(1, t - 1) for
-t = m - 3 .. m and S(m) = 2·heady_count(-1, m), five walks in all, and i is
-read from it.  So a loop over ascending lengths takes one step per length
-wherever it starts: a loop from a large length (the table command reads
-n + 1, then n) pays one walk and the five-walk seed on its first two
-calls, then steps.  A far cell asked for again and again walks each time.
+for the earlier miss j, steps the cursor to i instead, from the seeds when
+i lies below its window.  So a loop over ascending lengths takes one step
+per length wherever it starts: a loop from a large length (the table
+command reads n + 1, then n) pays one walk and the steps up to n on its
+first two calls, then steps.  A far cell asked for again and again walks
+each time.  Every value that read returns comes from the seeds and the
+recurrence alone; the stream shares nothing with the closed forms, so they
+stay an independent check on it.
 
 Threads.  read takes the cursor tuple and the latest miss once at the
 start, and stores a new cursor once at the end or a new miss just before
@@ -60,8 +62,6 @@ state.
 """
 
 from __future__ import annotations
-
-from . import _summands
 
 Cursor = tuple[int, tuple[int, int, int, int], int]
 
@@ -74,11 +74,12 @@ SEEDS: Cursor = (3, (1, 0, 0, 2), 2)
 # 1000 to 3000, 1.0 times at 5000 and 1.4-1.7 times from 10000 to 30000; a
 # fifth costs 0.5-0.8 and 1.2-1.4 times it.  A quarter stays: a step also
 # leaves the cursor at n, so an ascending loop that jumps goes on stepping,
-# where a walk leaves its next length a miss that seeds in five more walks.
+# where a walk leaves its next length a miss that steps all the way up from
+# wherever the cursor stands.
 RESUME_SHARE = 4
 
 _cursor: Cursor = SEEDS
-# the index of the latest miss, which a miss next to it seeds the cursor at
+# the index of the latest miss: a miss next to it steps the cursor instead
 _last_miss = 0
 
 
@@ -96,16 +97,6 @@ def advance(cursor: Cursor, i: int) -> Cursor:
     return m, (a, b, c, d), total
 
 
-def seeded(m: int) -> Cursor:
-    """The cursor at m >= 5 from the closed forms alone: five walks.
-
-    y[t] = 2·heady_count(1, t - 1) and S(m) = 2·heady_count(-1, m), each
-    walked by _summands.cell, as counting.heady_count walks it.
-    """
-    window = tuple(2 * _summands.cell(1, t - 1, 0) for t in range(m - 3, m + 1))
-    return m, window, 2 * _summands.cell(-1, m, 0)
-
-
 def read(i: int) -> tuple[int, int] | None:
     """(y[i], S(i)) from the cursor, or None where a closed form is cheaper."""
     global _cursor, _last_miss
@@ -113,13 +104,10 @@ def read(i: int) -> tuple[int, int] | None:
     if i < cursor[0] - 3:
         cursor = SEEDS
     if i > cursor[0]:
-        if i - cursor[0] <= i // RESUME_SHARE:
-            cursor = advance(cursor, i)
-        elif 0 < abs(i - last) <= 3:
-            cursor = seeded(max(i, last))
-        else:
+        if i - cursor[0] > i // RESUME_SHARE and not 0 < abs(i - last) <= 3:
             _last_miss = i
             return None
+        cursor = advance(cursor, i)
     _cursor = cursor
     m, window, total = cursor
     tail = window[4 - (m - i):]          # y[i + 1 .. m]

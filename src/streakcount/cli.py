@@ -106,10 +106,10 @@ def _cmd_wins(args: argparse.Namespace) -> int:
     return 0
 
 
-# largest first length table accepts: its first line walks six closed forms
-# of about n bits (the score-one heady cell, then five to seed the series
-# stream), 1.5 s from a cold start at 50000 and 5.9 s at 100000 on a 2-core
-# Xeon, growing as n**2
+# largest first length table accepts: its first line walks one closed form
+# of about n bits (the score-one heady cell) and steps the series stream from
+# its seeds up to n, 1.1 s from a cold start at 50000 and 3.9 s at 100000 on
+# a 2-core Xeon, growing as n**2
 _FROM_LIMIT = 50_000
 
 

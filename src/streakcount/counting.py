@@ -139,7 +139,7 @@ def win_gap(n: int) -> int:
     """
     _require_length(n, 2)
     got = _series.read(n)
-    return heady_count(-1, n) if got is None else got[1] // 2
+    return _summands.cell(-1, n, 0) if got is None else got[1] // 2
 
 
 def win_gap_step(n: int) -> int:

@@ -95,9 +95,9 @@ def test_a_loop_from_a_large_length_resumes(cursor, monkeypatch, capsys):
                         lambda *args: walks.append(args) or term_sum(*args))
     assert cli.main(["table", "--from", "2000", "--to", "2100"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # heady_close_calls(2000) walks; win_gap(2000) seeds the cursor at 2001
-    # in five walks; every later line steps
-    assert len(walks) == 6
+    # heady_close_calls(2000) walks its heady cell; win_gap(2000) follows
+    # that miss, so it steps up from the seeds; every later line steps
+    assert walks == [(1, 1998, 0)]
     assert _series._cursor[0] == 2101
     for n in (2000, 2001, 2100):
         assert lines[n - 2000] == f"{n} {heady_count(1, n)} {heady_count(-1, n)}"
@@ -116,18 +116,33 @@ def test_a_cold_gap_step_walks_the_heady_cell_once(cursor, monkeypatch):
     assert got == heady_close_calls(7000) == heady_count(1, 7000)
 
 
-def test_misses_next_to_each_other_seed_the_cursor(cursor):
+def test_misses_next_to_each_other_step_the_cursor(cursor):
     # each pair lies more than a quarter of its length past the one before
     for first, second in ((500, 503), (803, 800), (1200, 1197)):
         assert win_gap(first) == heady_count(-1, first)
         assert _series._cursor[0] < first                # a lone miss walks
         assert win_gap_step(second) == heady_count(1, second - 1)
-        assert _series._cursor == _series.seeded(max(first, second))
+        assert _series._cursor == at(second)
     # a miss four away, or at the same length, walks
     for first, second in ((1700, 1704), (2300, 2300)):
         assert win_gap(first) == heady_count(-1, first)
         assert win_gap(second) == heady_count(-1, second)
-        assert _series._cursor[0] == 1200
+        assert _series._cursor[0] == 1197
+
+
+def test_a_miss_next_to_a_miss_reads_no_closed_form(cursor, monkeypatch):
+    # the stream's values come from the seeds and the recurrence alone, so
+    # with every closed-form walk broken it still serves the second miss
+    want = 2 * heady_count(1, 802), 2 * heady_count(-1, 803)
+    monkeypatch.setattr(_series, "_cursor", at(5000))
+
+    def broken(*args):
+        raise AssertionError("a closed form was walked")
+
+    monkeypatch.setattr(_summands, "term_sum", broken)
+    assert _series.read(800) is None                     # a lone miss
+    assert _series.read(803) == want                     # stepped from the seeds
+    assert _series._cursor == at(803)
 
 
 def test_table_order_reads_backwards_from_the_window(cursor):
