@@ -59,14 +59,17 @@ every step, from n = 180 to 5000; at n = 20, 25 steps, the two tie, the
 five values and their differences being a fixed cost.  Best of 7 in one
 process on a 2-core Xeon, Python 3.11.7, as are the figures below.
 
-Cost of a table, both fills and their difference, against the walk
-over every summand of the length that this fill replaced (about n**2 / 4
-summands of up to n bits, so n**3 in all): 0.72 to 0.81 against 2.0 ms
-at n = 180, 6.3 to 6.6 against 132 ms at 1000 and 0.08 against 13.8 s at
-5000.  Below about n = 80 the fixed cost of a fill (the coefficients at
-n, their differences and five seeds, about 45 µs) makes it the slower,
-0.14 to 0.16 against 0.02 ms at n = 20, a fraction of a millisecond a
-table.
+Cost of a table, both fills and their difference, against walking each
+of its cells by _summands.cell (about n**2 / 4 summands of up to n bits
+in all): 0.12 against 0.05 ms at n = 10, 0.16 against 0.13 ms at 20,
+0.18 against 0.20 ms at 25, 0.39 against 1.5 ms at 80, 0.9 against
+7.2 ms at 180 and 9.5 against 630 ms at 1000.  Below about n = 25 the
+fixed cost of a fill (the coefficients at n, their differences and five
+seeds) makes the table the slower, by a fraction of a millisecond.  In
+an ascending sweep a table fills only at n + 1 (see
+counting.closed_distribution): 0.07 ms at n = 10, 0.09 at 20, 0.21 at
+80, 0.45 at 180, 5.5 at 1000 and 69 against 122 ms at 5000.  Lowest of
+three runs of best of 7 (best of 3 to 5 from n = 1000 on).
 """
 
 from __future__ import annotations

@@ -9,12 +9,15 @@ of steps when the walk is long.  A whole table at one length is not
 summed cell by cell: its heady half is filled at n and at n + 1, each
 from its five lowest cells by an order-5 recurrence in the score s, one
 exact division per cell (see _score_recurrence), and the taily half is
-their difference by the appended-head identity.  The win tallies need
-no table: all four follow from the win gap at n and at n - 1, two single
-cells (see win_odds).  The binomial convention C(a, b) = 0 for a < 0,
-b < 0 or b > a makes every summation bound self-truncating, so the
-formulas return 0 outside their supported score ranges without any
-separate casing.
+their difference by the appended-head identity.  closed_distribution
+keeps the two lists of its last table, whose sum is the fill at n + 1,
+so a table at the next length fills only at its own n + 1: an ascending
+sweep fills once per length.  The win tallies need no table: all four
+follow from the win gap at n and at n - 1, two single cells (see
+win_odds).  The binomial convention C(a, b) = 0 for a < 0, b < 0 or
+b > a makes every summation bound self-truncating, so the formulas
+return 0 outside their supported score ranges without any separate
+casing.
 
 The three series functions, heady_close_calls, win_gap and win_gap_step,
 also read from one P-recursive stream (see _series): a loop over
@@ -27,7 +30,7 @@ value.
 
 from __future__ import annotations
 
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from . import _score_recurrence, _series, _summands
@@ -98,6 +101,11 @@ def _lists_table(n: int, heady: list[int], taily: list[int]) -> ScoreDistributio
         dict(zip(range(t_lo, t_hi + 1), taily[t_lo - lo:t_hi - lo + 1])))
 
 
+# the dense (n, heady, taily) lists of the last table closed_distribution
+# built, -1 before the first; written once per call, read once
+_last: tuple[int, list[int], list[int]] = (-1, [], [])
+
+
 def closed_distribution(n: int) -> ScoreDistribution:
     """Full score distribution at length n from the closed forms.
 
@@ -107,12 +115,30 @@ def closed_distribution(n: int) -> ScoreDistribution:
     _score_recurrence).  The taily half follows by the appended-head
     identity taily_count(s, n) = heady_count(s, n + 1) - heady_count(s - 1, n),
     all-tails cell included; the cells equal heady_count and taily_count.
+
+    Resume.  The call keeps the dense lists it built the table from.  A
+    call at the next length takes its heady half as their sum, taily(s) +
+    heady(s - 1), which is exactly the fill at n + 1 that the call before
+    made, and fills only at its own n + 1: an ascending sweep over L
+    lengths makes L + 1 fills, not 2L.  Any other length fills twice.  The
+    kept lists hold the very ints of the returned table, so once the
+    caller drops its table, at most that one table stays alive until the
+    next call.  The state is read once at the start and written once at
+    the end, as _series' cursor is: concurrent callers can lose a resume,
+    but none can see a torn state.
     """
+    global _last
+    m, was_heady, was_taily = _last
     h_lo, h_hi = heady_support(n)
     lo = -(n // 2)
-    heady = [0] * (h_lo - lo) + list(_score_recurrence.fill(n, h_lo, h_hi))
-    after = _score_recurrence.fill(n + 1, lo, n)
-    return _lists_table(n, heady, list(map(sub, after, [0, *heady])))
+    if m == n - 1:
+        half = map(add, was_taily, [0, *was_heady])
+    else:
+        half = _score_recurrence.fill(n, h_lo, h_hi)
+    heady = [0] * (h_lo - lo) + list(half)
+    taily = list(map(sub, _score_recurrence.fill(n + 1, lo, n), [0, *heady]))
+    _last = (n, heady, taily)
+    return _lists_table(n, heady, taily)
 
 
 def heady_close_calls(n: int) -> int:

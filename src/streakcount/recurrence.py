@@ -32,8 +32,14 @@ from .core import ScoreDistribution
 from .counting import _lists_table, _require_length
 
 
-def _dp_steps(n_max: int) -> Iterator[tuple[int, list[int], list[int]]]:
-    """(n, heady, taily) for n = 1 .. n_max, as dense lists of counts.
+_Step = tuple[int, list[int], list[int]]
+
+# the DP at length 1, where every run of steps starts unless it resumes
+_FIRST: _Step = (1, [1], [1])
+
+
+def _dp_steps(n_max: int, start: _Step = _FIRST) -> Iterator[_Step]:
+    """(n, heady, taily) for n = start's length .. n_max, as dense lists.
 
     Both lists are indexed from the lowest score -(n // 2) up to n - 1.
     One appended toss makes heady'[s] = heady[s-1] + taily[s] (a head after
@@ -44,7 +50,7 @@ def _dp_steps(n_max: int) -> Iterator[tuple[int, list[int], list[int]]]:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    n, heady, taily = 1, [1], [1]
+    n, heady, taily = start
     yield n, heady, taily
     while n < n_max:
         shift = n & 1
@@ -62,11 +68,28 @@ def dp_sweep(n_max: int) -> Iterator[ScoreDistribution]:
         yield _lists_table(*step)
 
 
+# the step behind the last table dp_distribution returned; written once per
+# call, read once
+_last: _Step = _FIRST
+
+
 def dp_distribution(n: int) -> ScoreDistribution:
-    """Distribution at one length; only the last step becomes a table."""
+    """Distribution at one length; only the last step becomes a table.
+
+    The call keeps that step and the next call steps on from it when its
+    length is not below the step's, from length 1 otherwise, so ascending
+    calls take one step per new length.  The kept lists hold the very ints
+    of the returned table, so once the caller drops its table, at most that
+    one table stays alive until the next call.  The step is read once at
+    the start and written once at the end, as _series' cursor is:
+    concurrent callers can lose a resume, but none can see a torn state.
+    """
+    global _last
     _require_length(n)
-    for step in _dp_steps(n):
+    last = _last
+    for step in _dp_steps(n, last if last[0] <= n else _FIRST):
         pass
+    _last = step
     return _lists_table(*step)
 
 

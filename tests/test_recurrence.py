@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streakcount import _summands
+from streakcount import _summands, counting, recurrence
 from streakcount.counting import (
+    _lists_table,
     binom,
     closed_distribution,
     heady_count,
@@ -73,6 +77,96 @@ def test_closed_forms_equal_the_dp(n):
 @given(st.integers(1, 120))
 def test_term_vectors_equal_the_dp(n):
     assert incremental_distribution(n) == dp_distribution(n)
+
+
+def test_ascending_dp_calls_step_only_the_new_lengths(monkeypatch):
+    # each call steps on from the step behind the table before, and a
+    # lower length starts again from length 1
+    lengths = (5, 5, 20, 60, 12)
+    want = list(dp_sweep(60))
+    stepped, real = [], recurrence._dp_steps
+
+    def steps(*args):
+        for step in real(*args):
+            stepped.append(step[0])
+            yield step
+
+    monkeypatch.setattr(recurrence, "_dp_steps", steps)
+    assert [dp_distribution(n) for n in lengths] == [want[n - 1] for n in lengths]
+    assert stepped == [*range(1, 6), 5, *range(5, 21), *range(20, 61), *range(1, 13)]
+
+
+@pytest.mark.parametrize("n", [2, 19, 118])
+def test_each_route_resumes_from_its_own_state_at_n_minus_one_only(monkeypatch, n):
+    want = list(dp_sweep(n))[-1]
+    closed_distribution(n - 1)
+    dp_distribution(n - 1)
+    wrong = {}
+    for module in (counting, recurrence):
+        m, heady, taily = module._last
+        wrong[module] = (m, heady, [c + 1 for c in taily])
+    # a wrong state in one route leaves the other route's table unchanged
+    monkeypatch.setattr(counting, "_last", wrong[counting])
+    assert dp_distribution(n) == want
+    monkeypatch.setattr(counting, "_last", (-1, [], []))
+    monkeypatch.setattr(recurrence, "_last", wrong[recurrence])
+    assert closed_distribution(n) == want
+    # while each route reads its own
+    monkeypatch.setattr(counting, "_last", wrong[counting])
+    assert closed_distribution(n) != want
+    monkeypatch.setattr(recurrence, "_last", wrong[recurrence])
+    assert dp_distribution(n) != want
+    # and ignores it at any length but n - 1, or above n for the DP
+    for m in (n - 2, n, n + 1):
+        monkeypatch.setattr(counting, "_last", (m, *wrong[counting][1:]))
+        assert closed_distribution(n) == want
+    monkeypatch.setattr(recurrence, "_last", (n + 1, *wrong[recurrence][1:]))
+    assert dp_distribution(n) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 31])
+def test_each_kept_state_holds_the_ints_of_its_table(n):
+    # the state keeps no int that the returned table does not hold, bar zeros
+    lo = -(n // 2)
+    for module, build in ((counting, closed_distribution), (recurrence, dp_distribution)):
+        table = build(n)
+        m, heady, taily = module._last
+        assert m == n
+        for half, kept in ((table.heady, heady), (table.taily, taily)):
+            assert all(value is kept[s - lo] for s, value in half.items())
+            assert not any(c for i, c in enumerate(kept) if i + lo not in half)
+
+
+def test_threads_sharing_the_resume_states():
+    # a resume may be lost between threads, but every table is whole and
+    # each state left behind is a true table of its route
+    top = 200
+    want = list(dp_sweep(top))
+    results = [{} for _ in range(4)]
+
+    def build(k):
+        out = results[k]
+        fn = closed_distribution if k < 2 else dp_distribution
+        for n in range(1 + k % 2, top + 1, 1 if k < 2 else 3):
+            out[n] = fn(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, out in enumerate(results):
+        assert len(out) == len(range(1 + k % 2, top + 1, 1 if k < 2 else 3)), k
+        assert all(table == want[n - 1] for n, table in out.items()), k
+    for module in (counting, recurrence):
+        m, heady, taily = module._last
+        assert _lists_table(m, heady, taily) == want[m - 1]
 
 
 def test_dp_normalization():

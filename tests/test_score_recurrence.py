@@ -36,12 +36,6 @@ def test_the_recurrence_holds_on_and_off_the_support():
                        for i in range(6)) == 0, (n, s)
 
 
-def test_fill_equals_the_dp_at_every_length_to_700():
-    # one DP pass; 1000 and 1001 are held to the DP in test_counting
-    for want in dp_sweep(700):
-        assert closed_distribution(want.n) == want, want.n
-
-
 @pytest.mark.parametrize("n, s", [(19, 12), (118, 82), (695, 490), (4058, 2868)])
 def test_heady_p5_zeros_fall_back_to_the_closed_form(monkeypatch, n, s):
     # p5's quadratic factor vanishes on the Pell solutions
@@ -99,6 +93,23 @@ def test_a_table_fills_the_heady_half_at_n_and_at_n_plus_one(monkeypatch, n):
     monkeypatch.setattr(_score_recurrence, "fill", fill)
     closed_distribution(n)
     assert calls == [(n, *heady_support(n)), (n + 1, -(n // 2), n)]
+
+
+def test_an_ascending_sweep_fills_once_per_length(monkeypatch):
+    # each table after the first takes its heady half from the lists
+    # behind the table before, which hold the fill at n that the call
+    # before made, so it fills only at n + 1: lengths 1 .. 701 make 2 + 700
+    # fills, cross the Pell zeros at 18/19, 117/118 and 694/695, and hold
+    # every fill to 702 to the DP; 1000 and 1001 are held in test_counting
+    calls, real = [], _score_recurrence.fill
+
+    def fill(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_score_recurrence, "fill", fill)
+    assert [closed_distribution(n) for n in range(1, 702)] == list(dp_sweep(701))
+    assert calls == [(1, 0, 0), *((n + 1, -(n // 2), n) for n in range(1, 702))]
 
 
 def test_a_coefficient_changed_by_one_raises(monkeypatch):

@@ -21,13 +21,6 @@ FIRST = {"win_gap": 2, "win_gap_step": 3, "heady_close_calls": 2}
 INDEX = {"win_gap": 0, "win_gap_step": 0, "heady_close_calls": 1}
 
 
-@pytest.fixture
-def cursor(monkeypatch):
-    """Start every test from the seeds, with no miss before, and restore both afterwards."""
-    monkeypatch.setattr(_series, "_cursor", _series.SEEDS)
-    monkeypatch.setattr(_series, "_last_miss", 0)
-
-
 def at(m):
     return _series.advance(_series.SEEDS, m)
 
@@ -49,7 +42,7 @@ def test_frozen_recurrence_annihilates_the_closed_forms():
 
 
 @pytest.mark.parametrize("name", SERIES)
-def test_cold_cell_walks_its_closed_form(cursor, name):
+def test_cold_cell_walks_its_closed_form(name):
     fn, cell = SERIES[name]
     for n in (400, 7000):
         assert fn(n) == cell(n)
@@ -57,7 +50,7 @@ def test_cold_cell_walks_its_closed_form(cursor, name):
 
 
 @pytest.mark.parametrize("name", SERIES)
-def test_ascending_run_resumes_the_stream(cursor, name):
+def test_ascending_run_resumes_the_stream(name):
     fn, cell = SERIES[name]
     for n in range(FIRST[name], 300):
         assert fn(n) == cell(n)
@@ -68,7 +61,7 @@ def test_ascending_run_resumes_the_stream(cursor, name):
 
 
 @pytest.mark.parametrize("name", SERIES)
-def test_window_reads_do_not_step(cursor, monkeypatch, name):
+def test_window_reads_do_not_step(monkeypatch, name):
     fn, cell = SERIES[name]
     monkeypatch.setattr(_series, "_cursor", at(250))
     for n in range(250 - INDEX[name], 246 - INDEX[name], -1):
@@ -77,7 +70,7 @@ def test_window_reads_do_not_step(cursor, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", SERIES)
-def test_lengths_below_the_window_start_again_from_the_seeds(cursor, monkeypatch, name):
+def test_lengths_below_the_window_start_again_from_the_seeds(monkeypatch, name):
     fn, cell = SERIES[name]
     monkeypatch.setattr(_series, "_cursor", at(500))
     assert fn(FIRST[name]) == cell(FIRST[name])        # inside the seeds' window
@@ -87,7 +80,7 @@ def test_lengths_below_the_window_start_again_from_the_seeds(cursor, monkeypatch
     assert _series._cursor == at(500)
 
 
-def test_a_loop_from_a_large_length_resumes(cursor, monkeypatch, capsys):
+def test_a_loop_from_a_large_length_resumes(monkeypatch, capsys):
     # every closed-form walk goes through this sum
     walks = []
     term_sum = _summands.term_sum
@@ -103,7 +96,7 @@ def test_a_loop_from_a_large_length_resumes(cursor, monkeypatch, capsys):
         assert lines[n - 2000] == f"{n} {heady_count(1, n)} {heady_count(-1, n)}"
 
 
-def test_a_cold_gap_step_walks_the_heady_cell_once(cursor, monkeypatch):
+def test_a_cold_gap_step_walks_the_heady_cell_once(monkeypatch):
     walks = []
     term_sum = _summands.term_sum
     monkeypatch.setattr(_summands, "term_sum",
@@ -116,7 +109,7 @@ def test_a_cold_gap_step_walks_the_heady_cell_once(cursor, monkeypatch):
     assert got == heady_close_calls(7000) == heady_count(1, 7000)
 
 
-def test_misses_next_to_each_other_step_the_cursor(cursor):
+def test_misses_next_to_each_other_step_the_cursor():
     # each pair lies more than a quarter of its length past the one before
     for first, second in ((500, 503), (803, 800), (1200, 1197)):
         assert win_gap(first) == heady_count(-1, first)
@@ -130,7 +123,7 @@ def test_misses_next_to_each_other_step_the_cursor(cursor):
         assert _series._cursor[0] == 1197
 
 
-def test_a_miss_next_to_a_miss_reads_no_closed_form(cursor, monkeypatch):
+def test_a_miss_next_to_a_miss_reads_no_closed_form(monkeypatch):
     # the stream's values come from the seeds and the recurrence alone, so
     # with every closed-form walk broken it still serves the second miss
     want = 2 * heady_count(1, 802), 2 * heady_count(-1, 803)
@@ -145,7 +138,7 @@ def test_a_miss_next_to_a_miss_reads_no_closed_form(cursor, monkeypatch):
     assert _series._cursor == at(803)
 
 
-def test_table_order_reads_backwards_from_the_window(cursor):
+def test_table_order_reads_backwards_from_the_window():
     # the table command asks for heady_close_calls(n), then win_gap(n)
     for n in range(2, 200):
         assert heady_close_calls(n) == heady_count(1, n)
@@ -162,7 +155,7 @@ def test_any_call_order_gives_the_closed_forms(calls):
         assert fn(n) == cell(n)
 
 
-def test_ascending_reach_to_scattered_lengths(cursor):
+def test_ascending_reach_to_scattered_lengths():
     # cold, 20000 is a lone miss, so its gap is walked in blocks
     walked = win_gap(20000)
     assert _series._cursor == _series.SEEDS
@@ -177,7 +170,7 @@ def test_ascending_reach_to_scattered_lengths(cursor):
     assert _series._cursor[0] == 20001
 
 
-def test_a_miss_stored_mid_read_does_not_move_the_seed(cursor, monkeypatch):
+def test_a_miss_stored_mid_read_does_not_move_the_seed(monkeypatch):
     # another thread's miss at 5000 lands between read's check that 401
     # follows the miss at 400 and the seed: the seed must stay at 401
     def abs_then_far_miss(x):
@@ -190,14 +183,14 @@ def test_a_miss_stored_mid_read_does_not_move_the_seed(cursor, monkeypatch):
     assert _series._cursor == at(401)
 
 
-def test_inexact_step_raises(cursor, monkeypatch):
+def test_inexact_step_raises(monkeypatch):
     m, (a, b, c, d), total = at(40)
     monkeypatch.setattr(_series, "_cursor", (m, (a, b, c, d + 1), total + 1))
     with pytest.raises(AssertionError, match="inexact series step"):
         win_gap(45)
 
 
-def test_threads_walking_interleaved_ranges(cursor):
+def test_threads_walking_interleaved_ranges():
     top = 600
     want = {n: heady_count(-1, n) for n in range(2, top)}
     steps = {n: heady_count(1, n - 1) for n in range(3, top)}

@@ -2,7 +2,7 @@ import weakref
 
 import pytest
 
-from streakcount import _series, counting, recurrence, signatures, verify
+from streakcount import _score_recurrence, _series, counting, recurrence, signatures, verify
 
 SUITE_NAMES = [
     "base-tables",
@@ -268,8 +268,30 @@ CLEAN_AT_12 = [
 ]
 
 
-@pytest.mark.parametrize("module, name, hit, failures", [
-    pytest.param(counting, "heady_count", lambda s, n: (s, n) == (1, 7), {
+def one_too_big(module, name, hit):
+    """The patch that makes module.name return one more wherever hit(*args)."""
+    honest = getattr(module, name)
+
+    def dishonest(*args, **kwargs):
+        value = honest(*args, **kwargs)
+        return value + 1 if hit(*args) else value
+
+    return module, name, dishonest
+
+
+def filled_one_too_big(cell):
+    """The patch that makes the fill yield one more at the (s, n) in cell."""
+    honest = _score_recurrence.fill
+
+    def dishonest(n, lo, hi):
+        for s, value in zip(range(lo, hi + 1), honest(n, lo, hi)):
+            yield value + 1 if (s, n) == cell else value
+
+    return _score_recurrence, "fill", dishonest
+
+
+@pytest.mark.parametrize("fault, failures", [
+    pytest.param(one_too_big(counting, "heady_count", lambda s, n: (s, n) == (1, 7)), {
         "heady-recursion": (45, "heady recursion broken at s=1 n=7"),
         "taily-recursion": (57, "taily recursion broken at s=0 n=8"),
         "close-call-census": (6, "close-call census disagrees with the closed form at n=7"),
@@ -278,29 +300,35 @@ CLEAN_AT_12 = [
         "method-agreement": (13, "dp table disagrees with closed forms at n=7"),
         "oracle-agreement": (29, "enumeration disagrees with closed forms at n=7"),
     }, id="heady-1-7"),
-    pytest.param(counting, "taily_count", lambda s, n: (s, n) == (-2, 9), {
+    pytest.param(one_too_big(counting, "taily_count", lambda s, n: (s, n) == (-2, 9)), {
         "heady-recursion": (85, "heady recursion broken at s=-2 n=10"),
         "taily-recursion": (69, "taily recursion broken at s=-2 n=9"),
         "term-updates": (74, "taily term update drifted: s=-2 n=9"),
         "method-agreement": (17, "dp table disagrees with closed forms at n=9"),
     }, id="taily-minus-2-9"),
-    pytest.param(signatures, "sequence_count", lambda sig, n, *_: (sig, n) == ("+-", 6), {
+    pytest.param(one_too_big(signatures, "sequence_count",
+                             lambda sig, n, *_: (sig, n) == ("+-", 6)), {
         "insertion-census": (11, "signature census misses the heady table at n=6"),
         "generator-coverage": (189, "closed-form count wrong: '+-' taily n=6"),
     }, id="sequence-count-plus-minus-6"),
+    # the table at 8 takes its taily half from the fill at 9 and the table
+    # at 9 its heady half, resumed or filled; the cell-by-cell suites never
+    # read the fill
+    pytest.param(filled_one_too_big((2, 9)), {
+        "normalization": (16, "taily counts at n=8 do not sum to 2**7"),
+        "gap-definition": (13, "two-cell win tallies disagree with the table's band sums at n=8"),
+        "gap-recursion": (21, "step-from-imbalance identity broken at n=9"),
+        "method-agreement": (16, "term-update table disagrees with closed forms at n=8"),
+        "insertion-census": (16, "signature census misses the taily table at n=8"),
+        "oracle-agreement": (34, "enumeration disagrees with closed forms at n=8"),
+    }, id="fill-2-9"),
 ])
-def test_every_suite_result_under_an_injected_fault(monkeypatch, module, name, hit, failures):
+def test_every_suite_result_under_an_injected_fault(monkeypatch, fault, failures):
     # one count one too big: each suite that reads it fails at the same
     # check with the same message, and every other suite counts as before
     bounds = dict(max_n=12, oracle_max=8, gen_max=6)
     assert [tuple(r) for r in verify.run_suites(**bounds)] == CLEAN_AT_12
-    honest = getattr(module, name)
-
-    def dishonest(*args, **kwargs):
-        value = honest(*args, **kwargs)
-        return value + 1 if hit(*args) else value
-
-    monkeypatch.setattr(module, name, dishonest)
+    monkeypatch.setattr(*fault)
     want = [(suite, False, *failures[suite]) if suite in failures else (suite, ok, checks, "")
             for suite, ok, checks, _ in CLEAN_AT_12]
     assert [tuple(r) for r in verify.run_suites(**bounds)] == want
