@@ -79,6 +79,7 @@ from operator import mul
 from typing import Iterator
 
 from . import _summands
+from .core import heady_support
 
 HEADY = (
     ((-22, 25, -2, -1, 0),
@@ -129,12 +130,14 @@ def _columns(n: int, lo: int) -> list[Iterator[int]]:
     return columns
 
 
-def fill(n: int, lo: int, hi: int) -> Iterator[int]:
-    """Heady cells lo .. hi at length n, in ascending score.
+def fill(n: int) -> Iterator[int]:
+    """The heady half at length n over its support, in ascending score.
 
-    lo must be the lowest score of the heady support at n, since the
-    fill starts from its five lowest cells (see the module docstring).
+    The range is core.heady_support(n): the fill starts from its five
+    lowest cells (see the module docstring) and stops at the all-heads
+    cell, so no other range can be asked for.
     """
+    lo, hi = heady_support(n)
     seeds = [_summands.cell(s, n, 0) for s in range(lo, min(lo + 5, hi + 1))]
     yield from seeds
     if hi - lo < 5:

@@ -59,8 +59,8 @@ def _dist_for(method: str, n: int) -> ScoreDistribution:
 
 
 def _dist_rows(dist: ScoreDistribution) -> list[tuple[int, int, int]]:
-    from . import counting
-    lo, hi = counting.score_support(dist.n)
+    from .core import score_support
+    lo, hi = score_support(dist.n)
     return [(s, dist.heady.get(s, 0), dist.taily.get(s, 0))
             for s in range(hi, lo - 1, -1)]
 

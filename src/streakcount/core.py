@@ -8,6 +8,11 @@ and tails 0, and positions read left to right.
 A sequence whose final toss is heads is called heady, otherwise taily.
 Splitting counts by the final toss is what makes every recurrence in this
 package close, so the distribution type keeps the two halves separate.
+
+This module is the one home of a length-n table's shape: the score range
+of each half, the dense-list layout every route fills and the checks on a
+length and a final-toss mode.  Every route builds its table through it
+alone, so no route loads another to shape its output.
 """
 
 from __future__ import annotations
@@ -15,6 +20,34 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 TossSequence = tuple[int, ...]
+
+
+def require_length(n: int, minimum: int = 1) -> None:
+    if n < minimum:
+        raise ValueError(f"sequence length must be at least {minimum}, got {n}")
+
+
+def require_mode(mode: str) -> None:
+    if mode not in ("heady", "taily"):
+        raise ValueError(f"mode must be 'heady' or 'taily', got {mode!r}")
+
+
+def heady_support(n: int) -> tuple[int, int]:
+    """Inclusive score range where heady counts are nonzero."""
+    require_length(n)
+    return -((n - 1) // 2), n - 1
+
+
+def taily_support(n: int) -> tuple[int, int]:
+    """Inclusive score range where taily counts are nonzero."""
+    require_length(n)
+    return -(n // 2), max(0, n - 3)
+
+
+def score_support(n: int) -> tuple[int, int]:
+    """Inclusive score range spanning both families."""
+    require_length(n)
+    return -(n // 2), n - 1
 
 
 def score(bits: Sequence[int]) -> int:
@@ -40,6 +73,20 @@ class ScoreDistribution(NamedTuple):
     n: int
     heady: dict[int, int]
     taily: dict[int, int]
+
+    @classmethod
+    def from_lists(cls, n: int, heady: list[int], taily: list[int]) -> ScoreDistribution:
+        """Dense lists at length n, indexed from score -(n // 2), as a table.
+
+        Every cell inside a support is nonzero and every cell outside is
+        zero, so slicing the supports out stores exactly the nonzero counts,
+        each half in ascending score order.
+        """
+        lo = -(n // 2)
+        h_lo, h_hi = heady_support(n)
+        t_lo, t_hi = taily_support(n)
+        return cls(n, dict(zip(range(h_lo, h_hi + 1), heady[h_lo - lo:h_hi - lo + 1])),
+                   dict(zip(range(t_lo, t_hi + 1), taily[t_lo - lo:t_hi - lo + 1])))
 
     def total(self) -> int:
         return sum(self.heady.values()) + sum(self.taily.values())

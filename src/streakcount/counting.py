@@ -17,7 +17,9 @@ follow from the win gap at n and at n - 1, two single cells (see
 win_odds).  The binomial convention C(a, b) = 0 for a < 0, b < 0 or
 b > a makes every summation bound self-truncating, so the formulas
 return 0 outside their supported score ranges without any separate
-casing.
+casing.  Those ranges, the dense lists a table is built from and the
+length check belong to the table type in core, which every route shares:
+no other route loads this module to shape its table.
 
 The three series functions, heady_close_calls, win_gap and win_gap_step,
 also read from one P-recursive stream (see _series): a loop over
@@ -35,12 +37,7 @@ from typing import NamedTuple
 
 from . import _score_recurrence, _series, _summands
 from ._summands import binom
-from .core import ScoreDistribution
-
-
-def _require_length(n: int, minimum: int = 1) -> None:
-    if n < minimum:
-        raise ValueError(f"sequence length must be at least {minimum}, got {n}")
+from .core import ScoreDistribution, heady_support, require_length
 
 
 def heady_count(s: int, n: int) -> int:
@@ -51,7 +48,7 @@ def heady_count(s: int, n: int) -> int:
     of its scoring pairs and C(n - s - 1 - 2k, k) placements of the spare
     tails.
     """
-    _require_length(n)
+    require_length(n)
     return _summands.cell(s, n, 0)
 
 
@@ -63,42 +60,8 @@ def taily_count(s: int, n: int) -> int:
     the sum have k >= 1 heads-tails pairs, the last of which must close
     the sequence, leaving C(2k + s - 1, k - 1) orderings.
     """
-    _require_length(n)
+    require_length(n)
     return _summands.cell(s, n, 1)
-
-
-def heady_support(n: int) -> tuple[int, int]:
-    """Inclusive score range where heady counts are nonzero."""
-    _require_length(n)
-    return -((n - 1) // 2), n - 1
-
-
-def taily_support(n: int) -> tuple[int, int]:
-    """Inclusive score range where taily counts are nonzero."""
-    _require_length(n)
-    return -(n // 2), max(0, n - 3)
-
-
-def score_support(n: int) -> tuple[int, int]:
-    """Inclusive score range spanning both families."""
-    _require_length(n)
-    return -(n // 2), n - 1
-
-
-def _lists_table(n: int, heady: list[int], taily: list[int]) -> ScoreDistribution:
-    """Dense lists at length n, indexed from score -(n // 2), as a table.
-
-    Every cell inside a support is nonzero and every cell outside is zero,
-    so slicing the supports out stores exactly the nonzero counts, each
-    half in ascending score order.
-    """
-    lo = -(n // 2)
-    h_lo, h_hi = heady_support(n)
-    t_lo, t_hi = taily_support(n)
-    return ScoreDistribution(
-        n,
-        dict(zip(range(h_lo, h_hi + 1), heady[h_lo - lo:h_hi - lo + 1])),
-        dict(zip(range(t_lo, t_hi + 1), taily[t_lo - lo:t_hi - lo + 1])))
 
 
 # the dense (n, heady, taily) lists of the last table closed_distribution
@@ -128,17 +91,18 @@ def closed_distribution(n: int) -> ScoreDistribution:
     but none can see a torn state.
     """
     global _last
+    # before the resume test: the start state (-1, [], []) looks like n - 1
+    # at n = 0
+    require_length(n)
     m, was_heady, was_taily = _last
-    h_lo, h_hi = heady_support(n)
-    lo = -(n // 2)
     if m == n - 1:
         half = map(add, was_taily, [0, *was_heady])
     else:
-        half = _score_recurrence.fill(n, h_lo, h_hi)
-    heady = [0] * (h_lo - lo) + list(half)
-    taily = list(map(sub, _score_recurrence.fill(n + 1, lo, n), [0, *heady]))
+        half = _score_recurrence.fill(n)
+    heady = [0] * (heady_support(n)[0] + n // 2) + list(half)     # from -(n // 2)
+    taily = list(map(sub, _score_recurrence.fill(n + 1), [0, *heady]))
     _last = (n, heady, taily)
-    return _lists_table(n, heady, taily)
+    return ScoreDistribution.from_lists(n, heady, taily)
 
 
 def heady_close_calls(n: int) -> int:
@@ -149,7 +113,7 @@ def heady_close_calls(n: int) -> int:
     walked as that cell.  verify holds both to the close-call census, which
     groups the sequences by their number of heads runs.
     """
-    _require_length(n, 2)
+    require_length(n, 2)
     got = _series.read(n + 1)
     return _summands.cell(1, n, 0) if got is None else got[0] // 2
 
@@ -163,7 +127,7 @@ def win_gap(n: int) -> int:
     same cell and never reads the stream, and verify holds both to the
     band sums of the full table.  Defined for n >= 2.
     """
-    _require_length(n, 2)
+    require_length(n, 2)
     got = _series.read(n)
     return _summands.cell(-1, n, 0) if got is None else got[1] // 2
 
@@ -175,7 +139,7 @@ def win_gap_step(n: int) -> int:
     length back, so win_gap_step(n) is heady_close_calls(n - 1), read from
     the stream as y[n] / 2 or walked as heady_count(1, n - 1).
     """
-    _require_length(n, 3)
+    require_length(n, 3)
     return heady_close_calls(n - 1)
 
 
@@ -243,7 +207,7 @@ def win_odds(n: int, digits: int = 6) -> WinOdds:
     holds all four counts to the band sums of the full table.  digits
     below 1 or past MAX_DIGITS is refused before any cell is walked.
     """
-    _require_length(n)
+    require_length(n)
     if digits < 1:
         raise ValueError("digits must be at least 1")
     if digits > MAX_DIGITS:

@@ -1,13 +1,14 @@
 """Ground truth by counting all 2**n sequences of one length.
 
 This module is the referee for the analytic paths and shares nothing with
-them beyond the plain data types.  Sequences pack into words, toss i at
-bit i - 1.  A word of length n is cut after its b = n // 2 low tosses into
-a low half (tosses 1..b) and a high half (tosses b + 1..n), and its score
-is the low half's score, plus the high half's, plus the one pair across
-the cut: 0 when toss b is tails, +1 when tosses b and b + 1 are both
-heads, -1 when they are heads then tails.  That pair reads only the low
-half's top toss and the high half's first toss.
+them beyond core: the table and sequence types and the checks on a length
+and a mode.  Sequences pack into words, toss i at bit i - 1.  A word of
+length n is cut after its b = n // 2 low tosses into a low half (tosses
+1..b) and a high half (tosses b + 1..n), and its score is the low half's
+score, plus the high half's, plus the one pair across the cut: 0 when
+toss b is tails, +1 when tosses b and b + 1 are both heads, -1 when they
+are heads then tails.  That pair reads only the low half's top toss and
+the high half's first toss.
 
 So each half is scored once, word by word, and grouped: the low halves by
 (top toss, score), the high halves by (final toss, first toss, score).
@@ -17,14 +18,15 @@ the sum of their scores and the cross pair counts each of the 2**n words
 exactly once, while only 2**b + 2**(n - b) half-words are ever scored (the
 meet-in-the-middle split of Horowitz and Sahni, "Computing partitions with
 applications to the knapsack problem", 1974).  Everything runs on plain
-ints, with no import beyond the standard library.
+ints, with no import beyond core and the standard library.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .core import CloseCallTable, ScoreDistribution, TossSequence, close_call_buckets
+from .core import (CloseCallTable, ScoreDistribution, TossSequence, close_call_buckets,
+                   require_length, require_mode)
 
 # the one limit on n: sequences_with(24, 0, "heady") already builds 984,983
 # tuples in about 2 s with a 238 MB tracemalloc peak (2-core Xeon, Python
@@ -37,8 +39,7 @@ class OracleCapExceeded(ValueError):
 
 
 def _checked(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"sequence length must be at least 1, got {n}")
+    require_length(n)
     if n > MAX_N:
         raise OracleCapExceeded(f"n={n} exceeds the oracle's enumeration limit of {MAX_N}")
 
@@ -103,8 +104,7 @@ def sequences_with(n: int, score_value: int, mode: str) -> list[TossSequence]:
     the two groups that complete its score, top toss tails first, each
     group ascending.
     """
-    if mode not in ("heady", "taily"):
-        raise ValueError(f"mode must be 'heady' or 'taily', got {mode!r}")
+    require_mode(mode)
     _checked(n)
     b, h = n // 2, n - n // 2
     low: dict[tuple[int, int], list[TossSequence]] = {}

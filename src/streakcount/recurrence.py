@@ -19,6 +19,11 @@ value is its list dotted with its budget row from index j0 + lead, where
 j0 = max(0, -sigma), and the tables leave as the same dense lists as the
 DP's.  Inexact division in that path is impossible by construction and
 treated as an internal bug, never an input error.
+
+Both routes shape their tables through core alone (the supports, the
+dense-list constructor and the length check) and take only the shared
+binomial stepping from _summands, so neither loads the closed forms they
+are held to.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from operator import add, mul
 from typing import Iterator, Sequence
 
 from . import _summands
-from .core import ScoreDistribution
-from .counting import _lists_table, _require_length
+from .core import ScoreDistribution, heady_support, require_length
 
 
 _Step = tuple[int, list[int], list[int]]
@@ -65,7 +69,7 @@ def _dp_steps(n_max: int, start: _Step = _FIRST) -> Iterator[_Step]:
 def dp_sweep(n_max: int) -> Iterator[ScoreDistribution]:
     """Stream the distribution for every length 1 .. n_max."""
     for step in _dp_steps(n_max):
-        yield _lists_table(*step)
+        yield ScoreDistribution.from_lists(*step)
 
 
 # the step behind the last table dp_distribution returned; written once per
@@ -85,12 +89,12 @@ def dp_distribution(n: int) -> ScoreDistribution:
     concurrent callers can lose a resume, but none can see a torn state.
     """
     global _last
-    _require_length(n)
+    require_length(n)
     last = _last
     for step in _dp_steps(n, last if last[0] <= n else _FIRST):
         pass
     _last = step
-    return _lists_table(*step)
+    return ScoreDistribution.from_lists(*step)
 
 
 def _birth(lead: int, s: int) -> int:
@@ -156,12 +160,12 @@ def _read_length(n: int, rows: list[list[int]],
     heady = [0] * (n - lo)
     taily = [0] * (n - lo)
     taily[-lo] = 1        # the all-tails cell; its list (sigma = 1) starts at n = 2
-    for sigma in range(-((n - 1) // 2), n):
+    for sigma in range(heady_support(n)[0], n):
         own = _fill(sigma, n, coefs[sigma])
         heady[sigma - lo] = _cell(0, sigma, n, own, rows)
         if sigma > lo:    # at odd n the lowest heady score has no taily partner
             taily[sigma - 1 - lo] = _cell(1, sigma - 1, n, own, rows)
-    return _lists_table(n, heady, taily)
+    return ScoreDistribution.from_lists(n, heady, taily)
 
 
 def table_sweep(n_max: int) -> Iterator[ScoreDistribution]:
@@ -187,5 +191,5 @@ def incremental_distribution(n: int) -> ScoreDistribution:
     Only length n is read, from fresh lists: each takes all its
     coefficients at once.
     """
-    _require_length(n)
+    require_length(n)
     return _read_length(n, _grow_rows([[1]], n + n // 2), defaultdict(list))

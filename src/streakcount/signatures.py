@@ -14,12 +14,10 @@ from __future__ import annotations
 
 from typing import Iterator, Literal, Sequence
 
-from .core import TossSequence
+from .core import TossSequence, require_mode
 from ._summands import binom
 
 Mode = Literal["heady", "taily"]
-
-_MODES = ("heady", "taily")
 
 
 def signature_of(bits: Sequence[int]) -> str:
@@ -52,8 +50,7 @@ def _check_marks(sig: str) -> None:
 
 def _check_realizable(sig: str, mode: str) -> None:
     _check_marks(sig)
-    if mode not in _MODES:
-        raise ValueError(f"mode must be 'heady' or 'taily', got {mode!r}")
+    require_mode(mode)
     if not sig:
         raise ValueError(
             "the null signature has no minimum-length sequence; "

@@ -63,16 +63,21 @@ class _Reads:
         self._rows: dict[int, tuple[list[int], list[int]]] = {}
         self._tables: dict[int, core.ScoreDistribution] = {}
 
-    def cell(self, lead: int, s: int, n: int) -> int:
-        """heady_count(s, n) for lead 0, taily_count(s, n) for lead 1."""
+    def rows(self, n: int) -> tuple[list[int], list[int]]:
+        """The heady and taily cells at length n over -(n // 2) - 3 .. n + 2."""
         rows = self._rows.get(n)
         if rows is None:
             scores = range(-(n // 2) - 3, n + 3)
             rows = self._rows[n] = ([counting.heady_count(t, n) for t in scores],
                                     [counting.taily_count(t, n) for t in scores])
+        return rows
+
+    def cell(self, lead: int, s: int, n: int) -> int:
+        """heady_count(s, n) for lead 0, taily_count(s, n) for lead 1."""
+        row = self.rows(n)[lead]
         i = s + n // 2 + 3
-        if 0 <= i < len(rows[lead]):
-            return rows[lead][i]
+        if 0 <= i < len(row):
+            return row[i]
         return (counting.taily_count if lead else counting.heady_count)(s, n)
 
     def heady(self, s: int, n: int) -> int:
@@ -139,7 +144,7 @@ def _normalization(reads: _Reads, max_n: int) -> _Checks:
 
 def _support_bounds(reads: _Reads, max_n: int) -> _Checks:
     for n in range(1, max_n + 1):
-        lo, hi = counting.heady_support(n)
+        lo, hi = core.heady_support(n)
         yield (reads.heady(lo, n) > 0,
                f"heady support low edge empty: s={lo} n={n}")
         yield (reads.heady(hi, n) == 1,
@@ -147,7 +152,7 @@ def _support_bounds(reads: _Reads, max_n: int) -> _Checks:
         for s in (lo - 2, lo - 1, hi + 1, hi + 2):
             yield (reads.heady(s, n) == 0,
                    f"heady count leaked outside support: s={s} n={n}")
-        lo, hi = counting.taily_support(n)
+        lo, hi = core.taily_support(n)
         yield (reads.taily(lo, n) > 0,
                f"taily support low edge empty: s={lo} n={n}")
         yield (reads.taily(hi, n) > 0,
@@ -162,7 +167,7 @@ def _appended_toss(reads: _Reads, max_n: int, lead: int) -> _Checks:
     # by one; an appended tail (lead 1) extends a taily one or drops a heady one
     kind = ("heady", "taily")[lead]
     for n in range(1, max_n):
-        lo, hi = counting.score_support(n + 1)
+        lo, hi = core.score_support(n + 1)
         for s in range(lo - 1, hi + 2):
             want = reads.taily(s, n) + reads.heady(s - 1 + 2 * lead, n)
             yield (reads.cell(lead, s, n + 1) == want,
@@ -272,12 +277,10 @@ def _cell_table(reads: _Reads, n: int) -> core.ScoreDistribution:
     # the table read cell by cell off heady_count and taily_count, each cell
     # walking its own sum in k: a route apart from closed_distribution,
     # which fills the heady half at n and at n + 1 by the recurrence in the
-    # score and takes the taily half as their difference
-    halves = []
-    for lead, support in enumerate((counting.heady_support, counting.taily_support)):
-        lo, hi = support(n)
-        halves.append({s: reads.cell(lead, s, n) for s in range(lo, hi + 1)})
-    return core.ScoreDistribution(n, *halves)
+    # score and takes the taily half as their difference.  The rows' inner
+    # slice starts at score -(n // 2), as the dense lists of every route do
+    heady, taily = reads.rows(n)
+    return core.ScoreDistribution.from_lists(n, heady[3:-3], taily[3:-3])
 
 
 def _method_agreement(reads: _Reads, max_n: int) -> _Checks:

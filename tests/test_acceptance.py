@@ -14,11 +14,11 @@ from contextlib import contextmanager
 from time import perf_counter
 
 from streakcount import cli, verify
+from streakcount.core import score_support
 from streakcount.counting import (
     closed_distribution,
     decimal_ratio,
     heady_count,
-    score_support,
     taily_count,
     win_gap,
 )

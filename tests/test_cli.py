@@ -500,7 +500,9 @@ def test_analytic_commands_do_not_import_numpy():
 
 
 # what a cold command loads besides streakcount and streakcount.cli: the
-# closed forms, the modules each route adds, and json for --format json
+# modules its route runs, core for the table's shape, and json for --format
+# json.  Only the closed forms load counting and its helpers; the DP, the
+# term vectors and the oracle shape their tables through core alone
 _CLOSED = "_score_recurrence _series _summands core counting"
 _COLD_LOADS = {
     "wins 10": _CLOSED,
@@ -508,9 +510,9 @@ _COLD_LOADS = {
     "bfile --series D --max-n 10": _CLOSED,
     # dist's help prints oracle.MAX_N, so its parser loads the oracle
     "dist 12": _CLOSED + " oracle",
-    "dist 12 --method oracle": _CLOSED + " oracle",
-    "dist 12 --method dp": _CLOSED + " oracle recurrence",
-    "dist 12 --method incremental": _CLOSED + " oracle recurrence",
+    "dist 12 --method oracle": "core oracle",
+    "dist 12 --method dp": "_summands core oracle recurrence",
+    "dist 12 --method incremental": "_summands core oracle recurrence",
     "dist 3 --format json": _CLOSED + " json oracle",
     "gen --signature=+-+ --length 12": "_summands core signatures",
     "verify --max-n 8": _CLOSED + " oracle recurrence signatures verify",
@@ -537,6 +539,19 @@ def test_cold_import_leaves_dataclasses_inspect_and_json_unloaded():
         assert (result.returncode, result.stderr) == (0, ""), argv
         want = " ".join(sorted(["cli", *loads.split()]))
         assert result.stdout == f"cli\n0 {want}\n", argv
+
+
+def test_the_dp_and_oracle_modules_load_no_closed_forms():
+    # both shape their tables through core, so neither loads counting, the
+    # series stream or the recurrence in the score
+    code = ("import sys\n"
+            "import streakcount.recurrence, streakcount.oracle\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('streakcount.')))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env(), timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == ("streakcount._summands streakcount.core streakcount.oracle "
+                             "streakcount.recurrence\n")
 
 
 def test_oracle_commands_run_where_numpy_cannot_be_imported(capsys):
@@ -662,13 +677,14 @@ _PUBLIC_API = {
 }
 # helpers a layer calls, kept in their home modules but not at the root
 _LAYER_HELPERS = {
-    "core": ("CloseCallTable", "close_call_buckets"),
-    "counting": ("decimal_ratio", "heady_support", "score_support", "taily_support"),
+    "core": ("CloseCallTable", "close_call_buckets", "heady_support", "require_length",
+             "require_mode", "score_support", "taily_support"),
+    "counting": ("decimal_ratio",),
     "signatures": ("complement", "compositions", "min_length", "min_length_sequence",
                    "signature_of", "signature_score"),
 }
 _DELETED = ("Outcome", "classify", "parse_sequence", "sequence_to_text",
-            "close_call_ratios", "close_call_sum")
+            "close_call_ratios", "close_call_sum", "_lists_table", "_require_length", "_MODES")
 
 
 def test_package_root_lists_the_user_api():

@@ -1,10 +1,16 @@
+import re
+from pathlib import Path
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import streakcount
+from streakcount import counting, oracle, signatures
 from streakcount.core import CloseCallTable, ScoreDistribution, close_call_buckets, score
 from streakcount.counting import closed_distribution, win_odds
 from streakcount.oracle import close_call_table, enumerate_distribution
-from streakcount.recurrence import dp_distribution
+from streakcount.recurrence import dp_distribution, incremental_distribution
 from streakcount.verify import SuiteResult
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=40)
@@ -104,3 +110,35 @@ def test_result_types_keep_their_repr_default_and_equality():
         assert closed_distribution(n) == dp_distribution(n) == enumerate_distribution(n)
         assert close_call_buckets(closed_distribution(n)) == close_call_table(n)
     assert closed_distribution(4) != closed_distribution(5)
+
+
+def test_the_table_shape_and_input_checks_are_defined_once_in_core():
+    sources = {path.stem: path.read_text()
+               for path in Path(streakcount.__file__).parent.glob("*.py")}
+    for name in ("heady_support", "taily_support", "score_support", "from_lists",
+                 "require_length", "require_mode"):
+        homes = [stem for stem, text in sources.items() if re.search(rf"\bdef {name}\b", text)]
+        assert homes == ["core"], name
+
+
+def raised(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def test_every_mode_check_raises_the_one_message():
+    want = "mode must be 'heady' or 'taily', got 'x'"
+    assert raised(lambda: oracle.sequences_with(3, 0, "x")) == want
+    assert raised(lambda: signatures.min_length("+-", "x")) == want
+    assert raised(lambda: signatures.generate_sequences("+-", 5, "x")) == want
+
+
+def test_every_table_route_refuses_length_zero_with_the_one_message():
+    # closed_distribution starts from its fresh resume state, (-1, [], []),
+    # which reads as the table at n - 1 when n = 0: the length must be
+    # checked before the resume test
+    assert counting._last == (-1, [], [])
+    for build in (enumerate_distribution, dp_distribution, incremental_distribution,
+                  closed_distribution):
+        assert raised(lambda: build(0)) == "sequence length must be at least 1, got 0", build

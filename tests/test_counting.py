@@ -6,16 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streakcount import _score_recurrence, _summands, counting
+from streakcount.core import heady_support, score_support, taily_support
 from streakcount.counting import (
     binom,
     closed_distribution,
     decimal_ratio,
     heady_close_calls,
     heady_count,
-    heady_support,
-    score_support,
     taily_count,
-    taily_support,
     win_gap,
     win_gap_step,
     win_odds,

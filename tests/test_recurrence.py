@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streakcount import _summands, counting, recurrence
+from streakcount.core import ScoreDistribution, heady_support, taily_support
 from streakcount.counting import (
-    _lists_table,
     binom,
     closed_distribution,
     heady_count,
-    heady_support,
     taily_count,
-    taily_support,
 )
 from streakcount.recurrence import (
     _birth,
@@ -166,7 +164,7 @@ def test_threads_sharing_the_resume_states():
         assert all(table == want[n - 1] for n, table in out.items()), k
     for module in (counting, recurrence):
         m, heady, taily = module._last
-        assert _lists_table(m, heady, taily) == want[m - 1]
+        assert ScoreDistribution.from_lists(m, heady, taily) == want[m - 1]
 
 
 def test_dp_normalization():

@@ -3,6 +3,7 @@ import weakref
 import pytest
 
 from streakcount import _score_recurrence, _series, counting, recurrence, signatures, verify
+from streakcount.core import heady_support
 
 SUITE_NAMES = [
     "base-tables",
@@ -283,8 +284,9 @@ def filled_one_too_big(cell):
     """The patch that makes the fill yield one more at the (s, n) in cell."""
     honest = _score_recurrence.fill
 
-    def dishonest(n, lo, hi):
-        for s, value in zip(range(lo, hi + 1), honest(n, lo, hi)):
+    def dishonest(n):
+        lo, hi = heady_support(n)
+        for s, value in zip(range(lo, hi + 1), honest(n)):
             yield value + 1 if (s, n) == cell else value
 
     return _score_recurrence, "fill", dishonest
