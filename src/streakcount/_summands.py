@@ -7,35 +7,39 @@ and then one multiply-then-divide per step, never a fresh binomial.  The
 division is exact because both neighbouring terms are integers and every
 term inside a summation range is nonzero.
 
-Two summands live here, each as a generator that steps through its
-summation range by the exact ratio.  The taily summand is the heady one
-with its first binomial shifted one place, so a lead of 0 (heady) or 1
-(taily) gives both final tosses from one summand:
+The heady and taily summands are one summand: the taily one is the heady
+one with its first binomial shifted one place, so a lead of 0 (heady) or 1
+(taily) gives both final tosses:
 
 - heady or taily, score s, spare budget m = n - s - 1 + lead:
                                        C(2k + s - lead, k - lead) * C(m - 2k, k)
-- close call, length n:                C(2k - 1, k) * C(n - 2k, k - 1)
 
-The heady walk opens with the product, term; the close-call walk opens
-with 1, since its first term, k = 1, is C(1, 1) * C(n - 2, 0) = 1 at
-every length, and its ratio gives the rest.  The close-call walk serves
-verify's census only: term by term it is the heady walk at s = 1, so
-counting.heady_close_calls sums that one instead.
+term gives its product at one k, and ratios is the one place that knows
+its step in k: the stream of (p, q) with term k + 1 = term k * p / q over
+the summation range max(lead, -s) <= k <= m // 3.  Every cell walks that
+stream with term_sum, from term at the range's first k.  The close-call
+summand, C(2k - 1, k) * C(n - 2k, k - 1), keeps its own walk,
+close_call_terms, which opens with 1, since its first term, k = 1, is
+C(1, 1) * C(n - 2, 0) = 1 at every length, and its ratio gives the rest.
+It serves verify's census only: term by term it is the heady walk at
+s = 1, so counting.heady_close_calls sums that one instead.
 
-A cell sums its walk with term_sum.  A walk term by
-term makes one multiply and one divide of an n-bit integer per step, so
-a long walk goes BLOCK = 32 steps at a time instead (block_sum): from
-term t, the block's ratio P / Q and the sum N / Q of its terms over t
-are built from the steps' small (p, q) pairs, cut by their gcd, and the
-block adds t * N / Q and steps to t * P / Q, one bigint multiply and one
-divmod each.  Both quotients are a sum of integer terms and an integer
-term, so each division is exact, and a remainder raises AssertionError.
-The cut leaves the block's fractions 15 to 35 bits a step where a single
-step's p and q carry 50 to 72 (n = 3000 to 50000), which is where the
-saving comes from: at n = 20000 to 50000 a walk costs 0.35 to 0.45 times
-the term-by-term one.  Building a block costs more Python work per step,
+A walk term by term makes one multiply and one checked divide of an
+n-bit integer per step, so a long walk goes BLOCK = 32 steps at a time
+instead (block_sum): from term t, the block's ratio P / Q and the sum
+N / Q of its terms over t are built from the steps' small (p, q) pairs,
+cut by their gcd, and the block adds t * N / Q and steps to t * P / Q, one
+bigint multiply and one divmod each.  Both quotients are a sum of integer
+terms and an integer term, so each division is exact, and in either walk
+a remainder raises AssertionError.  The cut leaves the block's fractions
+15 to 35 bits a step where a single step's p and q carry 50 to 72
+(n = 3000 to 50000), which is where the saving comes from: at n = 20000
+to 50000 a walk costs 0.35 to 0.45 times the term-by-term one.  Building a block costs more Python work per step,
 so blocks pay only from BLOCKED_FROM = 400 steps (n about 1200), where
-the two break even; shorter walks go term by term.
+the two break even; shorter walks go term by term.  Against the checked
+term walk a blocked walk costs 1.17 times as much at 200 steps, 0.98 at
+400 and 0.79 at 800 (median of 15 bests of seven in process, 2-core
+Xeon, Python 3.11.7).
 
 The heady and taily summands also have a ratio in the spare budget m,
 carried by their common factor C(m - 2k, k) alone.  step_budget moves a
@@ -61,41 +65,20 @@ BLOCKED_FROM = 400
 BLOCK = 32
 
 
-def binom(a: int, b: int) -> int:
-    """C(a, b) with out-of-range argument pairs mapped to 0."""
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
 def term(s: int, m: int, k: int, lead: int) -> int:
-    """C(2k + s - lead, k - lead) * C(m - 2k, k): lead 0 heady, 1 taily."""
-    return binom(2 * k + s - lead, k - lead) * binom(m - 2 * k, k)
-
-
-def terms(s: int, m: int, lead: int) -> Iterator[int]:
-    """term(s, m, k, lead) for max(lead, -s) <= k <= m // 3, in order.
-
-    Each term after the first is the one before times C(b + 2, k + 1 - lead)
-    / C(b, k - lead) times C(c - 2, k + 1) / C(c, k), with b = 2k + s - lead
-    and c = m - 2k, written out so that a step costs no call.
-    """
-    k, k_hi = max(lead, -s), m // 3
-    if k > k_hi:
-        return
-    value = term(s, m, k, lead)
-    yield value
-    for k in range(k, k_hi):
-        a, b, c = m - 3 * k, 2 * k + s - lead, m - 2 * k
-        value = value * ((b + 2) * (b + 1) * a * (a - 1) * (a - 2)) // (
-            (k + 1 - lead) * (k + s + 1) * (k + 1) * c * (c - 1))
-        yield value
+    """C(2k + s - lead, k - lead) * C(m - 2k, k): lead 0 heady, 1 taily;
+    max(lead, -s) <= k <= m // 3."""
+    return comb(2 * k + s - lead, k - lead) * comb(m - 2 * k, k)
 
 
 def ratios(s: int, m: int, lead: int) -> Iterator[tuple[int, int]]:
-    """(p, q) with term k + 1 = term k * p / q, for each step of terms(s, m, lead).
+    """(p, q) with term(s, m, k + 1, lead) = term(s, m, k, lead) * p / q,
+    for k = max(lead, -s) .. m // 3 - 1.
 
-    The same ratio as in terms, with a, b and c carried from step to step.
+    Term k + 1 over term k is C(b + 2, k + 1 - lead) / C(b, k - lead) times
+    C(c - 2, k + 1) / C(c, k), with b = 2k + s - lead and c = m - 2k,
+    written out with a = m - 3k, and a, b and c carried from step to step,
+    so that a step costs no call.
     """
     k = max(lead, -s)
     a, b, c = m - 3 * k, 2 * k + s - lead, m - 2 * k
@@ -107,11 +90,24 @@ def ratios(s: int, m: int, lead: int) -> Iterator[tuple[int, int]]:
 
 
 def term_sum(s: int, m: int, lead: int) -> int:
-    """sum(terms(s, m, lead)), in blocks when the walk is long."""
+    """The sum of term(s, m, k, lead) over max(lead, -s) <= k <= m // 3,
+    stepped by ratios(s, m, lead): term by term, or in blocks when the walk
+    is long.  A remainder raises AssertionError, since only a wrong first
+    term or ratio can leave one.
+    """
     k, k_hi = max(lead, -s), m // 3
-    if k_hi - k < BLOCKED_FROM:
-        return sum(terms(s, m, lead))
-    return block_sum(term(s, m, k, lead), k, k_hi, ratios(s, m, lead))
+    if k > k_hi:
+        return 0
+    total = value = term(s, m, k, lead)
+    if k_hi - k >= BLOCKED_FROM:
+        return block_sum(value, k, k_hi, ratios(s, m, lead))
+    for p, q in ratios(s, m, lead):
+        value, rem = divmod(value * p, q)
+        if rem:
+            raise AssertionError(
+                f"inexact term step: s={s} m={m} lead={lead}: remainder {rem}")
+        total += value
+    return total
 
 
 def cell(s: int, n: int, lead: int) -> int:

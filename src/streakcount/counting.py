@@ -14,11 +14,11 @@ keeps the two lists of its last table, whose sum is the fill at n + 1,
 so a table at the next length fills only at its own n + 1: an ascending
 sweep fills once per length.  The win tallies need no table: all four
 follow from the win gap at n and at n - 1, two single cells (see
-win_odds).  The binomial convention C(a, b) = 0 for a < 0, b < 0 or
-b > a makes every summation bound self-truncating, so the formulas
-return 0 outside their supported score ranges without any separate
-casing.  Those ranges, the dense lists a table is built from and the
-length check belong to the table type in core, which every route shares:
+win_odds).  Each walk runs over its own range of k, from max(lead, -s)
+to a third of its spare budget, so no binomial is ever taken out of
+range, and a cell outside its supported score range has an empty range
+and sums to 0.  Those ranges, the dense lists a table is built from and
+the length check belong to the table type in core, which every route shares:
 no other route loads this module to shape its table.
 
 The three series functions, heady_close_calls, win_gap and win_gap_step,
@@ -36,7 +36,6 @@ from operator import add, sub
 from typing import NamedTuple
 
 from . import _score_recurrence, _series, _summands
-from ._summands import binom
 from .core import ScoreDistribution, heady_support, require_length
 
 

@@ -29,6 +29,7 @@ are held to.
 from __future__ import annotations
 
 from collections import defaultdict
+from math import comb
 from operator import add, mul
 from typing import Iterator, Sequence
 
@@ -52,8 +53,6 @@ def _dp_steps(n_max: int, start: _Step = _FIRST) -> Iterator[_Step]:
     The lowest score drops by one when n is odd, so the old lists are
     shifted by one more place then.  The yielded lists are never mutated.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
     n, heady, taily = start
     yield n, heady, taily
     while n < n_max:
@@ -67,9 +66,10 @@ def _dp_steps(n_max: int, start: _Step = _FIRST) -> Iterator[_Step]:
 
 
 def dp_sweep(n_max: int) -> Iterator[ScoreDistribution]:
-    """Stream the distribution for every length 1 .. n_max."""
-    for step in _dp_steps(n_max):
-        yield ScoreDistribution.from_lists(*step)
+    """Stream the distribution for every length 1 .. n_max; n_max is
+    checked at the call, before the first table."""
+    require_length(n_max)
+    return (ScoreDistribution.from_lists(*step) for step in _dp_steps(n_max))
 
 
 # the step behind the last table dp_distribution returned; written once per
@@ -131,7 +131,7 @@ def _fill(sigma: int, n: int, coefs: list[int]) -> list[int]:
     """
     j = max(0, -sigma) + len(coefs)
     while 3 * j < n - sigma:
-        coefs.append(_summands.binom(2 * j + sigma, j))
+        coefs.append(comb(2 * j + sigma, j))
         j += 1
     return coefs
 
@@ -175,14 +175,13 @@ def table_sweep(n_max: int) -> Iterator[ScoreDistribution]:
     lengths: a list only gains a coefficient whenever its heady budget
     reaches 3k, and the rows grow by one or two budgets a length and are
     shared by every cell.  This path is kept as the independent
-    cross-check of the closed forms and the DP.
+    cross-check of the closed forms and the DP.  n_max is checked at the
+    call, before the first table.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    require_length(n_max)
     rows: list[list[int]] = [[1]]
     coefs: defaultdict[int, list[int]] = defaultdict(list)
-    for n in range(1, n_max + 1):
-        yield _read_length(n, _grow_rows(rows, n + n // 2), coefs)
+    return (_read_length(n, _grow_rows(rows, n + n // 2), coefs) for n in range(1, n_max + 1))
 
 
 def incremental_distribution(n: int) -> ScoreDistribution:

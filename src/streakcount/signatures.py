@@ -12,10 +12,10 @@ the spare tails over the legal insertion slots in every possible way.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator, Literal, Sequence
 
 from .core import TossSequence, require_mode
-from ._summands import binom
 
 Mode = Literal["heady", "taily"]
 
@@ -180,7 +180,7 @@ def sequence_count(sig: str, n: int, mode: Mode = "heady",
     _, slots, spare = _plan(sig, n, mode, fixed_leading_one)
     if not slots:
         return 1
-    return binom(spare + len(slots) - 1, len(slots) - 1)
+    return comb(spare + len(slots) - 1, len(slots) - 1)
 
 
 def generate_sequences(sig: str, n: int, mode: Mode = "heady",

@@ -11,6 +11,7 @@ reports what broke; nothing in this module prints or exits.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Callable, Iterator, NamedTuple
 
 from . import _summands, core, counting, oracle, recurrence, signatures
@@ -235,9 +236,8 @@ def _gap_growth(reads: _Reads, max_n: int) -> _Checks:
 def _rows_ok(rows: list[list[int]]) -> list[bool]:
     # whether each budget row holds exactly [C(m - 2k, k) for k = 0 .. m // 3];
     # the walked cells share these few rows, so each is checked once
-    binom = _summands.binom
     return [len(row) == m // 3 + 1
-            and all(r == binom(m - 2 * k, k) for k, r in enumerate(row))
+            and all(r == comb(m - 2 * k, k) for k, r in enumerate(row))
             for m, row in enumerate(rows)]
 
 
@@ -266,7 +266,7 @@ def _term_updates(reads: _Reads, max_n: int) -> _Checks:
                 n += 1
                 recurrence._fill(sigma, n, coefs)
                 for j in range(j0 + len(want), (n - sigma - 1) // 3 + 1):
-                    want.append(_summands.binom(2 * j + sigma, j))
+                    want.append(comb(2 * j + sigma, j))
                 yield (recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
                        f"{kind} term update drifted: s={s} n={n}")
                 yield (rows_ok[n - s - 1 + lead] and coefs == want,

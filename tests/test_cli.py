@@ -514,7 +514,7 @@ _COLD_LOADS = {
     "dist 12 --method dp": "_summands core oracle recurrence",
     "dist 12 --method incremental": "_summands core oracle recurrence",
     "dist 3 --format json": _CLOSED + " json oracle",
-    "gen --signature=+-+ --length 12": "_summands core signatures",
+    "gen --signature=+-+ --length 12": "core signatures",
     "verify --max-n 8": _CLOSED + " oracle recurrence signatures verify",
 }
 
@@ -684,7 +684,8 @@ _LAYER_HELPERS = {
                    "signature_of", "signature_score"),
 }
 _DELETED = ("Outcome", "classify", "parse_sequence", "sequence_to_text",
-            "close_call_ratios", "close_call_sum", "_lists_table", "_require_length", "_MODES")
+            "close_call_ratios", "close_call_sum", "_lists_table", "_require_length", "_MODES",
+            "binom")
 
 
 def test_package_root_lists_the_user_api():
@@ -709,6 +710,8 @@ def test_package_root_lists_the_user_api():
     for name in _DELETED:
         assert not hasattr(streakcount, name), name
         assert not any(re.search(rf"\b{name}\b", text) for text in sources), name
+    # every walk steps _summands.ratios; no second copy of the ratio walks terms
+    assert not hasattr(_summands, "terms")
     imported = [line.split(" import ", 1)[1] for line in README.read_text().splitlines()
                 if line.startswith(">>> from streakcount import ")]
     assert imported
@@ -735,7 +738,7 @@ def test_package_root_loads_each_layer_on_first_use():
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == (
         "[] True False\n"
-        "['streakcount._summands', 'streakcount.core', 'streakcount.signatures']\n"
+        "['streakcount.core', 'streakcount.signatures']\n"
         "[]\n")
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from streakcount import _score_recurrence, _summands, counting
 from streakcount.core import heady_support, score_support, taily_support
 from streakcount.counting import (
-    binom,
     closed_distribution,
     decimal_ratio,
     heady_close_calls,
@@ -57,20 +56,6 @@ def defining_taily(s, n):
 
 def defining_close_calls(n):
     return sum(close_call_product(n, k) for k in range(n + 1))
-
-
-def test_binom_zero_conventions():
-    assert binom(-1, 0) == 0
-    assert binom(3, -1) == 0
-    assert binom(2, 3) == 0
-    assert binom(0, 0) == 1
-    assert binom(5, 2) == 10
-
-
-@given(st.integers(0, 40), st.integers(0, 40))
-def test_binom_matches_stdlib_in_range(a, b):
-    expected = math.comb(a, b) if b <= a else 0
-    assert binom(a, b) == expected
 
 
 def test_heady_count_spot_values():
@@ -311,22 +296,20 @@ def test_large_gap_cells_equal_the_defining_sum():
                                   (-7, 60), (-12, 37), (25, 301), (-1, 700)])
 def test_term_ratios_reproduce_every_defining_product(s, n):
     m = n - s - 1
-    ks = range(max(0, -s), m // 3 + 1)
-    assert list(_summands.terms(s, m, 0)) == [heady_product(s, n, k) for k in ks]
-    ks = range(max(1, -s), (m + 1) // 3 + 1)
-    assert list(_summands.terms(s, m + 1, 1)) == [taily_product(s, n, k) for k in ks]
+    for lead, product in enumerate((heady_product, taily_product)):
+        ks = range(max(lead, -s), (m + lead) // 3 + 1)
+        want = [product(s, n, k) for k in ks]
+        assert [_summands.term(s, m + lead, k, lead) for k in ks] == want
+        # every walk steps between the same products by this one stream
+        pairs = list(_summands.ratios(s, m + lead, lead))
+        assert len(pairs) == max(0, len(want) - 1)
+        assert all(b * q == a * p for a, b, (p, q) in zip(want, want[1:], pairs))
     if n >= 2:
         ks = range(1, (n + 1) // 3 + 1)
         assert list(_summands.close_call_terms(n)) == [close_call_product(n, k) for k in ks]
         # the census is, term by term, the heady walk at score one
-        assert list(_summands.close_call_terms(n)) == list(_summands.terms(1, n - 2, 0))
-    # the ratios that the blocked sums are fed step between the same products
-    for walk, ratios in ((_summands.terms(s, m, 0), _summands.ratios(s, m, 0)),
-                         (_summands.terms(s, m + 1, 1), _summands.ratios(s, m + 1, 1))):
-        got = list(walk)
-        pairs = list(ratios)
-        assert len(pairs) == max(0, len(got) - 1)
-        assert all(b * q == a * p for a, b, (p, q) in zip(got, got[1:], pairs))
+        assert list(_summands.close_call_terms(n)) == [_summands.term(1, n - 2, k, 0)
+                                                       for k in range((n - 2) // 3 + 1)]
 
 
 def _walk_lengths(steps):
@@ -359,7 +342,7 @@ def test_blocked_sums_equal_the_term_walk_around_the_crossover(monkeypatch, step
     for s, m, lead in _walk_lengths(steps):
         k, k_hi = max(lead, -s), m // 3
         assert k_hi - k == steps
-        want = sum(_summands.terms(s, m, lead))
+        want = sum(_summands.term(s, m, j, lead) for j in range(k, k_hi + 1))
         assert _summands.term_sum(s, m, lead) == want
         assert calls == [(k, k_hi)] * blocked
         calls.clear()
@@ -376,9 +359,11 @@ def test_block_loop_equals_the_term_walk_on_short_walks():
                 m = n - s - 1 + lead
                 k, k_hi = max(lead, -s), m // 3
                 if k <= k_hi:
+                    want = sum(_summands.term(s, m, j, lead) for j in range(k, k_hi + 1))
+                    assert _summands.term_sum(s, m, lead) == want
                     assert _summands.block_sum(
                         _summands.term(s, m, k, lead), k, k_hi,
-                        _summands.ratios(s, m, lead)) == sum(_summands.terms(s, m, lead))
+                        _summands.ratios(s, m, lead)) == want
 
 
 def test_a_corrupted_block_walk_raises():
@@ -393,3 +378,17 @@ def test_a_corrupted_block_walk_raises():
             yield (p, q + 1) if j == 40 else (p, q)
     with pytest.raises(AssertionError, match="inexact block (sum after|step from) term 33"):
         _summands.block_sum(first, k, k_hi, bent())
+
+
+def test_a_corrupted_term_walk_raises(monkeypatch):
+    # a walk of 20 steps, below the crossover, divides term by term
+    s, m, lead = -1, 63, 0
+    assert m // 3 - max(lead, -s) == 20 < _summands.BLOCKED_FROM
+    ratios = _summands.ratios
+
+    def bent(*args):
+        for j, (p, q) in enumerate(ratios(*args)):
+            yield (p, q + 1) if j == 10 else (p, q)
+    monkeypatch.setattr(_summands, "ratios", bent)
+    with pytest.raises(AssertionError, match="^inexact term step: s=-1 m=63 lead=0:"):
+        _summands.term_sum(s, m, lead)

@@ -1,5 +1,6 @@
 import sys
 import threading
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from streakcount import _summands, counting, recurrence
 from streakcount.core import ScoreDistribution, heady_support, taily_support
 from streakcount.counting import (
-    binom,
     closed_distribution,
     heady_count,
     taily_count,
@@ -41,8 +41,6 @@ def test_dp_sweep_labels_lengths():
     assert [d.n for d in dists] == [1, 2, 3, 4, 5, 6]
     for dist in dists:
         assert dist == closed_distribution(dist.n)
-    with pytest.raises(ValueError, match="at least 1"):
-        list(dp_sweep(0))
 
 
 def test_dp_tables_hold_exactly_their_supports():
@@ -219,7 +217,7 @@ def test_budget_rows_equal_their_binomials():
     rows = _grow_rows([[1]], 600)
     assert len(rows) == 601
     for m, row in enumerate(rows):
-        assert row == [binom(m - 2 * k, k) for k in range(m // 3 + 1)]
+        assert row == [comb(m - 2 * k, k) for k in range(m // 3 + 1)]
     # growing again only appends, and the rows already built stay as they were
     assert _grow_rows(rows, 600) is rows and len(rows) == 601
     assert _grow_rows([[1]], 300) == rows[:301]
@@ -276,9 +274,9 @@ def test_term_entries_equal_their_defining_binomials():
                 assert len(coefs) == len(rows[n - sigma - 1]) - j0
                 assert 0 <= len(coefs) - (len(row) - (j0 + lead)) <= lead
                 for k, coef in enumerate(coefs, j0 + lead):
-                    assert coef == binom(2 * k + s - lead, k - lead)
+                    assert coef == comb(2 * k + s - lead, k - lead)
                     if k < len(row):
-                        assert coef * row[k] == binom(2 * k + s - lead, k - lead) * binom(m - 2 * k, k)
+                        assert coef * row[k] == comb(2 * k + s - lead, k - lead) * comb(m - 2 * k, k)
 
 
 def test_budget_step_refuses_an_inexact_update():
@@ -308,8 +306,14 @@ def test_table_sweep_labels_lengths():
     for n, dist in enumerate(table_sweep(20), start=1):
         assert dist.n == n
         assert dist == closed_distribution(n)
-    with pytest.raises(ValueError, match="at least 1"):
-        list(table_sweep(0))
+
+
+@pytest.mark.parametrize("sweep", [dp_sweep, table_sweep])
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_sweeps_check_their_length_at_the_call(sweep, n_max):
+    # the call itself raises, before any table is asked for
+    with pytest.raises(ValueError, match=f"^sequence length must be at least 1, got {n_max}$"):
+        sweep(n_max)
 
 
 def test_single_incremental_tables_equal_the_dp():

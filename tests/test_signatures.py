@@ -1,11 +1,11 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streakcount.core import score
-from streakcount.counting import binom
 from streakcount.oracle import word_to_bits
 from streakcount.signatures import (
     complement,
@@ -153,7 +153,7 @@ def test_deep_signature_generates_without_recursion():
 @given(st.integers(0, 8), st.integers(1, 5))
 def test_compositions_count_is_stars_and_bars(total, bins):
     found = list(compositions(total, bins))
-    assert len(found) == binom(total + bins - 1, bins - 1)
+    assert len(found) == comb(total + bins - 1, bins - 1)
     assert len(set(found)) == len(found)
 
 
@@ -281,7 +281,7 @@ def test_deep_generation_equals_the_slot_by_slot_construction(sig, spare, mode, 
     # changed slot sweeps from the first slot to the last one twice, so the
     # rewritten suffix takes every length from nearly all to a few tosses
     n = min_length(sig, mode) + spare
-    assert sequence_count(sig, n, mode) >= binom(spare + 150, 150)
+    assert sequence_count(sig, n, mode) >= comb(spare + 150, 150)
     want = list(itertools.islice(slot_by_slot(sig, n, mode, pinned), 300))
     assert len(set(want)) == 300
     got = list(itertools.islice(generate_sequences(sig, n, mode, pinned), 300))
