@@ -17,12 +17,7 @@ one with its first binomial shifted one place, so a lead of 0 (heady) or 1
 term gives its product at one k, and ratios is the one place that knows
 its step in k: the stream of (p, q) with term k + 1 = term k * p / q over
 the summation range max(lead, -s) <= k <= m // 3.  Every cell walks that
-stream with term_sum, from term at the range's first k.  The close-call
-summand, C(2k - 1, k) * C(n - 2k, k - 1), keeps its own walk,
-close_call_terms, which opens with 1, since its first term, k = 1, is
-C(1, 1) * C(n - 2, 0) = 1 at every length, and its ratio gives the rest.
-It serves verify's census only: term by term it is the heady walk at
-s = 1, so counting.heady_close_calls sums that one instead.
+stream with term_sum, from term at the range's first k.
 
 A walk term by term makes one multiply and one checked divide of an
 n-bit integer per step, so a long walk goes BLOCK = 32 steps at a time
@@ -41,12 +36,6 @@ term walk a blocked walk costs 1.17 times as much at 200 steps, 0.98 at
 400 and 0.79 at 800 (median of 15 bests of seven in process, 2-core
 Xeon, Python 3.11.7).
 
-The heady and taily summands also have a ratio in the spare budget m,
-carried by their common factor C(m - 2k, k) alone.  step_budget moves a
-list of these factors from one budget to the next; the term-vector path
-uses it to step the shared budget rows [C(m - 2k, k) for k = 0 .. m // 3],
-which is its step in the length n.
-
 A whole table at one length is not summed here cell by cell: only the
 five lowest heady cells at n and at n + 1 are summed, with cell, the rest
 of each follow by the recurrence in the score (see _score_recurrence),
@@ -57,7 +46,7 @@ from __future__ import annotations
 
 from itertools import islice
 from math import comb, gcd
-from typing import Iterator, Sequence
+from typing import Iterator
 
 # a walk of at least BLOCKED_FROM ratio steps is summed BLOCK steps at a
 # time, a shorter one term by term (the break-even is measured above)
@@ -146,38 +135,4 @@ def block_sum(first: int, k: int, k_hi: int, steps: Iterator[tuple[int, int]]) -
                 raise AssertionError(
                     f"inexact block step from term {k} to {k + BLOCK}: remainder {rem}")
     return total
-
-
-def step_budget(terms: Sequence[int], m: int) -> list[int]:
-    """Terms k = 0, 1, ... moved from spare budget m - 1 to m.
-
-    Only the factor C(m - 2k, k) depends on the budget, and it grows by
-    (m - 2k) / (m - 3k), so term k gains term * k / (m - 3k).  Both terms
-    are integers, so the division is exact; a remainder raises
-    AssertionError, since only a wrong term list or budget can leave one.
-    """
-    out = []
-    for k, term in enumerate(terms):
-        gain, rem = divmod(term * k, m - 3 * k)
-        if rem:
-            raise AssertionError(
-                f"inexact term update: {term} * {k} / {m - 3 * k} at budget {m}")
-        out.append(term + gain)
-    return out
-
-
-def close_call_terms(n: int) -> Iterator[int]:
-    """C(2k - 1, k) * C(n - 2k, k - 1) for 1 <= k <= (n + 1) // 3, in order;
-    n >= 2.  The first term is 1.
-
-    The ratio from k to k + 1 is C(2k + 1, k + 1) / C(2k - 1, k) =
-    2(2k + 1) / (k + 1) times C(n - 2k - 2, k) / C(n - 2k, k - 1).
-    """
-    term = 1
-    yield term
-    for k in range(1, (n + 1) // 3):
-        a = n - 3 * k
-        term = term * (2 * (2 * k + 1) * (a + 1) * a * (a - 1)) // (
-            (k + 1) * k * (n - 2 * k) * (n - 2 * k - 1))
-        yield term
 

@@ -14,16 +14,15 @@ starts empty and before each read gains one binomial per j the heady
 bound now admits; no cell needs an opening step.  The second factor
 depends on m alone, so one budget row [C(m - 2k, k) for k = 0 .. m // 3]
 serves every cell with that budget at every length; each row is the one
-before stepped by _summands.step_budget, the only stepper.  A cell's
+before stepped in the budget by _grow_rows, the only stepper.  A cell's
 value is its list dotted with its budget row from index j0 + lead, where
 j0 = max(0, -sigma), and the tables leave as the same dense lists as the
 DP's.  Inexact division in that path is impossible by construction and
 treated as an internal bug, never an input error.
 
 Both routes shape their tables through core alone (the supports, the
-dense-list constructor and the length check) and take only the shared
-binomial stepping from _summands, so neither loads the closed forms they
-are held to.
+dense-list constructor and the length check) and share nothing with the
+closed forms they are held to: this module loads only core.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from math import comb
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from . import _summands
 from .core import ScoreDistribution, heady_support, require_length
 
 
@@ -112,12 +110,20 @@ def _grow_rows(rows: list[list[int]], m_max: int) -> list[list[int]]:
     """Extend the budget rows in place to rows[m_max] and return them.
 
     rows[m] is [C(m - 2k, k) for k = 0 .. m // 3], the factor that every
-    heady and taily cell with spare budget m shares.  Each row is the one
-    before stepped by _summands.step_budget, whose divisions are checked,
-    plus C(k, k) = 1 once m reaches 3k.
+    heady and taily cell with spare budget m shares.  This is the only
+    budget step: from m - 1 to m, C(m - 2k, k) grows by (m - 2k) / (m - 3k),
+    so term k gains term * k / (m - 3k), exact since both terms are
+    integers; a remainder raises AssertionError, since only a wrong row or
+    budget can leave one.  C(k, k) = 1 joins once m reaches 3k.
     """
     for m in range(len(rows), m_max + 1):
-        row = _summands.step_budget(rows[-1], m)
+        row = []
+        for k, term in enumerate(rows[-1]):
+            gain, rem = divmod(term * k, m - 3 * k)
+            if rem:
+                raise AssertionError(
+                    f"inexact term update: {term} * {k} / {m - 3 * k} at budget {m}")
+            row.append(term + gain)
         if m % 3 == 0:
             row.append(1)
         rows.append(row)

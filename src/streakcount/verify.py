@@ -14,7 +14,7 @@ import itertools
 from math import comb
 from typing import Callable, Iterator, NamedTuple
 
-from . import _summands, core, counting, oracle, recurrence, signatures
+from . import core, counting, oracle, recurrence, signatures
 
 
 # largest gen_max run_suites accepts: the generator sweep keeps all 2**n
@@ -175,13 +175,32 @@ def _appended_toss(reads: _Reads, max_n: int, lead: int) -> _Checks:
                    f"{kind} recursion broken at s={s} n={n + 1}")
 
 
+def _close_call_terms(n: int) -> Iterator[int]:
+    """C(2k - 1, k) * C(n - 2k, k - 1) for 1 <= k <= (n + 1) // 3, in order;
+    n >= 2.
+
+    This is verify's own derivation of the score-one heady count, walked
+    by its own ratio and sharing no step with the closed forms.  The first
+    term, k = 1, is C(1, 1) * C(n - 2, 0) = 1 at every length, and the
+    ratio from k to k + 1 is C(2k + 1, k + 1) / C(2k - 1, k) =
+    2(2k + 1) / (k + 1) times C(n - 2k - 2, k) / C(n - 2k, k - 1).
+    """
+    term = 1
+    yield term
+    for k in range(1, (n + 1) // 3):
+        a = n - 3 * k
+        term = term * (2 * (2 * k + 1) * (a + 1) * a * (a - 1)) // (
+            (k + 1) * k * (n - 2 * k) * (n - 2 * k - 1))
+        yield term
+
+
 def _close_call_census(reads: _Reads, max_n: int) -> _Checks:
     # two unrelated derivations of the score-one heady count must agree;
     # heady_close_calls and win_gap_step read the series stream on these
     # ascending runs, so the census sum and the cell are named directly
     for n in range(2, max_n + 1):
         yield (counting.heady_close_calls(n) == reads.heady(1, n)
-               == sum(_summands.close_call_terms(n)),
+               == sum(_close_call_terms(n)),
                f"close-call census disagrees with the closed form at n={n}")
     for n in range(3, max_n + 1):
         yield (counting.win_gap_step(n) == reads.heady(1, n - 1),

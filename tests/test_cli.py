@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import doctest
 import importlib
@@ -511,8 +512,8 @@ _COLD_LOADS = {
     # dist's help prints oracle.MAX_N, so its parser loads the oracle
     "dist 12": _CLOSED + " oracle",
     "dist 12 --method oracle": "core oracle",
-    "dist 12 --method dp": "_summands core oracle recurrence",
-    "dist 12 --method incremental": "_summands core oracle recurrence",
+    "dist 12 --method dp": "core oracle recurrence",
+    "dist 12 --method incremental": "core oracle recurrence",
     "dist 3 --format json": _CLOSED + " json oracle",
     "gen --signature=+-+ --length 12": "core signatures",
     "verify --max-n 8": _CLOSED + " oracle recurrence signatures verify",
@@ -543,15 +544,14 @@ def test_cold_import_leaves_dataclasses_inspect_and_json_unloaded():
 
 def test_the_dp_and_oracle_modules_load_no_closed_forms():
     # both shape their tables through core, so neither loads counting, the
-    # series stream or the recurrence in the score
+    # series stream, the recurrence in the score or the closed forms' summands
     code = ("import sys\n"
             "import streakcount.recurrence, streakcount.oracle\n"
             "print(*sorted(m for m in sys.modules if m.startswith('streakcount.')))\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=child_env(), timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == ("streakcount._summands streakcount.core streakcount.oracle "
-                             "streakcount.recurrence\n")
+    assert result.stdout == "streakcount.core streakcount.oracle streakcount.recurrence\n"
 
 
 def test_oracle_commands_run_where_numpy_cannot_be_imported(capsys):
@@ -685,7 +685,7 @@ _LAYER_HELPERS = {
 }
 _DELETED = ("Outcome", "classify", "parse_sequence", "sequence_to_text",
             "close_call_ratios", "close_call_sum", "_lists_table", "_require_length", "_MODES",
-            "binom")
+            "binom", "step_budget", "close_call_terms")
 
 
 def test_package_root_lists_the_user_api():
@@ -740,6 +740,45 @@ def test_package_root_loads_each_layer_on_first_use():
         "[] True False\n"
         "['streakcount.core', 'streakcount.signatures']\n"
         "[]\n")
+
+
+PACKAGE = Path(streakcount.__file__).parent
+# the package modules a module may import: the DP, the term vectors, the
+# oracle and the generator shape their tables through core alone and share
+# nothing with the closed forms they are held to, and the closed forms' own
+# walks import no package module
+_IMPORT_BOUNDS = {"recurrence": {"core"}, "oracle": {"core"}, "signatures": {"core"},
+                  "_series": set(), "_summands": set()}
+# the closed forms' private walks, which verify reads only through counting
+_PRIVATE_WALKS = {"_summands", "_series", "_score_recurrence"}
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules a source file imports anywhere, function bodies
+    included, whether written relative or absolute."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("streakcount."))
+        elif isinstance(node, ast.ImportFrom):
+            path = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if path[0] != "streakcount":
+                    continue
+                path = path[1:]
+            names.update(path[:1] or [alias.name for alias in node.names])
+    return names & modules
+
+
+def test_the_import_graph_keeps_the_routes_apart():
+    # the scan sees imports at module level and inside functions
+    assert {"_summands", "_series", "_score_recurrence"} <= _package_imports("counting")
+    assert {"counting", "oracle", "verify"} <= _package_imports("cli")
+    for module, allowed in _IMPORT_BOUNDS.items():
+        assert _package_imports(module) <= allowed, module
+    assert not _package_imports("verify") & _PRIVATE_WALKS
 
 
 def test_readme_python_examples_run():

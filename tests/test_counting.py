@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streakcount import _score_recurrence, _summands, counting
+from streakcount import _score_recurrence, _summands, counting, verify
 from streakcount.core import heady_support, score_support, taily_support
 from streakcount.counting import (
     closed_distribution,
@@ -306,10 +306,10 @@ def test_term_ratios_reproduce_every_defining_product(s, n):
         assert all(b * q == a * p for a, b, (p, q) in zip(want, want[1:], pairs))
     if n >= 2:
         ks = range(1, (n + 1) // 3 + 1)
-        assert list(_summands.close_call_terms(n)) == [close_call_product(n, k) for k in ks]
-        # the census is, term by term, the heady walk at score one
-        assert list(_summands.close_call_terms(n)) == [_summands.term(1, n - 2, k, 0)
-                                                       for k in range((n - 2) // 3 + 1)]
+        assert list(verify._close_call_terms(n)) == [close_call_product(n, k) for k in ks]
+        # verify's census is, term by term, the heady walk at score one
+        assert list(verify._close_call_terms(n)) == [_summands.term(1, n - 2, k, 0)
+                                                     for k in range((n - 2) // 3 + 1)]
 
 
 def _walk_lengths(steps):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streakcount import _summands, counting, recurrence
+from streakcount import counting, recurrence
 from streakcount.core import ScoreDistribution, heady_support, taily_support
 from streakcount.counting import (
     closed_distribution,
@@ -280,10 +280,11 @@ def test_term_entries_equal_their_defining_binomials():
 
 
 def test_budget_step_refuses_an_inexact_update():
-    assert _summands.step_budget([1, 2], 5) == [1, 3]
+    # rows up to budget 4, the last one seeded, then stepped to budget 5
+    assert _grow_rows([[1]] * 4 + [[1, 2]], 5)[5] == [1, 3]
     # term k = 1 would gain 1 * 1 / (5 - 3)
     with pytest.raises(AssertionError, match="inexact term update"):
-        _summands.step_budget([1, 1], 5)
+        _grow_rows([[1]] * 4 + [[1, 1]], 5)
 
 
 def test_term_walk_refuses_a_missing_last_term():
