@@ -4,10 +4,13 @@ Subcommands map one-to-one onto the library layers: dist prints a full
 score table by any of the four computation paths, wins prints the game
 odds, table and bfile print the close-call and gap series, gen streams
 constructed sequences and verify runs the cross-checking suites.  All
-output is plain text on stdout; anything a flag rejects comes back as
-"error: ..." on stderr and exit status 1.  A closed output pipe ends the
-command quietly with status 141 and an interrupt with status 130, the
-shell's codes for SIGPIPE and SIGINT.
+output is plain text on stdout.  A value that parses but that a command
+refuses comes back as "error: ..." on stderr and exit status 1.  A value
+argparse cannot parse (`dist 5 --format xml`, `wins abc`) gets argparse's
+usage line and "streakcount <command>: error: ..." on stderr and exit
+status 2.  A closed output pipe ends the command quietly with status 141
+and an interrupt with status 130, the shell's codes for SIGPIPE and
+SIGINT.
 
 A cold command loads only its own layer: each handler imports the modules
 its route runs, and the parser adds the arguments of the invoked

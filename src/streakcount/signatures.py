@@ -7,7 +7,8 @@ leave nothing.  The mark string is the signature.  Sequences with the same
 signature score identically, and planting extra tails in front of any run
 of heads never disturbs the marks.  That is the lever the generator pulls:
 start from the unique shortest sequence carrying a signature, then spread
-the spare tails over the legal insertion slots in every possible way.
+the spare tails over the legal insertion slots in every possible way, in
+descending lexicographic order of the slots' tail counts.
 """
 
 from __future__ import annotations
@@ -100,52 +101,6 @@ def min_length_sequence(sig: str, mode: Mode = "heady") -> TossSequence:
     return tuple(out)
 
 
-def compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of total into bins parts, first part descending.
-
-    Starts at (total, 0, ..., 0), ends at (0, ..., 0, total), and the same
-    rule orders the later parts: the stream is in descending
-    lexicographic order and has C(total + bins - 1, bins - 1) members.
-    Each step takes one unit from the rightmost nonzero part before the
-    last and moves it, together with the whole last part, into the part
-    just after it.  No recursion, so any number of bins works.  A step
-    changes the parts only from that rightmost nonzero part on, which is
-    what lets generate_sequences rewrite only the suffix of its output
-    that follows it.
-    """
-    for parts, _ in _walk(total, bins):
-        yield tuple(parts)
-
-
-def _walk(total: int, bins: int) -> Iterator[tuple[list[int], int]]:
-    # the one copy of the step rule: yields the live parts list, mutated in
-    # place between yields, and the lowest index the step changed (0 for
-    # the first composition); every part past that index + 1 is then zero
-    if total < 0:
-        raise ValueError(f"total must be nonnegative, got {total}")
-    if bins < 1:
-        raise ValueError(f"bins must be positive, got {bins}")
-    parts = [total] + [0] * (bins - 1)
-    last = bins - 1
-    # i is the rightmost nonzero part before the last, -1 once there is none
-    i = 0 if total and last else -1
-    changed = 0
-    while True:
-        yield parts, changed
-        if i < 0:
-            return
-        changed = i
-        parts[i] -= 1
-        moved = parts[last] + 1
-        parts[last] = 0
-        parts[i + 1] = moved
-        if i + 1 < last:
-            i += 1
-        else:
-            while i >= 0 and parts[i] == 0:
-                i -= 1
-
-
 def _insertion_slots(mu: TossSequence, mode: str, fixed_leading_one: bool) -> list[int]:
     # one slot in front of each run of heads, plus the taily end slot
     slots = [i for i, b in enumerate(mu) if b == 1 and (i == 0 or mu[i - 1] == 0)]
@@ -187,43 +142,63 @@ def generate_sequences(sig: str, n: int, mode: Mode = "heady",
                        fixed_leading_one: bool = False) -> Iterator[TossSequence]:
     """Yield every length-n sequence with the given signature and final toss.
 
-    Output order follows compositions(): output i inserts composition i's
-    tail counts in front of the successive heads runs of the shortest
-    sequence (taily sequences also take tails at the very end).  With
-    fixed_leading_one the leading head is pinned, its slot disappears and
-    every output starts with 1.  Arguments are validated eagerly and the
-    outputs are built lazily.  Successive outputs share everything in
-    front of the lowest slot whose tail count changed, so each one copies
-    only the suffix from that slot on: a constant number of interpreter
-    steps per output, plus the copying, however many slots there are.
+    Each output inserts a tail count in front of each successive heads run
+    of the shortest sequence (taily sequences also take tails at the very
+    end), and the outputs come in descending lexicographic order of those
+    counts: all spare tails in the first slot first, all in the last slot
+    last.  With fixed_leading_one the leading head is pinned, its slot
+    disappears and every output starts with 1.  Arguments are validated
+    eagerly and the outputs are built lazily.  Successive outputs share
+    everything in front of the lowest slot whose tail count changed, so
+    each one copies only the suffix from that slot on: a constant number
+    of interpreter steps per output on average, plus the copying, however
+    many slots there are.
     """
     mu, slots, spare = _plan(sig, n, mode, fixed_leading_one)
     return _emit(mu, slots, spare)
 
 
 def _emit(mu: TossSequence, slots: list[int], spare: int) -> Iterator[TossSequence]:
-    if not slots:
+    if not spare:
         yield mu
         return
-    if len(slots) == 1:
-        yield mu[:slots[0]] + (0,) * spare + mu[slots[0]:]
-        return
     zeros = (0,) * spare
+    # the first output puts every spare tail in the first slot
+    first = mu[:slots[0]] + zeros + mu[slots[0]:]
+    yield first
+    last = len(slots) - 1
+    # tails[j] is slot j's tail count, stepped in place: each step takes
+    # one tail from the rightmost nonzero count before the last, i, and
+    # moves it, with every tail of the last slot, into slot i + 1.  The
+    # counts then run in descending lexicographic order, from
+    # (spare, 0, ..., 0) to (0, ..., 0, spare), and a step changes them
+    # only from slot i on, with every count past i + 1 left at zero
+    tails = [spare] + [0] * last
     # the run of mu from each slot to the next; the last slot's tails are
     # always followed by the rest of mu, taken by slicing
     pieces = [mu[a:b] for a, b in zip(slots, slots[1:])]
-    # out holds the previous output; start[j] is where slot j's tails begin
-    # in it.  Only the entry for the lowest changed slot is ever read, and
-    # the walk never moves that slot past one beyond the previous one, so
-    # refreshing start[i + 1] at every step keeps each entry read current.
-    out = list(mu)
+    # out holds the previous output and start[j] is where slot j's tails
+    # begin in it.  A step at i reads only start[i] and rewrites out from
+    # there: start[0 .. i] stay current and start[i + 1] is refreshed.  The
+    # entries past i + 1 go stale, but the next step is at i + 1 or lower
+    # and each later one at most one slot past the step before, so every
+    # entry is refreshed again before a step reads it
+    out = list(first)
     start = slots.copy()
-    for parts, i in _walk(spare, len(slots)):
+    # the next step's slot, -1 once no count before the last is nonzero
+    i = 0 if last else -1
+    while i >= 0:
+        tails[i] -= 1
+        tails[last], tails[i + 1] = 0, tails[last] + 1
         del out[start[i]:]
-        out += zeros[:parts[i]]
+        out += zeros[:tails[i]]
         out += pieces[i]
         start[i + 1] = len(out)
-        # every part past i + 1 is zero: the rest of mu follows unchanged
-        out += zeros[:parts[i + 1]]
+        out += zeros[:tails[i + 1]]
         out += mu[slots[i + 1]:]
         yield tuple(out)
+        if i + 1 < last:
+            i += 1
+        else:
+            while i >= 0 and not tails[i]:
+                i -= 1

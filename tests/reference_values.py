@@ -5,6 +5,10 @@ all 2**n sequences before being frozen here.  WIN_GAP_AT_100 lies far
 beyond enumeration; it was frozen from the closed form only after the
 three analytic computation paths agreed with each other and with the
 enumeration oracle on every length where enumeration is feasible.
+
+descending_compositions is the plain reference order the generator tests
+hold signatures.generate_sequences to; it shares no code with the
+generator's in-place step.
 """
 
 # n -> (heady count at score +1, win-count gap)
@@ -36,3 +40,17 @@ CLOSE_CALL_ROWS = {
 }
 
 WIN_GAP_AT_100 = 35738289179539587978601128016
+
+
+def descending_compositions(total, bins, head=()):
+    """Weak compositions of total into bins parts, descending lexicographic.
+
+    Recursive and lazy: the first part runs from total down to 0, and each
+    value is followed by every composition of the rest into one part fewer.
+    The recursion is bins deep.
+    """
+    if bins == 1:
+        yield head + (total,)
+        return
+    for first in range(total, -1, -1):
+        yield from descending_compositions(total - first, bins - 1, head + (first,))

@@ -33,14 +33,13 @@ from streakcount.recurrence import (
 )
 from streakcount.signatures import (
     complement,
-    compositions,
     generate_sequences,
     min_length,
     min_length_sequence,
     signature_of,
 )
 
-from reference_values import CLOSE_CALL_ROWS, WIN_GAP_AT_100
+from reference_values import CLOSE_CALL_ROWS, WIN_GAP_AT_100, descending_compositions
 
 
 @contextmanager
@@ -173,18 +172,18 @@ def test_criterion_8_integer_series_export(capsys):
 def test_criterion_9_golden_generations():
     with criterion(9, "golden constructive generations"):
         outputs = list(generate_sequences("++-", 8, "heady"))
-        idx = list(compositions(3, 2)).index((2, 1))
+        idx = list(descending_compositions(3, 2)).index((2, 1))
         assert "".join(map(str, outputs[idx])) == "00111001"
 
         outputs = list(generate_sequences("+-+-+", 13, "heady"))
-        idx = list(compositions(5, 3)).index((2, 1, 2))
+        idx = list(descending_compositions(5, 3)).index((2, 1, 2))
         assert "".join(map(str, outputs[idx])) == "0011001100011"
 
         sig = complement("+-+-+")
         assert sig == "-+-+-"
         outputs = list(generate_sequences(sig, 14, "heady", fixed_leading_one=True))
         assert len(outputs) == 21
-        idx = list(compositions(5, 3)).index((2, 1, 2))
+        idx = list(descending_compositions(5, 3)).index((2, 1, 2))
         golden = tuple(map(int, "10001100110001"))
         assert outputs[idx] == golden
         assert signature_of(golden) == sig

@@ -680,12 +680,12 @@ _LAYER_HELPERS = {
     "core": ("CloseCallTable", "close_call_buckets", "heady_support", "require_length",
              "require_mode", "score_support", "taily_support"),
     "counting": ("decimal_ratio",),
-    "signatures": ("complement", "compositions", "min_length", "min_length_sequence",
-                   "signature_of", "signature_score"),
+    "signatures": ("complement", "min_length", "min_length_sequence", "signature_of",
+                   "signature_score"),
 }
 _DELETED = ("Outcome", "classify", "parse_sequence", "sequence_to_text",
             "close_call_ratios", "close_call_sum", "_lists_table", "_require_length", "_MODES",
-            "binom", "step_budget", "close_call_terms")
+            "binom", "step_budget", "close_call_terms", "compositions", "_walk")
 
 
 def test_package_root_lists_the_user_api():

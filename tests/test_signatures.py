@@ -9,7 +9,6 @@ from streakcount.core import score
 from streakcount.oracle import word_to_bits
 from streakcount.signatures import (
     complement,
-    compositions,
     generate_sequences,
     min_length,
     min_length_sequence,
@@ -17,6 +16,8 @@ from streakcount.signatures import (
     signature_of,
     signature_score,
 )
+
+from reference_values import descending_compositions
 
 marks = st.text(alphabet="+-", min_size=1, max_size=6)
 heady_marks = marks
@@ -124,17 +125,16 @@ def test_signature_validation():
 
 
 def test_compositions_order_and_census():
-    assert list(compositions(3, 2)) == [(3, 0), (2, 1), (1, 2), (0, 3)]
-    assert list(compositions(0, 3)) == [(0, 0, 0)]
-    fives = list(compositions(5, 3))
+    assert list(descending_compositions(3, 2)) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert list(descending_compositions(0, 3)) == [(0, 0, 0)]
+    assert list(descending_compositions(4, 1)) == [(4,)]
+    fives = list(descending_compositions(5, 3))
     assert len(fives) == 21
     assert len(set(fives)) == 21
     assert all(sum(c) == 5 for c in fives)
-    assert [c[0] for c in fives] == sorted((c[0] for c in fives), reverse=True)
-    with pytest.raises(ValueError, match="nonnegative"):
-        list(compositions(-1, 2))
-    with pytest.raises(ValueError, match="positive"):
-        list(compositions(3, 0))
+    assert fives == sorted(fives, reverse=True)
+    assert fives[:4] == [(5, 0, 0), (4, 1, 0), (4, 0, 1), (3, 2, 0)]
+    assert fives[-1] == (0, 0, 5)
 
 
 def test_deep_signature_generates_without_recursion():
@@ -152,9 +152,15 @@ def test_deep_signature_generates_without_recursion():
 
 @given(st.integers(0, 8), st.integers(1, 5))
 def test_compositions_count_is_stars_and_bars(total, bins):
-    found = list(compositions(total, bins))
+    found = list(descending_compositions(total, bins))
     assert len(found) == comb(total + bins - 1, bins - 1)
     assert len(set(found)) == len(found)
+    # a pinned taily run of bins '-' marks has one insertion slot per mark
+    sig = "-" * bins
+    n = min_length(sig, "taily") + total
+    outputs = list(generate_sequences(sig, n, "taily", fixed_leading_one=True))
+    assert len(outputs) == sequence_count(sig, n, "taily", fixed_leading_one=True) == len(found)
+    assert len(set(outputs)) == len(outputs)
 
 
 def test_generate_short_signature():
@@ -239,7 +245,7 @@ def slot_by_slot(sig, n, mode, fixed_leading_one):
         yield mu
         return
     ends = slots[1:] + [len(mu)]
-    for comp in compositions(spare, len(slots)):
+    for comp in descending_compositions(spare, len(slots)):
         out = list(mu[:slots[0]])
         for c, a, b in zip(comp, slots, ends):
             out += [0] * c
