@@ -148,11 +148,12 @@ def generate_sequences(sig: str, n: int, mode: Mode = "heady",
     counts: all spare tails in the first slot first, all in the last slot
     last.  With fixed_leading_one the leading head is pinned, its slot
     disappears and every output starts with 1.  Arguments are validated
-    eagerly and the outputs are built lazily.  Successive outputs share
-    everything in front of the lowest slot whose tail count changed, so
-    each one copies only the suffix from that slot on: a constant number
-    of interpreter steps per output on average, plus the copying, however
-    many slots there are.
+    eagerly and the outputs are built lazily.  Each output is the
+    previous one edited in place: a step moves one tail out of one slot
+    and into the next, together with every tail of the last slot, by at
+    most two deletes and one insert.  That is a constant number of
+    interpreter steps per output on average, however many slots there
+    are, plus the copy that hands each output out as a tuple.
     """
     mu, slots, spare = _plan(sig, n, mode, fixed_leading_one)
     return _emit(mu, slots, spare)
@@ -164,41 +165,55 @@ def _emit(mu: TossSequence, slots: list[int], spare: int) -> Iterator[TossSequen
         return
     zeros = (0,) * spare
     # the first output puts every spare tail in the first slot
-    first = mu[:slots[0]] + zeros + mu[slots[0]:]
-    yield first
+    out = list(mu[:slots[0]] + zeros + mu[slots[0]:])
+    yield tuple(out)
     last = len(slots) - 1
     # tails[j] is slot j's tail count, stepped in place: each step takes
     # one tail from the rightmost nonzero count before the last, i, and
     # moves it, with every tail of the last slot, into slot i + 1.  The
     # counts then run in descending lexicographic order, from
-    # (spare, 0, ..., 0) to (0, ..., 0, spare), and a step changes them
-    # only from slot i on, with every count past i + 1 left at zero
+    # (spare, 0, ..., 0) to (0, ..., 0, spare), and every count strictly
+    # between i and the last is zero when the step begins
     tails = [spare] + [0] * last
-    # the run of mu from each slot to the next; the last slot's tails are
-    # always followed by the rest of mu, taken by slicing
-    pieces = [mu[a:b] for a, b in zip(slots, slots[1:])]
+    # width[j] is the run of mu from slot j to slot j + 1, and rest the
+    # run after the last slot, which always closes the output
+    width = [b - a for a, b in zip(slots, slots[1:])]
+    rest = len(mu) - slots[-1]
     # out holds the previous output and start[j] is where slot j's tails
-    # begin in it.  A step at i reads only start[i] and rewrites out from
-    # there: start[0 .. i] stay current and start[i + 1] is refreshed.  The
-    # entries past i + 1 go stale, but the next step is at i + 1 or lower
-    # and each later one at most one slot past the step before, so every
-    # entry is refreshed again before a step reads it
-    out = list(first)
+    # begin in it.  A step at i reads only start[i], changes out only from
+    # there on, so start[0 .. i] stay current, and sets start[i + 1].  The
+    # entries past i + 1 go stale, but the next step is at i + 1 or lower,
+    # so the entry a step reads is always current
     start = slots.copy()
     # the next step's slot, -1 once no count before the last is nonzero
     i = 0 if last else -1
     while i >= 0:
-        tails[i] -= 1
-        tails[last], tails[i + 1] = 0, tails[last] + 1
-        del out[start[i]:]
-        out += zeros[:tails[i]]
-        out += pieces[i]
-        start[i + 1] = len(out)
-        out += zeros[:tails[i + 1]]
-        out += mu[slots[i + 1]:]
-        yield tuple(out)
         if i + 1 < last:
+            # one of slot i's tails and every tail of the last slot, which
+            # lie just before rest since the slots between are empty, move
+            # into the empty slot i + 1: one delete each and one insert
+            moved = tails[last]
+            tails[i] -= 1
+            tails[last], tails[i + 1] = 0, moved + 1
+            del out[start[i]]
+            if moved:
+                end = len(out) - rest
+                del out[end - moved:end]
+            at = start[i + 1] = start[i] + tails[i] + width[i]
+            out[at:at] = zeros[:moved + 1]
+            yield tuple(out)
             i += 1
-        else:
-            while i >= 0 and not tails[i]:
-                i -= 1
+            continue
+        # slot i is next to the last: its tails cross one at a time.  The
+        # last slot's tails are a run of zeros ending where rest begins, so
+        # each tail, taken from the front of slot i, joins that run at its
+        # end, which stays put while slot i shrinks
+        front, end = start[i], len(out) - 1 - rest
+        for _ in range(tails[i]):
+            del out[front]
+            out.insert(end, 0)
+            yield tuple(out)
+        tails[last] += tails[i]
+        tails[i] = 0
+        while i >= 0 and not tails[i]:
+            i -= 1

@@ -18,8 +18,9 @@ from . import core, counting, oracle, recurrence, signatures
 
 
 # largest gen_max run_suites accepts: the generator sweep keeps all 2**n
-# sequences of each length as tuples, which at 16 takes about 2 s and 35 MB
-# and grows about threefold in both every two lengths
+# sequences of each length as tuples, which at 16 takes about 0.9 s and a
+# 33 MB process on a 2-core Xeon (0.3 s and 19 MB at 14), and its time
+# grows about threefold every two lengths
 GEN_MAX_LIMIT = 16
 
 # largest max_n run_suites accepts: the arithmetic sweeps at 200 take about

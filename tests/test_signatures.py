@@ -283,9 +283,10 @@ def test_generation_equals_the_slot_by_slot_construction(request):
 ], ids=["dashes-taily", "mixed-heady"])
 @pytest.mark.parametrize("pinned", [False, True])
 def test_deep_generation_equals_the_slot_by_slot_construction(sig, spare, mode, pinned):
-    # 151 and 161 insertion slots; over the first 300 outputs the lowest
-    # changed slot sweeps from the first slot to the last one twice, so the
-    # rewritten suffix takes every length from nearly all to a few tosses
+    # 151 and 161 insertion slots; over the first 300 outputs one tail
+    # walks from the first slot to the last, the next step takes it out of
+    # the last slot again, back to the second, and the walk starts over, so
+    # the edits reach every part of the sequence
     n = min_length(sig, mode) + spare
     assert sequence_count(sig, n, mode) >= comb(spare + 150, 150)
     want = list(itertools.islice(slot_by_slot(sig, n, mode, pinned), 300))
@@ -305,3 +306,32 @@ def test_one_slot_and_spare_free_generation():
         mu = min_length_sequence(sig, mode)
         for pinned in (False, True):
             assert list(generate_sequences(sig, len(mu), mode, pinned)) == [mu]
+
+
+@pytest.mark.parametrize("sig, mode, pinned, slots, spare", [
+    ("++-", "heady", False, 2, 40),
+    ("-+-", "taily", True, 2, 37),
+    ("-++-", "taily", False, 3, 40),
+    ("+---+", "heady", True, 3, 33),
+    ("+--+-", "heady", False, 4, 40),
+    ("--+--", "taily", True, 4, 29),
+    ("+-+---", "heady", False, 5, 25),
+    ("+-+----", "taily", True, 5, 22),
+    ("+-+----", "taily", False, 6, 21),
+    ("--+----", "heady", True, 6, 20),
+])
+def test_long_runs_equal_the_slot_by_slot_construction(sig, mode, pinned, slots, spare):
+    # a few slots and many spare tails, the benchmark's shallow shape: the
+    # tails of the slot next to the last cross into the last in runs of up
+    # to spare outputs, where the other tests' runs stop at 8, and with
+    # three slots or more an earlier slot steps while the last slot holds
+    # tails, which all move back with it.  Every output is held to the
+    # construction, in order
+    n = min_length(sig, mode) + spare
+    count = sequence_count(sig, n, mode, pinned)
+    assert count == comb(spare + slots - 1, slots - 1)
+    pairs = itertools.zip_longest(generate_sequences(sig, n, mode, pinned),
+                                  slot_by_slot(sig, n, mode, pinned))
+    for k, (got, want) in enumerate(pairs):
+        assert got == want, k
+    assert k + 1 == count
