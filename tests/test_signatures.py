@@ -285,8 +285,9 @@ def test_generation_equals_the_slot_by_slot_construction(request):
 def test_deep_generation_equals_the_slot_by_slot_construction(sig, spare, mode, pinned):
     # 151 and 161 insertion slots; over the first 300 outputs one tail
     # walks from the first slot to the last, the next step takes it out of
-    # the last slot again, back to the second, and the walk starts over, so
-    # the edits reach every part of the sequence
+    # the last slot again, with one more tail from the first, into the
+    # second, and a tail walks on from there, so the edits reach every part
+    # of the sequence
     n = min_length(sig, mode) + spare
     assert sequence_count(sig, n, mode) >= comb(spare + 150, 150)
     want = list(itertools.islice(slot_by_slot(sig, n, mode, pinned), 300))
