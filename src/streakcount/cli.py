@@ -34,11 +34,11 @@ if TYPE_CHECKING:
 
 # longest length each dist method accepts, and wins; past it a command is
 # refused before any work.  Cold commands on a 2-core Xeon (Python 3.11.7),
-# output to /dev/null: `dist 10000` 3.2 s with a 110 MB process and 90 MB
+# output to /dev/null: `dist 10000` 2.8 s with a 110 MB process and 90 MB
 # of output, most of the time spent converting counts to decimal, and
-# `dist 20000` 24 s and 382 MB; `dist 3000 --method dp` 2.3 s, 5000 9.9 s;
-# `dist 1000 --method incremental` 2.5 s, 1500 10.9 s.  wins walks two
-# cells of about n bits: `wins 20000` 0.18 s, 50000 0.55 s, 100000 1.7 s.
+# `dist 20000` 21 s and 382 MB; `dist 3000 --method dp` 1.3 s, 5000 5.8 s;
+# `dist 1000 --method incremental` 1.5 s, 1500 6.9 s.  wins walks two
+# cells of about n bits: `wins 20000` 0.12 s, 50000 0.42 s, 100000 1.5 s.
 # Each grows at least as fast as n**2, and the oracle keeps its own limit
 # of oracle.MAX_N
 _DIST_LIMITS = {"closed": 10_000, "dp": 3_000, "incremental": 1_000}

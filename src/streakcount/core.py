@@ -17,9 +17,18 @@ alone, so no route loads another to shape its output.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 TossSequence = tuple[int, ...]
+
+# the score ints every table's keys are taken from, ascending from the
+# first: (first, ints).  A fresh list that keeps the ints already handed
+# out replaces it when a table reaches past it, so every table shares its
+# key objects.  Read once and written at most once per table, as the
+# routes' resume states are: concurrent callers can lose a growth but
+# never see a torn pair
+_keys: tuple[int, list[int]] = (0, [])
 
 
 def require_length(n: int, minimum: int = 1) -> None:
@@ -79,14 +88,23 @@ class ScoreDistribution(NamedTuple):
         """Dense lists at length n, indexed from score -(n // 2), as a table.
 
         Every cell inside a support is nonzero and every cell outside is
-        zero, so slicing the supports out stores exactly the nonzero counts,
-        each half in ascending score order.
+        zero, so reading the supports out stores exactly the nonzero counts,
+        each half in ascending score order.  The values are read in place
+        and the keys are the shared ints of _keys: Python caches no int past
+        256, so fresh keys would cost each table of a sweep one allocation
+        per score for ints the other tables already hold.
         """
+        global _keys
         lo = -(n // 2)
-        h_lo, h_hi = heady_support(n)
-        t_lo, t_hi = taily_support(n)
-        return cls(n, dict(zip(range(h_lo, h_hi + 1), heady[h_lo - lo:h_hi - lo + 1])),
-                   dict(zip(range(t_lo, t_hi + 1), taily[t_lo - lo:t_hi - lo + 1])))
+        first, keys = _keys
+        if lo < first or n > first + len(keys):
+            top = first + len(keys)
+            keys = [*range(lo, first), *keys, *range(top, n)]
+            first = min(first, lo)
+            _keys = (first, keys)
+        h_lo, t_hi = heady_support(n)[0], taily_support(n)[1]
+        return cls(n, dict(zip(keys[h_lo - first:n - first], islice(heady, h_lo - lo, None))),
+                   dict(zip(keys[lo - first:t_hi + 1 - first], taily)))
 
     def total(self) -> int:
         return sum(self.heady.values()) + sum(self.taily.values())

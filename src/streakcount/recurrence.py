@@ -14,11 +14,13 @@ starts empty and before each read gains one binomial per j the heady
 bound now admits; no cell needs an opening step.  The second factor
 depends on m alone, so one budget row [C(m - 2k, k) for k = 0 .. m // 3]
 serves every cell with that budget at every length; each row is the one
-before stepped in the budget by _grow_rows, the only stepper.  A cell's
-value is its list dotted with its budget row from index j0 + lead, where
-j0 = max(0, -sigma), and the tables leave as the same dense lists as the
-DP's.  Inexact division in that path is impossible by construction and
-treated as an internal bug, never an input error.
+before stepped in the budget by _grow_rows, the only stepper.  One read
+per heady score, _pair, gives both its cells: with j0 = max(0, -sigma),
+the list dotted with budget row n - sigma - 1 from index j0 is heady
+sigma, and dotted with the row two budgets on from index j0 + 1 it is
+taily sigma - 1.  The tables leave as the same dense lists as the DP's.
+Inexact division in that path is impossible by construction and treated
+as an internal bug, never an input error.
 
 Both routes shape their tables through core alone (the supports, the
 dense-list constructor and the length check) and share nothing with the
@@ -142,35 +144,41 @@ def _fill(sigma: int, n: int, coefs: list[int]) -> list[int]:
     return coefs
 
 
-def _cell(lead: int, s: int, n: int, coefs: Sequence[int], rows: list[list[int]]) -> int:
-    """A score-s cell at length n: heady score s + lead's coefficients dotted
-    with the cell's budget row from index j0 + lead, j0 = max(0, -s - lead).
+def _pair(sigma: int, n: int, coefs: Sequence[int], rows: list[list[int]]) -> tuple[int, int]:
+    """(heady sigma, taily sigma - 1) at length n, both off heady score
+    sigma's coefficients: dotted with budget row m = n - sigma - 1 from
+    index j0 = max(0, -sigma) for the heady cell, and with row m + 2 from
+    index j0 + 1 for the taily one.
 
-    The taily bound is at most the heady one, so a taily read may leave the
-    last coefficient unused; coefs must hold exactly the heady bound's.
+    The taily bound is at most the heady one, so the taily read may leave
+    the last coefficient unused; coefs must hold exactly the heady bound's.
     """
-    sigma = s + lead
-    j0 = max(0, -sigma)
-    if len(coefs) != (n - sigma - 1) // 3 + 1 - j0:
-        raise AssertionError(f"summation bound skipped a step: lead={lead} s={s} n={n}")
-    value = sum(map(mul, coefs, rows[n - s - 1 + lead][j0 + lead:]))
-    if lead and s == 0:
-        value += 1        # the all-tails sequence sits outside the summation
-    return value
+    j0 = -sigma if sigma < 0 else 0
+    m = n - sigma - 1
+    if len(coefs) != m // 3 + 1 - j0:
+        raise AssertionError(f"summation bound skipped a step: sigma={sigma} n={n}")
+    heady = sum(map(mul, coefs, rows[m][j0:] if j0 else rows[m]))
+    taily = sum(map(mul, coefs, rows[m + 2][j0 + 1:]))
+    if sigma == 1:
+        taily += 1        # the all-tails sequence sits outside the summation
+    return heady, taily
 
 
 def _read_length(n: int, rows: list[list[int]],
                  coefs: defaultdict[int, list[int]]) -> ScoreDistribution:
-    """The table at length n, two cells read off each heady score's list."""
+    """The table at length n, two cells read off each heady score's list.
+
+    rows must reach budget n + (n + 1) // 2, the taily read of the lowest
+    heady score.
+    """
     lo = -(n // 2)
     heady = [0] * (n - lo)
     taily = [0] * (n - lo)
     taily[-lo] = 1        # the all-tails cell; its list (sigma = 1) starts at n = 2
     for sigma in range(heady_support(n)[0], n):
-        own = _fill(sigma, n, coefs[sigma])
-        heady[sigma - lo] = _cell(0, sigma, n, own, rows)
+        heady[sigma - lo], below = _pair(sigma, n, _fill(sigma, n, coefs[sigma]), rows)
         if sigma > lo:    # at odd n the lowest heady score has no taily partner
-            taily[sigma - 1 - lo] = _cell(1, sigma - 1, n, own, rows)
+            taily[sigma - 1 - lo] = below
     return ScoreDistribution.from_lists(n, heady, taily)
 
 
@@ -187,14 +195,15 @@ def table_sweep(n_max: int) -> Iterator[ScoreDistribution]:
     require_length(n_max)
     rows: list[list[int]] = [[1]]
     coefs: defaultdict[int, list[int]] = defaultdict(list)
-    return (_read_length(n, _grow_rows(rows, n + n // 2), coefs) for n in range(1, n_max + 1))
+    return (_read_length(n, _grow_rows(rows, n + (n + 1) // 2), coefs)
+            for n in range(1, n_max + 1))
 
 
 def incremental_distribution(n: int) -> ScoreDistribution:
-    """Distribution at one length off the budget rows up to n + n // 2.
+    """Distribution at one length off the budget rows up to n + (n + 1) // 2.
 
     Only length n is read, from fresh lists: each takes all its
     coefficients at once.
     """
     require_length(n)
-    return _read_length(n, _grow_rows([[1]], n + n // 2), defaultdict(list))
+    return _read_length(n, _grow_rows([[1]], n + (n + 1) // 2), defaultdict(list))

@@ -269,7 +269,9 @@ def _term_updates(reads: _Reads, max_n: int) -> _Checks:
     # s + lead's binomials C(2j + s + lead, j) up to the heady bound
     lo = -min(20, max_n // 2)
     hi = min(20, max_n - 1)
-    rows = recurrence._grow_rows([[1]], max_n - lo)
+    # a heady read also dots its taily partner's row, two budgets on, so
+    # the rows reach one budget past the deepest taily cell's
+    rows = recurrence._grow_rows([[1]], max_n - lo + 1)
     rows_ok = _rows_ok(rows)
     for s in range(lo, hi + 1):
         for lead, kind in enumerate(("heady", "taily")):
@@ -280,14 +282,14 @@ def _term_updates(reads: _Reads, max_n: int) -> _Checks:
             coefs: list[int] = []
             want: list[int] = []
             recurrence._fill(sigma, n, coefs)
-            yield (recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
+            yield (recurrence._pair(sigma, n, coefs, rows)[lead] == reads.cell(lead, s, n),
                    f"{kind} cell wrong at birth: s={s} n={n}")
             while n < max_n:
                 n += 1
                 recurrence._fill(sigma, n, coefs)
                 for j in range(j0 + len(want), (n - sigma - 1) // 3 + 1):
                     want.append(comb(2 * j + sigma, j))
-                yield (recurrence._cell(lead, s, n, coefs, rows) == reads.cell(lead, s, n),
+                yield (recurrence._pair(sigma, n, coefs, rows)[lead] == reads.cell(lead, s, n),
                        f"{kind} term update drifted: s={s} n={n}")
                 yield (rows_ok[n - s - 1 + lead] and coefs == want,
                        f"{kind} terms lost their binomial shape: s={s} n={n}")

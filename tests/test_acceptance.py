@@ -25,9 +25,9 @@ from streakcount.counting import (
 from streakcount.oracle import enumerate_distribution
 from streakcount.recurrence import (
     _birth,
-    _cell,
     _fill,
     _grow_rows,
+    _pair,
     dp_sweep,
     table_sweep,
 )
@@ -149,13 +149,13 @@ def test_criterion_6_generator_soundness_and_bijection():
 
 def test_criterion_7_exact_updates_deep_and_wide():
     with criterion(7, "term updates exact to n = 500, agree to n = 200", budget=30.0):
-        rows = _grow_rows([[1]], 520)  # raises on any inexact division
+        rows = _grow_rows([[1]], 521)  # raises on any inexact division
         for s in range(-20, 21):
             for lead, count in enumerate((heady_count, taily_count)):
                 coefs = []
                 for n in range(_birth(lead, s), 501):
                     _fill(s + lead, n, coefs)
-                assert _cell(lead, s, 500, coefs, rows) == count(s, 500)
+                assert _pair(s + lead, 500, coefs, rows)[lead] == count(s, 500)
         for n, dist in enumerate(table_sweep(200), start=1):
             assert dist == closed_distribution(n)
 

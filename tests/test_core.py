@@ -6,8 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import streakcount
-from streakcount import counting, oracle, signatures
-from streakcount.core import CloseCallTable, ScoreDistribution, close_call_buckets, score
+from streakcount import core, counting, oracle, signatures
+from streakcount.core import (
+    CloseCallTable,
+    ScoreDistribution,
+    close_call_buckets,
+    heady_support,
+    score,
+    taily_support,
+)
 from streakcount.counting import closed_distribution, win_odds
 from streakcount.oracle import close_call_table, enumerate_distribution
 from streakcount.recurrence import dp_distribution, incremental_distribution
@@ -125,6 +132,47 @@ def raised(call):
     with pytest.raises(ValueError) as info:
         call()
     return str(info.value)
+
+
+def test_tables_take_their_keys_from_one_shared_list(monkeypatch):
+    def dense(n):
+        # distinct counts inside each support and zeros outside, indexed
+        # from score -(n // 2) as every route's lists are
+        lo = -(n // 2)
+        (h_lo, h_hi), (t_lo, t_hi) = heady_support(n), taily_support(n)
+        return ([s + n if h_lo <= s <= h_hi else 0 for s in range(lo, n)],
+                [s + 3 * n if t_lo <= s <= t_hi else 0 for s in range(lo, n)])
+
+    def reference(n, heady, taily):
+        # the dicts as built with a fresh range and slice copies
+        lo = -(n // 2)
+        (h_lo, h_hi), (t_lo, t_hi) = heady_support(n), taily_support(n)
+        return (dict(zip(range(h_lo, h_hi + 1), heady[h_lo - lo:h_hi - lo + 1])),
+                dict(zip(range(t_lo, t_hi + 1), taily[t_lo - lo:t_hi - lo + 1])))
+
+    monkeypatch.setattr(core, "_keys", (0, []))
+    tables = {}
+    for n, span in [*((n, (-(n // 2), n + n // 2)) for n in range(1, 301)),
+                    (5000, (-2500, 7500)), (3, (-2500, 7500))]:
+        table = ScoreDistribution.from_lists(n, *dense(n))
+        heady, taily = reference(n, *dense(n))
+        assert list(table.heady.items()) == list(heady.items()), n
+        assert list(table.taily.items()) == list(taily.items()), n
+        # the list reaches the lowest and highest score of every table so far
+        first, keys = core._keys
+        assert (first, len(keys)) == span and keys == list(range(first, first + len(keys)))
+        tables[n] = table
+
+    def key(half, s):
+        return next(k for k in half if k == s)
+
+    # scores past 256 are not cached ints, yet each is one object in every
+    # table, whether built before the list grew past it or after
+    for s in (-149, -129, 257, 297):
+        assert key(tables[300].taily, s) is key(tables[5000].taily, s)
+        assert key(tables[299].heady, s) is key(tables[5000].heady, s)
+        assert key(tables[300].heady, s) is key(tables[299].heady, s)
+    assert key(tables[300].taily, -150) is key(tables[5000].taily, -150)
 
 
 def test_every_mode_check_raises_the_one_message():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streakcount import counting, recurrence
+from streakcount import core, counting, recurrence
 from streakcount.core import ScoreDistribution, heady_support, taily_support
 from streakcount.counting import (
     closed_distribution,
@@ -15,9 +15,9 @@ from streakcount.counting import (
 )
 from streakcount.recurrence import (
     _birth,
-    _cell,
     _fill,
     _grow_rows,
+    _pair,
     dp_distribution,
     dp_sweep,
     incremental_distribution,
@@ -163,6 +163,9 @@ def test_threads_sharing_the_resume_states():
     for module in (counting, recurrence):
         m, heady, taily = module._last
         assert ScoreDistribution.from_lists(m, heady, taily) == want[m - 1]
+    # a growth of the shared key list may be lost too, never torn
+    first, keys = core._keys
+    assert keys == list(range(first, first + len(keys)))
 
 
 def test_dp_normalization():
@@ -183,10 +186,11 @@ SUPPORT = (heady_support, taily_support)
 def _walk(lead, s, steps):
     """(n, coefs, rows) of a score-s cell at its birth and after each of `steps` steps.
 
-    coefs is heady score s + lead's coefficient list, which the cell reads.
+    coefs is heady score s + lead's coefficient list, which the cell reads;
+    rows reach two budgets past the heady read's, the taily read beside it.
     """
     n0 = _birth(lead, s)
-    rows = _grow_rows([[1]], n0 + steps - s - 1 + lead)
+    rows = _grow_rows([[1]], n0 + steps - s + 1)
     coefs = []
     for n in range(n0, n0 + steps + 1):
         _fill(s + lead, n, coefs)
@@ -208,7 +212,7 @@ def test_birth_is_the_first_length_whose_support_holds_the_score():
                 for n, want in ((1, []), (2, [1])):
                     coefs = []
                     _fill(s + lead, n, coefs)
-                    assert coefs == want and _cell(lead, s, n, coefs, rows) == 1
+                    assert coefs == want and _pair(s + lead, n, coefs, rows)[lead] == 1
             else:
                 assert _birth(lead, s) == first
 
@@ -231,12 +235,12 @@ def test_term_vector_openings():
             assert heady_count(s, n0 - 1) == 0
         (n, coefs, rows), = _walk(0, s, 0)
         assert (n, coefs) == (n0, [1])
-        assert _cell(0, s, n, coefs, rows) == heady_count(s, n0)
+        assert _pair(s, n, coefs, rows)[0] == heady_count(s, n0)
 
         m0 = _birth(1, s)
         (n, coefs, rows), = _walk(1, s, 0)
         assert (n, coefs) == (m0, [1])
-        assert _cell(1, s, n, coefs, rows) == taily_count(s, m0)
+        assert _pair(s + 1, n, coefs, rows)[1] == taily_count(s, m0)
         if s != 0 and m0 > 1:
             assert taily_count(s, m0 - 1) == 0
 
@@ -245,7 +249,7 @@ def test_term_walks_match_closed_forms():
     for s in range(-6, 7):
         for lead, count in enumerate(COUNT):
             for n, coefs, rows in _walk(lead, s, 40):
-                assert _cell(lead, s, n, coefs, rows) == count(s, n)
+                assert _pair(s + lead, n, coefs, rows)[lead] == count(s, n)
 
 
 def test_one_list_serves_heady_sigma_and_taily_sigma_minus_one():
@@ -254,12 +258,26 @@ def test_one_list_serves_heady_sigma_and_taily_sigma_minus_one():
         coefs = []
         for n in range(1, 121):
             _fill(sigma, n, coefs)
-            lo, hi = heady_support(n)
-            if lo <= sigma <= hi:
-                assert _cell(0, sigma, n, coefs, rows) == heady_count(sigma, n)
-            lo, hi = taily_support(n)
-            if lo <= sigma - 1 <= hi:
-                assert _cell(1, sigma - 1, n, coefs, rows) == taily_count(sigma - 1, n)
+            h_lo, h_hi = heady_support(n)
+            t_lo, t_hi = taily_support(n)
+            in_heady, in_taily = h_lo <= sigma <= h_hi, t_lo <= sigma - 1 <= t_hi
+            if in_heady or in_taily:
+                heady, taily = _pair(sigma, n, coefs, rows)
+            if in_heady:
+                assert heady == heady_count(sigma, n)
+            if in_taily:
+                assert taily == taily_count(sigma - 1, n)
+
+
+def test_the_taily_read_of_heady_score_one_holds_the_all_tails_sequence():
+    # the all-tails sequence scores 0 outside every summation term, so
+    # _pair adds it to taily score 0 alone, from length 1, where the list
+    # is still empty, across the sum's first term at 3
+    rows = _grow_rows([[1]], 80)
+    coefs = []
+    for n in range(1, 61):
+        _fill(1, n, coefs)
+        assert _pair(1, n, coefs, rows)[1] == taily_count(0, n)
 
 
 def test_term_entries_equal_their_defining_binomials():
@@ -292,18 +310,20 @@ def test_term_walk_refuses_a_missing_last_term():
         *_, (n, coefs, rows) = _walk(lead, 0, 4)
         assert (n, len(coefs)) == want
         with pytest.raises(AssertionError, match="skipped a step"):
-            _cell(lead, 0, n, coefs[:-1], rows)
+            _pair(lead, n, coefs[:-1], rows)
         with pytest.raises(AssertionError, match="skipped a step"):
-            _cell(lead, 0, n, coefs + [1], rows)
+            _pair(lead, n, coefs + [1], rows)
 
 
 @given(st.sampled_from([0, 1]), st.integers(-10, 10), st.integers(1, 60))
 def test_term_walks_never_divide_inexactly(lead, s, steps):
     *_, (n, coefs, rows) = _walk(lead, s, steps)
-    assert _cell(lead, s, n, coefs, rows) == COUNT[lead](s, n)
+    assert _pair(s + lead, n, coefs, rows)[lead] == COUNT[lead](s, n)
 
 
 def test_table_sweep_labels_lengths():
+    # both parities: at odd n the lowest heady score's taily read has no
+    # slot, since that score is also the lowest taily one
     for n, dist in enumerate(table_sweep(20), start=1):
         assert dist.n == n
         assert dist == closed_distribution(n)
