@@ -10,11 +10,14 @@ k - lead) times C(m - 2k, k), lead 0 heady and 1 taily.  With j = k - lead
 and sigma = s + lead the first factor is C(2j + sigma, j) for both leads,
 so one coefficient list per heady score sigma serves two cells: heady
 sigma and taily sigma - 1.  It never changes with the length, so the list
-starts empty and before each read gains one binomial per j the heady
+starts empty and before each read gains one coefficient per j the heady
 bound now admits; no cell needs an opening step.  The second factor
 depends on m alone, so one budget row [C(m - 2k, k) for k = 0 .. m // 3]
 serves every cell with that budget at every length; each row is the one
-before stepped in the budget by _grow_rows, the only stepper.  One read
+before stepped in the budget by _grow_rows, the only stepper.  The same
+rows hold the first factor: entry j of row 4j + sigma is C(2j + sigma,
+j), and the rows a length's reads need already reach every coefficient
+it takes (_fill), so one table of binomials serves both factors.  One read
 per heady score, _pair, gives both its cells: with j0 = max(0, -sigma),
 the list dotted with budget row n - sigma - 1 from index j0 is heady
 sigma, and dotted with the row two budgets on from index j0 + 1 it is
@@ -30,7 +33,6 @@ closed forms they are held to: this module loads only core.
 from __future__ import annotations
 
 from collections import defaultdict
-from math import comb
 from operator import add, mul
 from typing import Iterator, Sequence
 
@@ -132,14 +134,19 @@ def _grow_rows(rows: list[list[int]], m_max: int) -> list[list[int]]:
     return rows
 
 
-def _fill(sigma: int, n: int, coefs: list[int]) -> list[int]:
+def _fill(sigma: int, n: int, coefs: list[int], rows: list[list[int]]) -> list[int]:
     """Extend heady score sigma's coefficients C(2j + sigma, j) in place to
     j = max(0, -sigma) .. (n - sigma - 1) // 3, the heady bound at length n,
     and return them.
+
+    Each is read off the budget rows: entry j of row 4j + sigma is
+    C(4j + sigma - 2j, j) = C(2j + sigma, j).  The last j reads row at
+    most (4n - sigma - 4) // 3, inside the taily read's n + (n + 1) // 2
+    for every sigma of the heady support, sigma >= -((n - 1) // 2).
     """
     j = max(0, -sigma) + len(coefs)
     while 3 * j < n - sigma:
-        coefs.append(comb(2 * j + sigma, j))
+        coefs.append(rows[4 * j + sigma][j])
         j += 1
     return coefs
 
@@ -176,7 +183,7 @@ def _read_length(n: int, rows: list[list[int]],
     taily = [0] * (n - lo)
     taily[-lo] = 1        # the all-tails cell; its list (sigma = 1) starts at n = 2
     for sigma in range(heady_support(n)[0], n):
-        heady[sigma - lo], below = _pair(sigma, n, _fill(sigma, n, coefs[sigma]), rows)
+        heady[sigma - lo], below = _pair(sigma, n, _fill(sigma, n, coefs[sigma], rows), rows)
         if sigma > lo:    # at odd n the lowest heady score has no taily partner
             taily[sigma - 1 - lo] = below
     return ScoreDistribution.from_lists(n, heady, taily)

@@ -54,8 +54,8 @@ class _Reads:
     Several suites check the same cells and tables, so each value is read
     off its own route once and then shared: on first use of a length, its
     heady_count and taily_count cells as two dense lists over scores
-    -(n // 2) - 3 .. n + 2 (a score outside that falls through to a fresh
-    call), and closed_distribution tables.  No route's value stands in for
+    -(n // 2) - 3 .. n + 2, which every suite's reads stay inside, and
+    closed_distribution tables.  No route's value stands in for
     another's.  Reads look the counting functions up at read time, so a
     patched closed form is what every suite reads, and the object lives
     only as long as the group of suites that shares it.
@@ -75,12 +75,13 @@ class _Reads:
         return rows
 
     def cell(self, lead: int, s: int, n: int) -> int:
-        """heady_count(s, n) for lead 0, taily_count(s, n) for lead 1."""
+        """heady_count(s, n) for lead 0, taily_count(s, n) for lead 1; a score
+        outside the rows raises IndexError."""
         row = self.rows(n)[lead]
         i = s + n // 2 + 3
-        if 0 <= i < len(row):
-            return row[i]
-        return (counting.taily_count if lead else counting.heady_count)(s, n)
+        if not 0 <= i < len(row):
+            raise IndexError(f"score outside the read rows: lead={lead} s={s} n={n}")
+        return row[i]
 
     def heady(self, s: int, n: int) -> int:
         return self.cell(0, s, n)
@@ -265,13 +266,16 @@ def _term_updates(reads: _Reads, max_n: int) -> _Checks:
     # walk single cells from birth, one length at a time, against the
     # closed form; exercises deep positive and negative scores alike.
     # A walked cell keeps its shape while its budget row passed _rows_ok
-    # and its list equals the reference grown beside it, heady score
-    # s + lead's binomials C(2j + s + lead, j) up to the heady bound
+    # and its list, read off the rows, equals the reference grown beside
+    # it by comb, heady score s + lead's C(2j + s + lead, j) up to the
+    # heady bound
     lo = -min(20, max_n // 2)
     hi = min(20, max_n - 1)
     # a heady read also dots its taily partner's row, two budgets on, so
-    # the rows reach one budget past the deepest taily cell's
-    rows = recurrence._grow_rows([[1]], max_n - lo + 1)
+    # the rows reach one budget past the deepest taily cell's, and the
+    # coefficient C(2j + sigma, j) sits at row 4j + sigma, which reaches
+    # (4 * max_n - sigma - 4) // 3 at the heady bound, deepest at sigma = lo
+    rows = recurrence._grow_rows([[1]], max(max_n - lo + 1, (4 * max_n - lo - 4) // 3))
     rows_ok = _rows_ok(rows)
     for s in range(lo, hi + 1):
         for lead, kind in enumerate(("heady", "taily")):
@@ -281,12 +285,12 @@ def _term_updates(reads: _Reads, max_n: int) -> _Checks:
             sigma, j0 = s + lead, max(0, -s - lead)
             coefs: list[int] = []
             want: list[int] = []
-            recurrence._fill(sigma, n, coefs)
+            recurrence._fill(sigma, n, coefs, rows)
             yield (recurrence._pair(sigma, n, coefs, rows)[lead] == reads.cell(lead, s, n),
                    f"{kind} cell wrong at birth: s={s} n={n}")
             while n < max_n:
                 n += 1
-                recurrence._fill(sigma, n, coefs)
+                recurrence._fill(sigma, n, coefs, rows)
                 for j in range(j0 + len(want), (n - sigma - 1) // 3 + 1):
                     want.append(comb(2 * j + sigma, j))
                 yield (recurrence._pair(sigma, n, coefs, rows)[lead] == reads.cell(lead, s, n),

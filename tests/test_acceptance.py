@@ -149,12 +149,14 @@ def test_criterion_6_generator_soundness_and_bijection():
 
 def test_criterion_7_exact_updates_deep_and_wide():
     with criterion(7, "term updates exact to n = 500, agree to n = 200", budget=30.0):
-        rows = _grow_rows([[1]], 521)  # raises on any inexact division
+        # raises on any inexact division; the coefficients of s + lead = -20
+        # at n = 500 reach row (4 * 500 + 20 - 4) // 3
+        rows = _grow_rows([[1]], 672)
         for s in range(-20, 21):
             for lead, count in enumerate((heady_count, taily_count)):
                 coefs = []
                 for n in range(_birth(lead, s), 501):
-                    _fill(s + lead, n, coefs)
+                    _fill(s + lead, n, coefs, rows)
                 assert _pair(s + lead, 500, coefs, rows)[lead] == count(s, 500)
         for n, dist in enumerate(table_sweep(200), start=1):
             assert dist == closed_distribution(n)

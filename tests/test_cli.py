@@ -652,6 +652,19 @@ def test_closed_output_pipe_exits_quietly():
     assert first.rstrip().endswith(b"1101") and stderr == b""
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    # an in-process caller whose stdout pipe has no reader: main points the
+    # pipe's descriptor at devnull and must not keep a second one open
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        before = len(os.listdir("/proc/self/fd"))
+        assert cli.main(["bfile", "--series", "D", "--max-n", "3000"]) == 141
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_interrupt_exits_with_status_130(capsys, monkeypatch):
     def interrupted(args):
         raise KeyboardInterrupt

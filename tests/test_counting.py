@@ -380,6 +380,16 @@ def test_a_corrupted_block_walk_raises():
         _summands.block_sum(first, k, k_hi, bent())
 
 
+def test_an_inexact_block_step_raises():
+    # 64 steps of ratio 1 but the 31st, of 1 / 2: the first block's sum
+    # N / Q = 62 / 2 divides, but its step to term 32 takes the first term
+    # 1 by P / Q = 1 / 2, which leaves a remainder
+    steps = iter([(1, 1)] * 30 + [(1, 2)] + [(1, 1)] * 33)
+    with pytest.raises(AssertionError,
+                       match="^inexact block step from term 0 to 32: remainder 1$"):
+        _summands.block_sum(1, 0, 64, steps)
+
+
 def test_a_corrupted_term_walk_raises(monkeypatch):
     # a walk of 20 steps, below the crossover, divides term by term
     s, m, lead = -1, 63, 0

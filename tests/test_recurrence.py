@@ -187,13 +187,15 @@ def _walk(lead, s, steps):
     """(n, coefs, rows) of a score-s cell at its birth and after each of `steps` steps.
 
     coefs is heady score s + lead's coefficient list, which the cell reads;
-    rows reach two budgets past the heady read's, the taily read beside it.
+    rows reach two budgets past the heady read's, the taily read beside it,
+    and row 4j + s + lead of the list's last coefficient j.
     """
     n0 = _birth(lead, s)
-    rows = _grow_rows([[1]], n0 + steps - s + 1)
+    n1 = n0 + steps
+    rows = _grow_rows([[1]], max(n1 - s + 1, (4 * n1 - s - lead - 4) // 3))
     coefs = []
-    for n in range(n0, n0 + steps + 1):
-        _fill(s + lead, n, coefs)
+    for n in range(n0, n1 + 1):
+        _fill(s + lead, n, coefs, rows)
         yield n, list(coefs), rows
 
 
@@ -211,7 +213,7 @@ def test_birth_is_the_first_length_whose_support_holds_the_score():
                 assert (first, _birth(lead, s)) == (1, 3)
                 for n, want in ((1, []), (2, [1])):
                     coefs = []
-                    _fill(s + lead, n, coefs)
+                    _fill(s + lead, n, coefs, rows)
                     assert coefs == want and _pair(s + lead, n, coefs, rows)[lead] == 1
             else:
                 assert _birth(lead, s) == first
@@ -253,11 +255,12 @@ def test_term_walks_match_closed_forms():
 
 
 def test_one_list_serves_heady_sigma_and_taily_sigma_minus_one():
-    rows = _grow_rows([[1]], 120 + 30)
+    # the coefficients of sigma = -29 reach row (4 * 120 + 29 - 4) // 3
+    rows = _grow_rows([[1]], 168)
     for sigma in range(-29, 32):
         coefs = []
         for n in range(1, 121):
-            _fill(sigma, n, coefs)
+            _fill(sigma, n, coefs, rows)
             h_lo, h_hi = heady_support(n)
             t_lo, t_hi = taily_support(n)
             in_heady, in_taily = h_lo <= sigma <= h_hi, t_lo <= sigma - 1 <= t_hi
@@ -269,6 +272,20 @@ def test_one_list_serves_heady_sigma_and_taily_sigma_minus_one():
                 assert taily == taily_count(sigma - 1, n)
 
 
+def test_fill_takes_every_coefficient_off_the_budget_rows():
+    # entry j of row 4j + sigma is C(2j + sigma, j), so the coefficients are
+    # the rows' own ints, not a second set of binomials, and the rows a
+    # length's reads need reach all of them
+    n = 300
+    rows = _grow_rows([[1]], n + (n + 1) // 2)
+    lo, hi = heady_support(n)
+    for sigma in range(lo, hi + 1):
+        j0 = max(0, -sigma)
+        coefs = _fill(sigma, n, [], rows)
+        assert len(coefs) == (n - sigma - 1) // 3 + 1 - j0
+        assert all(coef is rows[4 * j + sigma][j] for j, coef in enumerate(coefs, j0))
+
+
 def test_the_taily_read_of_heady_score_one_holds_the_all_tails_sequence():
     # the all-tails sequence scores 0 outside every summation term, so
     # _pair adds it to taily score 0 alone, from length 1, where the list
@@ -276,7 +293,7 @@ def test_the_taily_read_of_heady_score_one_holds_the_all_tails_sequence():
     rows = _grow_rows([[1]], 80)
     coefs = []
     for n in range(1, 61):
-        _fill(1, n, coefs)
+        _fill(1, n, coefs, rows)
         assert _pair(1, n, coefs, rows)[1] == taily_count(0, n)
 
 

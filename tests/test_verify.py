@@ -134,6 +134,18 @@ def test_no_closed_form_read_outlives_its_call(monkeypatch):
     assert failed_names(results) == set()
 
 
+def test_reads_refuse_a_score_outside_their_rows():
+    # every suite reads inside -(n // 2) - 3 .. n + 2; a read past either
+    # edge is a suite's bug, so it raises rather than walking the cell, and
+    # a negative index does not wrap round to the top of the row
+    reads = verify._Reads()
+    assert reads.heady(-8, 10) == 0 and reads.taily(12, 10) == 0
+    for lead, s in ((0, -9), (1, -9), (0, 13), (1, 13), (1, -24)):
+        with pytest.raises(IndexError,
+                           match=f"^score outside the read rows: lead={lead} s={s} n=10$"):
+            reads.cell(lead, s, 10)
+
+
 def test_check_counts_away_from_the_default_bounds():
     # every suite's check count at one non-default setting, as the suites
     # counted them before their closed-form reads were shared
@@ -213,8 +225,8 @@ def test_a_corrupted_coefficient_fails_the_term_shape_check(monkeypatch):
     # shape check sees it there
     honest = recurrence._fill
 
-    def corrupted(sigma, n, coefs):
-        honest(sigma, n, coefs)
+    def corrupted(sigma, n, coefs, rows):
+        honest(sigma, n, coefs, rows)
         if sigma == 3 and len(coefs) >= 3 and coefs[2] == 21:
             coefs[2] += 1
         return coefs
