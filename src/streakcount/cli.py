@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 # output to /dev/null: `dist 10000` 2.8 s with a 110 MB process and 90 MB
 # of output, most of the time spent converting counts to decimal, and
 # `dist 20000` 21 s and 382 MB; `dist 3000 --method dp` 1.3 s, 5000 5.8 s;
-# `dist 1000 --method incremental` 0.43 s, 1500 1.2 s.  wins walks two
+# `dist 1000 --method incremental` 0.48 s, 1500 1.4 s.  wins walks two
 # cells of about n bits: `wins 20000` 0.12 s, 50000 0.42 s, 100000 1.5 s.
 # Each grows at least as fast as n**2, and the oracle keeps its own limit
 # of oracle.MAX_N

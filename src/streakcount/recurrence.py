@@ -4,26 +4,28 @@ Two routes live here.  The dynamic program keeps two dense lists of
 counts, one per final toss, indexed from the lowest score: a head after a
 head raises the score, a tail after a head lowers it, anything after a
 tail scores nothing, so one appended toss is two shifted list additions.
-The term-vector route reads each closed-form sum as two rows.  Term k of a
-score-s cell with spare budget m = n - s - 1 + lead is C(2k + s - lead,
-k - lead) times C(m - 2k, k), lead 0 heady and 1 taily.  With j = k - lead
-and sigma = s + lead the first factor is C(2j + sigma, j) for both leads,
-so one coefficient list per heady score sigma serves two cells: heady
-sigma and taily sigma - 1.  It never changes with the length, so the list
-starts empty and before each read gains one coefficient per j the heady
-bound now admits; no cell needs an opening step.  The second factor
-depends on m alone, so one budget row [C(m - 2k, k) for k = 0 .. m // 3]
-serves every cell with that budget at every length; each row is the one
-before stepped in the budget by _grow_rows, the only stepper.  The same
-rows hold the first factor: entry j of row 4j + sigma is C(2j + sigma,
-j), and the rows a length's reads need already reach every coefficient
-it takes (_fill), so one table of binomials serves both factors.  One read
-per heady score, _pair, gives both its cells: with j0 = max(0, -sigma),
-the list dotted with budget row n - sigma - 1 from index j0 is heady
-sigma, and dotted with the row two budgets on from index j0 + 1 it is
-taily sigma - 1.  The tables leave as the same dense lists as the DP's.
-Inexact division in that path is impossible by construction and treated
-as an internal bug, never an input error.
+The term-vector route reads each heady closed-form sum as two rows.  Term
+j of heady score sigma at length n, with spare budget m = n - sigma - 1,
+is C(2j + sigma, j) times C(m - 2j, j), so one coefficient list per heady
+score serves its one cell at every length.  The list never changes with
+the length, so it starts empty and before each read gains one coefficient
+per j the heady bound now admits; no cell needs an opening step.  The
+second factor depends on m alone, so one budget row [C(m - 2k, k) for
+k = 0 .. m // 3] serves every cell with that budget at every length; each
+row is the one before stepped in the budget by _grow_rows, the only
+stepper.  The same rows hold the first factor: entry j of row 4j + sigma
+is C(2j + sigma, j), and the rows a length's reads need already reach
+every coefficient it takes (_fill), so one table of binomials serves both
+factors.  One read per heady score, _heady, dots the list with budget row
+m from index j0 = max(0, -sigma).  No taily sum is read: an appended head
+keeps a taily sequence's score and raises a heady one's by one, so
+taily(s, n) = heady(s, n + 1) - heady(s - 1, n), and a table at length n
+is its heady half read at n and at n + 1, which takes rows up to budget
+n + n // 2.  The closed forms take their taily half by the same identity,
+but each route makes its own subtraction, so verify's method-agreement
+still sees a slip in either.  The tables leave as the same dense lists as
+the DP's.  Inexact division in that path is impossible by construction and
+treated as an internal bug, never an input error.
 
 Both routes shape their tables through core alone (the supports, the
 dense-list constructor and the length check) and share nothing with the
@@ -33,7 +35,8 @@ closed forms they are held to: this module loads only core.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import add, mul
+from itertools import pairwise
+from operator import add, mul, sub
 from typing import Iterator, Sequence
 
 from .core import ScoreDistribution, heady_support, require_length
@@ -141,8 +144,11 @@ def _fill(sigma: int, n: int, coefs: list[int], rows: list[list[int]]) -> list[i
 
     Each is read off the budget rows: entry j of row 4j + sigma is
     C(4j + sigma - 2j, j) = C(2j + sigma, j).  The last j reads row at
-    most (4n - sigma - 4) // 3, inside the taily read's n + (n + 1) // 2
-    for every sigma of the heady support, sigma >= -((n - 1) // 2).
+    most (4n - sigma - 4) // 3, which falls as sigma rises; at the lowest
+    heady score, sigma = -t with t = (n - 1) // 2 and n - 1 = 2t or
+    2t + 1, it is 3t or 3t + 1, which is n - 1 + t, the budget that
+    score's own read dots.  So the rows a heady half reads reach every
+    coefficient it takes.
     """
     j = max(0, -sigma) + len(coefs)
     while 3 * j < n - sigma:
@@ -151,42 +157,41 @@ def _fill(sigma: int, n: int, coefs: list[int], rows: list[list[int]]) -> list[i
     return coefs
 
 
-def _pair(sigma: int, n: int, coefs: Sequence[int], rows: list[list[int]]) -> tuple[int, int]:
-    """(heady sigma, taily sigma - 1) at length n, both off heady score
-    sigma's coefficients: dotted with budget row m = n - sigma - 1 from
-    index j0 = max(0, -sigma) for the heady cell, and with row m + 2 from
-    index j0 + 1 for the taily one.
+def _heady(sigma: int, n: int, coefs: Sequence[int], rows: list[list[int]]) -> int:
+    """Heady score sigma at length n: its coefficients dotted with budget
+    row n - sigma - 1 from index j0 = max(0, -sigma).
 
-    The taily bound is at most the heady one, so the taily read may leave
-    the last coefficient unused; coefs must hold exactly the heady bound's.
+    coefs must hold exactly the heady bound's coefficients.
     """
     j0 = -sigma if sigma < 0 else 0
     m = n - sigma - 1
     if len(coefs) != m // 3 + 1 - j0:
         raise AssertionError(f"summation bound skipped a step: sigma={sigma} n={n}")
-    heady = sum(map(mul, coefs, rows[m][j0:] if j0 else rows[m]))
-    taily = sum(map(mul, coefs, rows[m + 2][j0 + 1:]))
-    if sigma == 1:
-        taily += 1        # the all-tails sequence sits outside the summation
-    return heady, taily
+    return sum(map(mul, coefs, rows[m][j0:] if j0 else rows[m]))
 
 
-def _read_length(n: int, rows: list[list[int]],
-                 coefs: defaultdict[int, list[int]]) -> ScoreDistribution:
-    """The table at length n, two cells read off each heady score's list.
+def _heady_half(n: int, rows: list[list[int]],
+                coefs: defaultdict[int, list[int]]) -> list[int]:
+    """The heady cells at length n over the heady support, ascending, one
+    read per score.
 
-    rows must reach budget n + (n + 1) // 2, the taily read of the lowest
+    rows must reach budget n - 1 + (n - 1) // 2, the read of the lowest
     heady score.
     """
-    lo = -(n // 2)
-    heady = [0] * (n - lo)
-    taily = [0] * (n - lo)
-    taily[-lo] = 1        # the all-tails cell; its list (sigma = 1) starts at n = 2
-    for sigma in range(heady_support(n)[0], n):
-        heady[sigma - lo], below = _pair(sigma, n, _fill(sigma, n, coefs[sigma], rows), rows)
-        if sigma > lo:    # at odd n the lowest heady score has no taily partner
-            taily[sigma - 1 - lo] = below
-    return ScoreDistribution.from_lists(n, heady, taily)
+    return [_heady(sigma, n, _fill(sigma, n, coefs[sigma], rows), rows)
+            for sigma in range(heady_support(n)[0], n)]
+
+
+def _table(n: int, heady: list[int], above: list[int]) -> ScoreDistribution:
+    """The table at length n from the heady halves at n and at n + 1, each
+    over its support.
+
+    An appended head keeps a taily sequence's score and raises a heady
+    one's by one, so taily(s, n) = heady(s, n + 1) - heady(s - 1, n), the
+    all-tails cell included.
+    """
+    heady = [0] * (heady_support(n)[0] + n // 2) + heady      # from -(n // 2)
+    return ScoreDistribution.from_lists(n, heady, list(map(sub, above, [0, *heady])))
 
 
 def table_sweep(n_max: int) -> Iterator[ScoreDistribution]:
@@ -195,22 +200,28 @@ def table_sweep(n_max: int) -> Iterator[ScoreDistribution]:
     The coefficient lists and the rows of C(m - 2k, k) persist across
     lengths: a list only gains a coefficient whenever its heady budget
     reaches 3k, and the rows grow by one or two budgets a length and are
-    shared by every cell.  This path is kept as the independent
-    cross-check of the closed forms and the DP.  n_max is checked at the
-    call, before the first table.
+    shared by every cell.  The heady half at each length is read once:
+    table n takes it as its taily half's minuend and table n + 1 as its
+    heady half, so the sweep reads n_max + 1 heady halves.  This path is
+    kept as the independent cross-check of the closed forms and the DP.
+    n_max is checked at the call, before the first table.
     """
     require_length(n_max)
     rows: list[list[int]] = [[1]]
     coefs: defaultdict[int, list[int]] = defaultdict(list)
-    return (_read_length(n, _grow_rows(rows, n + (n + 1) // 2), coefs)
-            for n in range(1, n_max + 1))
+    halves = (_heady_half(n, _grow_rows(rows, n - 1 + (n - 1) // 2), coefs)
+              for n in range(1, n_max + 2))
+    return (_table(n, heady, above) for n, (heady, above) in enumerate(pairwise(halves), 1))
 
 
 def incremental_distribution(n: int) -> ScoreDistribution:
-    """Distribution at one length off the budget rows up to n + (n + 1) // 2.
+    """Distribution at one length off the budget rows up to n + n // 2.
 
-    Only length n is read, from fresh lists: each takes all its
-    coefficients at once.
+    The heady halves at n and at n + 1 are read, in that order, from fresh
+    lists: each takes all its coefficients at n and at most one more at
+    n + 1.
     """
     require_length(n)
-    return _read_length(n, _grow_rows([[1]], n + (n + 1) // 2), defaultdict(list))
+    rows = _grow_rows([[1]], n + n // 2)
+    coefs: defaultdict[int, list[int]] = defaultdict(list)
+    return _table(n, _heady_half(n, rows, coefs), _heady_half(n + 1, rows, coefs))

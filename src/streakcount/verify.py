@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
 from . import core, counting, oracle, recurrence, signatures
@@ -262,38 +263,51 @@ def _rows_ok(rows: list[list[int]]) -> list[bool]:
             for m, row in enumerate(rows)]
 
 
+def _taily_read(sigma: int, n: int, coefs: list[int], rows: list[list[int]]) -> int:
+    # taily score sigma - 1 at length n off heady score sigma's coefficients,
+    # verify's own read: the route takes its taily cells from the
+    # appended-head identity instead.  Term k = j + 1 of the taily sum is
+    # C(2j + sigma, j) times C(m + 2 - 2k, k), its budget m + 2 two past the
+    # heady read's m = n - sigma - 1, so the list dots that row from index
+    # max(0, -sigma) + 1; the all-tails sequence sits outside the sum
+    j0 = -sigma if sigma < 0 else 0
+    taily = sum(map(mul, coefs, rows[n - sigma + 1][j0 + 1:]))
+    return taily + 1 if sigma == 1 else taily
+
+
 def _term_updates(reads: _Reads, max_n: int) -> _Checks:
     # walk single cells from birth, one length at a time, against the
     # closed form; exercises deep positive and negative scores alike.
-    # A walked cell keeps its shape while its budget row passed _rows_ok
-    # and its list, read off the rows, equals the reference grown beside
-    # it by comb, heady score s + lead's C(2j + s + lead, j) up to the
-    # heady bound
+    # A heady cell is read by the route's own reader and a taily one by
+    # _taily_read off heady score s + 1's list.  A walked cell keeps its
+    # shape while its budget row passed _rows_ok and its list, read off the
+    # rows, equals the reference grown beside it by comb, heady score
+    # s + lead's C(2j + s + lead, j) up to the heady bound
     lo = -min(20, max_n // 2)
     hi = min(20, max_n - 1)
-    # a heady read also dots its taily partner's row, two budgets on, so
-    # the rows reach one budget past the deepest taily cell's, and the
+    # the rows reach the deepest taily cell's budget, max_n - lo, and the
     # coefficient C(2j + sigma, j) sits at row 4j + sigma, which reaches
     # (4 * max_n - sigma - 4) // 3 at the heady bound, deepest at sigma = lo
-    rows = recurrence._grow_rows([[1]], max(max_n - lo + 1, (4 * max_n - lo - 4) // 3))
+    rows = recurrence._grow_rows([[1]], max(max_n - lo, (4 * max_n - lo - 4) // 3))
     rows_ok = _rows_ok(rows)
     for s in range(lo, hi + 1):
         for lead, kind in enumerate(("heady", "taily")):
             n = recurrence._birth(lead, s)
             if n > max_n:
                 continue
+            read = _taily_read if lead else recurrence._heady
             sigma, j0 = s + lead, max(0, -s - lead)
             coefs: list[int] = []
             want: list[int] = []
             recurrence._fill(sigma, n, coefs, rows)
-            yield (recurrence._pair(sigma, n, coefs, rows)[lead] == reads.cell(lead, s, n),
+            yield (read(sigma, n, coefs, rows) == reads.cell(lead, s, n),
                    f"{kind} cell wrong at birth: s={s} n={n}")
             while n < max_n:
                 n += 1
                 recurrence._fill(sigma, n, coefs, rows)
                 for j in range(j0 + len(want), (n - sigma - 1) // 3 + 1):
                     want.append(comb(2 * j + sigma, j))
-                yield (recurrence._pair(sigma, n, coefs, rows)[lead] == reads.cell(lead, s, n),
+                yield (read(sigma, n, coefs, rows) == reads.cell(lead, s, n),
                        f"{kind} term update drifted: s={s} n={n}")
                 yield (rows_ok[n - s - 1 + lead] and coefs == want,
                        f"{kind} terms lost their binomial shape: s={s} n={n}")

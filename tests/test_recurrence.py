@@ -17,7 +17,7 @@ from streakcount.recurrence import (
     _birth,
     _fill,
     _grow_rows,
-    _pair,
+    _heady,
     dp_distribution,
     dp_sweep,
     incremental_distribution,
@@ -179,20 +179,19 @@ def test_dp_reaches_the_reference_rows():
     assert dist.win_gap() == CLOSE_CALL_ROWS[25][1]
 
 
-COUNT = (heady_count, taily_count)      # indexed by lead: 0 heady, 1 taily
 SUPPORT = (heady_support, taily_support)
 
 
 def _walk(lead, s, steps):
     """(n, coefs, rows) of a score-s cell at its birth and after each of `steps` steps.
 
-    coefs is heady score s + lead's coefficient list, which the cell reads;
-    rows reach two budgets past the heady read's, the taily read beside it,
-    and row 4j + s + lead of the list's last coefficient j.
+    coefs is heady score s + lead's coefficient list, whose terms the cell's
+    sum takes; rows reach the cell's own budget n - s - 1 + lead and row
+    4j + s + lead of the list's last coefficient j.
     """
     n0 = _birth(lead, s)
     n1 = n0 + steps
-    rows = _grow_rows([[1]], max(n1 - s + 1, (4 * n1 - s - lead - 4) // 3))
+    rows = _grow_rows([[1]], max(n1 - s - 1 + lead, (4 * n1 - s - lead - 4) // 3))
     coefs = []
     for n in range(n0, n1 + 1):
         _fill(s + lead, n, coefs, rows)
@@ -208,13 +207,13 @@ def test_birth_is_the_first_length_whose_support_holds_the_score():
             if lead == 1 and s == 0:
                 # the all-tails indicator is live from length 1; the first
                 # term of the sum enters at length 3.  At length 2 the list
-                # already holds heady score 1's opening, which the taily
-                # read does not reach
+                # already holds heady score 1's opening, and the route's
+                # taily cell there is the all-tails sequence alone
                 assert (first, _birth(lead, s)) == (1, 3)
                 for n, want in ((1, []), (2, [1])):
                     coefs = []
                     _fill(s + lead, n, coefs, rows)
-                    assert coefs == want and _pair(s + lead, n, coefs, rows)[lead] == 1
+                    assert coefs == want and incremental_distribution(n).taily[s] == 1
             else:
                 assert _birth(lead, s) == first
 
@@ -230,6 +229,9 @@ def test_budget_rows_equal_their_binomials():
 
 
 def test_term_vector_openings():
+    # the route's taily cells come from its heady halves at n and n + 1,
+    # here at each cell's first length, against the DP's
+    tables = list(zip(table_sweep(20), dp_sweep(20)))
     for s in range(-8, 9):
         n0 = _birth(0, s)
         assert heady_count(s, n0) == 1
@@ -237,64 +239,85 @@ def test_term_vector_openings():
             assert heady_count(s, n0 - 1) == 0
         (n, coefs, rows), = _walk(0, s, 0)
         assert (n, coefs) == (n0, [1])
-        assert _pair(s, n, coefs, rows)[0] == heady_count(s, n0)
+        assert _heady(s, n, coefs, rows) == heady_count(s, n0)
 
         m0 = _birth(1, s)
         (n, coefs, rows), = _walk(1, s, 0)
         assert (n, coefs) == (m0, [1])
-        assert _pair(s + 1, n, coefs, rows)[1] == taily_count(s, m0)
+        terms, dp = tables[m0 - 1]
+        assert terms.taily[s] == dp.taily[s]
         if s != 0 and m0 > 1:
             assert taily_count(s, m0 - 1) == 0
 
 
 def test_term_walks_match_closed_forms():
+    # a heady cell by its own read; a taily cell off the route's tables,
+    # against the DP's
+    tables = list(zip(table_sweep(52), dp_sweep(52)))
     for s in range(-6, 7):
-        for lead, count in enumerate(COUNT):
-            for n, coefs, rows in _walk(lead, s, 40):
-                assert _pair(s + lead, n, coefs, rows)[lead] == count(s, n)
+        for n, coefs, rows in _walk(0, s, 40):
+            assert _heady(s, n, coefs, rows) == heady_count(s, n)
+        for n in range(_birth(1, s), _birth(1, s) + 41):
+            terms, dp = tables[n - 1]
+            assert terms.taily[s] == dp.taily[s]
 
 
-def test_one_list_serves_heady_sigma_and_taily_sigma_minus_one():
-    # the coefficients of sigma = -29 reach row (4 * 120 + 29 - 4) // 3
-    rows = _grow_rows([[1]], 168)
-    for sigma in range(-29, 32):
-        coefs = []
-        for n in range(1, 121):
-            _fill(sigma, n, coefs, rows)
-            h_lo, h_hi = heady_support(n)
-            t_lo, t_hi = taily_support(n)
-            in_heady, in_taily = h_lo <= sigma <= h_hi, t_lo <= sigma - 1 <= t_hi
-            if in_heady or in_taily:
-                heady, taily = _pair(sigma, n, coefs, rows)
-            if in_heady:
-                assert heady == heady_count(sigma, n)
-            if in_taily:
-                assert taily == taily_count(sigma - 1, n)
+def test_taily_halves_are_the_appended_head_difference_to_400():
+    # every table the sweep builds, its taily half by the identity, against
+    # the DP's, whose taily half steps on its own; both parities, and the
+    # closed fill's Pell zeros among the lengths
+    for terms, dp in zip(table_sweep(400), dp_sweep(400)):
+        assert terms == dp, dp.n
+
+
+def test_each_heady_cell_is_read_once_and_nothing_else_is_dotted(monkeypatch):
+    # the sweep reads the heady half at every length 1 .. N + 1 once, and a
+    # single table its halves at n and n + 1; every multiplication of a dot
+    # product happens inside a heady read
+    honest_read, honest_mul = recurrence._heady, recurrence.mul
+    reads, products = [], [0, 0]       # all products, products inside reads
+
+    def mul(a, b):
+        products[0] += 1
+        return honest_mul(a, b)
+
+    def read(sigma, n, coefs, rows):
+        reads.append((sigma, n))
+        before = products[0]
+        value = honest_read(sigma, n, coefs, rows)
+        products[1] += products[0] - before
+        return value
+
+    monkeypatch.setattr(recurrence, "mul", mul)
+    monkeypatch.setattr(recurrence, "_heady", read)
+
+    def cells(lengths):
+        return [(sigma, n) for n in lengths for sigma in range(heady_support(n)[0], n)]
+
+    for n_max in (1, 2, 29, 60):
+        reads.clear()
+        assert list(table_sweep(n_max)) == list(dp_sweep(n_max))
+        assert reads == cells(range(1, n_max + 2))
+        assert products[0] == products[1] > 0
+    for n in (1, 2, 40, 41, 119):
+        reads.clear()
+        assert incremental_distribution(n) == dp_distribution(n)
+        assert reads == cells((n, n + 1))
+        assert products[0] == products[1]
 
 
 def test_fill_takes_every_coefficient_off_the_budget_rows():
     # entry j of row 4j + sigma is C(2j + sigma, j), so the coefficients are
-    # the rows' own ints, not a second set of binomials, and the rows a
-    # length's reads need reach all of them
-    n = 300
-    rows = _grow_rows([[1]], n + (n + 1) // 2)
-    lo, hi = heady_support(n)
-    for sigma in range(lo, hi + 1):
-        j0 = max(0, -sigma)
-        coefs = _fill(sigma, n, [], rows)
-        assert len(coefs) == (n - sigma - 1) // 3 + 1 - j0
-        assert all(coef is rows[4 * j + sigma][j] for j, coef in enumerate(coefs, j0))
-
-
-def test_the_taily_read_of_heady_score_one_holds_the_all_tails_sequence():
-    # the all-tails sequence scores 0 outside every summation term, so
-    # _pair adds it to taily score 0 alone, from length 1, where the list
-    # is still empty, across the sum's first term at 3
-    rows = _grow_rows([[1]], 80)
-    coefs = []
-    for n in range(1, 61):
-        _fill(1, n, coefs, rows)
-        assert _pair(1, n, coefs, rows)[1] == taily_count(0, n)
+    # the rows' own ints, not a second set of binomials, and the rows the
+    # heady half at n reads, up to n - 1 + (n - 1) // 2, reach all of them
+    for n in (300, 301):
+        rows = _grow_rows([[1]], n - 1 + (n - 1) // 2)
+        lo, hi = heady_support(n)
+        for sigma in range(lo, hi + 1):
+            j0 = max(0, -sigma)
+            coefs = _fill(sigma, n, [], rows)
+            assert len(coefs) == (n - sigma - 1) // 3 + 1 - j0
+            assert all(coef is rows[4 * j + sigma][j] for j, coef in enumerate(coefs, j0))
 
 
 def test_term_entries_equal_their_defining_binomials():
@@ -323,24 +346,31 @@ def test_budget_step_refuses_an_inexact_update():
 
 
 def test_term_walk_refuses_a_missing_last_term():
+    # heady score 0 at length 5 and heady score 1, the list taily score 0
+    # takes its terms from, at length 7
     for lead, want in ((0, (5, 2)), (1, (7, 2))):
         *_, (n, coefs, rows) = _walk(lead, 0, 4)
         assert (n, len(coefs)) == want
         with pytest.raises(AssertionError, match="skipped a step"):
-            _pair(lead, n, coefs[:-1], rows)
+            _heady(lead, n, coefs[:-1], rows)
         with pytest.raises(AssertionError, match="skipped a step"):
-            _pair(lead, n, coefs + [1], rows)
+            _heady(lead, n, coefs + [1], rows)
 
 
 @given(st.sampled_from([0, 1]), st.integers(-10, 10), st.integers(1, 60))
 def test_term_walks_never_divide_inexactly(lead, s, steps):
+    # a heady cell by its own read, a taily cell off a single table's
+    # heady halves at n and n + 1, whose rows step one budget further
     *_, (n, coefs, rows) = _walk(lead, s, steps)
-    assert _pair(s + lead, n, coefs, rows)[lead] == COUNT[lead](s, n)
+    if lead:
+        assert incremental_distribution(n).taily[s] == dp_distribution(n).taily[s]
+    else:
+        assert _heady(s, n, coefs, rows) == heady_count(s, n)
 
 
 def test_table_sweep_labels_lengths():
-    # both parities: at odd n the lowest heady score's taily read has no
-    # slot, since that score is also the lowest taily one
+    # both parities: at even n the heady half starts one score above the
+    # taily half, and the heady half at n + 1 reaches one score further down
     for n, dist in enumerate(table_sweep(20), start=1):
         assert dist.n == n
         assert dist == closed_distribution(n)

@@ -336,6 +336,13 @@ def filled_one_too_big(cell):
         "insertion-census": (16, "signature census misses the taily table at n=8"),
         "oracle-agreement": (34, "enumeration disagrees with closed forms at n=8"),
     }, id="fill-2-9"),
+    # the term vectors' heady cell at 13 is read as the minuend of table
+    # 12's taily half and by no table check before it; the term-update walk
+    # stops at 12, so the closed table, whose taily half comes by its own
+    # subtraction, is the one check that sees it
+    pytest.param(one_too_big(recurrence, "_heady", lambda sigma, n, *_: (sigma, n) == (-2, 13)), {
+        "method-agreement": (24, "term-update table disagrees with closed forms at n=12"),
+    }, id="term-vector-heady-minus-2-13"),
 ])
 def test_every_suite_result_under_an_injected_fault(monkeypatch, fault, failures):
     # one count one too big: each suite that reads it fails at the same
