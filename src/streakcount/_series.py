@@ -69,13 +69,14 @@ SEEDS: Cursor = (3, (1, 0, 0, 2), 2)
 
 # A step costs one pass over an n-bit number, a closed-form walk n / 3 terms
 # summed in blocks of ratio steps (see _summands.block_sum).  Measured on a
-# 2-core Xeon (Python 3.11.7, median of five bests of three), stepping the
-# last quarter of the way to n costs 0.7-0.8 times the walk at n for n from
-# 1000 to 3000, 1.0 times at 5000 and 1.4-1.7 times from 10000 to 30000; a
-# fifth costs 0.5-0.8 and 1.2-1.4 times it.  A quarter stays: a step also
-# leaves the cursor at n, so an ascending loop that jumps goes on stepping,
-# where a walk leaves its next length a miss that steps all the way up from
-# wherever the cursor stands.
+# 2-core Xeon (Python 3.11.7, median of five bests of three) against the
+# gap cell's walk, whose steps come with their common factor cancelled,
+# stepping the last quarter of the way to n costs 0.7-0.9 times the walk at
+# n for n from 1000 to 3000, 1.1 times at 5000 and 1.5-1.8 times from 10000
+# to 30000; a fifth costs 0.6-0.7, 0.9 and 1.3-1.5 times it.  A quarter
+# stays: a step also leaves the cursor at n, so an ascending loop that jumps
+# goes on stepping, where a walk leaves its next length a miss that steps
+# all the way up from wherever the cursor stands.
 RESUME_SHARE = 4
 
 _cursor: Cursor = SEEDS

@@ -37,10 +37,11 @@ if TYPE_CHECKING:
 # output to /dev/null: `dist 10000` 2.8 s with a 110 MB process and 90 MB
 # of output, most of the time spent converting counts to decimal, and
 # `dist 20000` 21 s and 382 MB; `dist 3000 --method dp` 1.3 s, 5000 5.8 s;
-# `dist 1000 --method incremental` 0.48 s, 1500 1.4 s.  wins walks two
-# cells of about n bits: `wins 20000` 0.12 s, 50000 0.42 s, 100000 1.5 s.
-# Each grows at least as fast as n**2, and the oracle keeps its own limit
-# of oracle.MAX_N
+# `dist 1000 --method incremental` 0.48 s, 1500 1.4 s.  wins walks two gap
+# cells of about n bits, whose bigint block steps dominate there:
+# `wins 20000` 0.15 s, 50000 0.51 s and 100000 1.8 s, best of five.  Each
+# grows at least as fast as n**2, and the oracle keeps its own limit of
+# oracle.MAX_N
 _DIST_LIMITS = {"closed": 10_000, "dp": 3_000, "incremental": 1_000}
 _WINS_LIMIT = 50_000
 

@@ -290,6 +290,41 @@ def test_closed_forms_equal_the_defining_sums(cell):
 def test_large_gap_cells_equal_the_defining_sum():
     assert win_gap(5000) == defining_heady(-1, 5000)
     assert win_gap_step(5001) == defining_heady(1, 5000)
+    # every walk whose steps are cancelled (s + lead in -1, 0, 1) in blocks:
+    # the rest of those at 5000, then all six at both parities past the
+    # 400-step block threshold
+    assert heady_count(0, 5000) == defining_heady(0, 5000)
+    for s in (-2, -1, 0):
+        assert taily_count(s, 5000) == defining_taily(s, 5000)
+    for n in (1300, 1301):
+        for s in (-1, 0, 1):
+            assert heady_count(s, n) == defining_heady(s, n)
+            assert taily_count(s - 1, n) == defining_taily(s - 1, n)
+
+
+@pytest.mark.parametrize("n", [100, 1301])
+def test_central_steps_come_with_their_common_factor_cancelled(n):
+    # the step written out in full, (b+2)(b+1) a(a-1)(a-2) over
+    # (d-lead)(d+s) d c(c-1) at k = d - 1; at s + lead in -1, 0, 1 the pair
+    # ratios yields is that one with a linear factor taken from both
+    # sides, and every other walk yields it as it stands
+    for s in range(-4, 4):
+        for lead in (0, 1):
+            m = n - s - 1 + lead
+            k = max(lead, -s)
+            steps = list(_summands.ratios(s, m, lead))
+            assert len(steps) == m // 3 - k
+            for d, (p, q) in enumerate(steps, k + 1):
+                a, b, c = m - 3 * (d - 1), 2 * (d - 1) + s - lead, m - 2 * (d - 1)
+                p_g = (b + 2) * (b + 1) * a * (a - 1) * (a - 2)
+                q_g = (d - lead) * (d + s) * d * c * (c - 1)
+                if s + lead == -1:
+                    f = d + s
+                elif s + lead in (0, 1):
+                    f = d - lead
+                else:
+                    f = 1
+                assert (p * f, q * f) == (p_g, q_g), (s, lead, d)
 
 
 @pytest.mark.parametrize("s, n", [(0, 1), (0, 30), (4, 41), (-1, 100), (1, 99),
